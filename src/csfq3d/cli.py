@@ -412,16 +412,17 @@ def cmd_spectrum(config: RunConfig, args) -> int:
     fmt = args.format or config.output_settings()["format"]
 
     def solve(f: float):
-        result = lowest_eigenpairs(build_hamiltonian_2d(q, f, grid), k=k)
-        return result.omega01, result.transition(1, 2)
+        return lowest_eigenpairs(build_hamiltonian_2d(q, f, grid), k=k)
 
     rows = []
     failures = 0
-    for f, value, err in _map_indexed(solve, list(flux), workers):
+    optimal = None
+    for f, result, err in _map_indexed(solve, list(flux), workers):
         w_analytic = analytic.omega01(q, f)
         if err is None:
-            w01, w12 = value
-            rows.append([f, w_analytic, w01, w12, "ok"])
+            rows.append([f, w_analytic, result.omega01, result.transition(1, 2), "ok"])
+            if f == 0.5:
+                optimal = result
         else:
             failures += 1
             rows.append([f, w_analytic, "", "", f"error:{err.__class__.__name__}"])
@@ -429,7 +430,8 @@ def cmd_spectrum(config: RunConfig, args) -> int:
                          ["flux_phi0", "omega01_analytic_GHz", "omega01_numeric_GHz",
                           "omega12_numeric_GHz", "status"], rows, fmt)
 
-    optimal = lowest_eigenpairs(build_hamiltonian_2d(q, 0.5, grid), k=k)
+    if optimal is None:  # the optimal point is not a (successful) sweep point
+        optimal = solve(0.5)
     spectrum = analytic.perturbative_spectrum(q)
     summary = {
         "omega01_numeric_GHz": optimal.omega01,
@@ -470,6 +472,7 @@ def cmd_coherence(config: RunConfig, args) -> int:
 
     t1_rows = [[t, value, "ok"] if err is None else [t, "", f"error:{err.__class__.__name__}"]
                for t, value, err in _map_indexed(t1_point, list(temperatures), workers)]
+    failures = sum(row[2] != "ok" for row in t1_rows)
     t1_table = _write_table(outdir / "t1_vs_temperature",
                             ["temp_K", "t1_qp_s", "status"], t1_rows, fmt)
 
@@ -514,7 +517,7 @@ def cmd_coherence(config: RunConfig, args) -> int:
     _write_json(budget_path, budget)
     _write_manifest(outdir, "coherence", config, [t1_table, flux_table, budget_path],
                     {"workers": workers})
-    return EXIT_OK
+    return EXIT_PARTIAL_FAILURE if failures else EXIT_OK
 
 
 def cmd_filter(config: RunConfig, args) -> int:

@@ -225,6 +225,32 @@ class TestSpectrumCommand:
         summary = json.loads((out / "spectrum_summary.json").read_text())
         assert summary["failed_points"] == 2
 
+    @pytest.mark.parametrize("stop,solves", [(0.51, 5), (0.499, 6)])
+    def test_optimal_point_reuses_sweep_solve(self, tmp_path, monkeypatch, stop, solves):
+        # 0.5 is an exact sweep point of linspace(0.49, 0.51, 5); the summary
+        # reuses that solve, and solves f = 0.5 once more only if it is absent
+        path = tmp_path / "c.ini"
+        path.write_text(BASE_CONFIG.replace("stop = 0.51", f"stop = {stop}"))
+        calls = []
+        original = cli.lowest_eigenpairs
+
+        def counting(op, k=4, **kwargs):
+            calls.append(op)
+            return original(op, k=k, **kwargs)
+
+        monkeypatch.setattr(cli, "lowest_eigenpairs", counting)
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), "--format", "json",
+                         "spectrum"]) == cli.EXIT_OK
+        assert len(calls) == solves
+        records = json.loads((out / "spectrum.json").read_text())
+        summary = json.loads((out / "spectrum_summary.json").read_text())
+        at_optimum = [r for r in records if r["flux_phi0"] == 0.5]
+        for record in at_optimum:
+            assert summary["omega01_numeric_GHz"] == record["omega01_numeric_GHz"]
+            assert summary["omega12_numeric_GHz"] == record["omega12_numeric_GHz"]
+        assert len(at_optimum) == (1 if stop == 0.51 else 0)
+
     def test_unwritable_output_directory(self, tmp_path, config_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")
@@ -260,6 +286,16 @@ class TestCoherenceCommand:
         assert budget["g01_MHz"] == pytest.approx(72.844, rel=1e-3)
         assert budget["t1_purcell_s"] == pytest.approx(1.8e-3, rel=0.05)
         assert budget["t_phi_thermal_s"] == pytest.approx(3.2e-3, rel=0.05)
+
+    def test_failed_t1_point_marks_row_and_exits_3(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text(BASE_CONFIG.replace("start_k = 0.010", "start_k = 0.0"))
+        out = tmp_path / "out"
+        code = cli.main(["--config", str(path), "--out", str(out), "coherence"])
+        assert code == cli.EXIT_PARTIAL_FAILURE
+        _, rows = read_csv(out / "t1_vs_temperature.csv")
+        assert rows[0][1] == "" and rows[0][2].startswith("error:")
+        assert all(row[2] == "ok" for row in rows[1:])
 
     def test_zero_flux_noise_gives_zero_rates(self, tmp_path):
         path = tmp_path / "c.ini"

@@ -126,8 +126,27 @@ class TestOperators:
         with pytest.raises(ValueError):
             HamiltonianOperator((1.0,), np.zeros((16, 16)), grid)
 
+    def test_sector_projector_only_on_2d(self):
+        with pytest.raises(ValueError, match="2D"):
+            HamiltonianOperator((1.0,), np.zeros(16), GridSpec(16),
+                                sector_projector=lambda psi: psi)
+
+
+def even_sector_levels(op, count=4):
+    """Independent oracle: dense P H P restricted to the range of P."""
+    identity = np.eye(op.dim)
+    dense = np.column_stack([op.matvec(col) for col in identity])
+    projector = np.column_stack([op.project(col) for col in identity])
+    weights, vectors = np.linalg.eigh(projector)
+    basis = vectors[:, weights > 0.5]
+    return np.linalg.eigvalsh(basis.T @ dense @ basis)[:count]
+
 
 class TestLanczos:
+    """Contract of lowest_eigenpairs: dense 1D solve, product-basis start
+    plus LOBPCG refinement in 2D (the class keeps its name so test ids stay
+    stable across the solver change)."""
+
     def test_harmonic_oscillator_spacing(self):
         # quartic term zeroed: pure oscillator, spacing sqrt(4 E_m E_J (1-2 alpha))
         e_m, stiffness = 0.25, 85.0 * 0.18
@@ -179,8 +198,30 @@ class TestLanczos:
     def test_nonconvergence_carries_residuals(self):
         op = build_hamiltonian_2d(reference_qubit_2d(), 0.5, GridSpec(48))
         with pytest.raises(ConvergenceError) as err:
-            lowest_eigenpairs(op, k=4, max_iter=30)
+            lowest_eigenpairs(op, k=4, max_iter=1)
         assert err.value.residual_norms.size > 0
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_matches_dense_even_sector_oracle_2d(self, n):
+        op = build_hamiltonian_2d(reference_qubit_2d(), 0.5, GridSpec(n))
+        result = lowest_eigenpairs(op, k=4)
+        np.testing.assert_allclose(result.eigenvalues, even_sector_levels(op), rtol=1e-9)
+
+    def test_fine_grid_off_optimal_residuals(self):
+        q = reference_qubit_2d()
+        op = build_hamiltonian_2d(q, 0.49, GridSpec(128))
+        result = lowest_eigenpairs(op, k=4)
+        residuals = [np.linalg.norm(op.matvec(v) - e * v)
+                     for e, v in zip(result.eigenvalues, result.eigenvectors.T)]
+        assert max(residuals) <= 1e-8 * q.E_J
+        np.testing.assert_allclose(result.residual_norms, residuals, rtol=1e-12)
+
+    def test_refinement_iterations(self):
+        # the dense 1D solve needs none; the product-basis start leaves the
+        # reference device a few LOBPCG iterations at the bundled grid
+        assert lowest_eigenpairs(build_hamiltonian_1d(reference_qubit_1d()), k=4).iterations == 0
+        result = lowest_eigenpairs(build_hamiltonian_2d(reference_qubit_2d(), 0.5), k=4)
+        assert 1 <= result.iterations <= 10
 
     def test_k_validation(self):
         op = build_hamiltonian_1d(reference_qubit_1d(), GridSpec(16))
@@ -318,7 +359,7 @@ class TestOmega01VsFlux:
     def test_solver_failure_names_flux(self):
         q = reference_qubit_2d()
         with pytest.raises(ConvergenceError, match="f=0.5"):
-            numeric_omega01_vs_flux(q, [0.5], GridSpec(48), k=2, max_iter=20)
+            numeric_omega01_vs_flux(q, [0.5], GridSpec(48), k=2, max_iter=1)
 
 
 class TestQuadraticFluxResponse:
