@@ -170,7 +170,12 @@ class RunConfig:
             raise ConfigError(f"invalid [noise] section: {err}") from err
 
     def ramsey_time_s(self) -> float:
-        return self._get("noise", "ramsey_time_s", float, default=1e-6, required=False)
+        value = self._get("noise", "ramsey_time_s", float, default=1e-6, required=False)
+        omega_ir = self.flux_noise().omega_ir
+        if not 0.0 < omega_ir * value < 1.0:
+            raise ConfigError(f"[noise] ramsey_time_s must satisfy 0 < omega_ir * t < 1 "
+                              f"(omega_ir = {omega_ir:.3g} rad/s), got {value!r}")
+        return value
 
     def base_temperature_k(self) -> float:
         return self._get("noise", "base_temperature_k", float, default=0.010, required=False)
@@ -197,6 +202,9 @@ class RunConfig:
     def sweep(self, section: str, start_key: str, stop_key: str) -> np.ndarray:
         start = self._get(section, start_key, float)
         stop = self._get(section, stop_key, float)
+        for key, value in ((start_key, start), (stop_key, stop)):
+            if not math.isfinite(value):
+                raise ConfigError(f"[{section}] {key} must be finite, got {value!r}")
         steps = self._get(section, "steps", int)
         if steps < 2:
             raise ConfigError(f"[{section}] steps must be >= 2, got {steps}")
@@ -465,6 +473,8 @@ def cmd_coherence(config: RunConfig, args) -> int:
     matrix_elements = analytic.junction_matrix_elements(q)
 
     temperatures = config.sweep("temperature_sweep", "start_k", "stop_k")
+    flux = config.sweep("flux_sweep", "start", "stop")
+    ramsey_time = config.ramsey_time_s()
 
     def t1_point(temperature: float) -> float:
         return 1.0 / qp_relaxation_rate(q, cqed_in["omega01_ghz"], env, temperature,
@@ -476,8 +486,6 @@ def cmd_coherence(config: RunConfig, args) -> int:
     t1_table = _write_table(outdir / "t1_vs_temperature",
                             ["temp_K", "t1_qp_s", "status"], t1_rows, fmt)
 
-    flux = config.sweep("flux_sweep", "start", "stop")
-    ramsey_time = config.ramsey_time_s()
     flux_rows = []
     for f in flux:
         derivative = analytic.domega01_df(q, f)

@@ -168,7 +168,14 @@ def bessel_k0(x: float) -> float:
     if x <= 2.0:
         i0 = math.exp(x) * _chebyshev(x / 2.0 - 2.0, _I0_A)
         return _chebyshev(x * x - 2.0, _K0_A) - math.log(0.5 * x) * i0
-    return math.exp(-x) * _chebyshev(8.0 / x - 2.0, _K0_B) / math.sqrt(x)
+    return math.exp(-x) * _bessel_k0e(x)
+
+
+def _bessel_k0e(x: float) -> float:
+    """exp(x) K0(x), x > 0, finite where exp(x) alone overflows (x > 709)."""
+    if x <= 2.0:
+        return math.exp(x) * bessel_k0(x)
+    return _chebyshev(8.0 / x - 2.0, _K0_B) / math.sqrt(x)
 
 
 @dataclass(frozen=True)
@@ -214,7 +221,7 @@ def qp_rate_components(q: QubitParams, omega01_ghz: float, env: QuasiparticleEnv
     a_sum = (2.0 * m_large**2 * q.E_J + m_small**2 * q.alpha * q.E_J) * 1e9 * 2.0 * math.pi
     neq = a_sum * (8.0 / math.pi) * env.x_qp * math.sqrt(2.0 * gap_j / hbar_omega)
     x = hbar_omega / (2.0 * kt)
-    eq_down = a_sum * (16.0 / math.pi) * math.exp(-gap_j / kt) * math.exp(x) * bessel_k0(x)
+    eq_down = a_sum * (16.0 / math.pi) * math.exp(-gap_j / kt) * _bessel_k0e(x)
     eq_up = eq_down * math.exp(-2.0 * x)
     return QpRateComponents(nonequilibrium=neq, equilibrium_down=eq_down,
                             equilibrium_up=eq_up)

@@ -18,12 +18,15 @@ an unphysical partner that is odd under that half-cell translation.  The 2D
 operator therefore carries a symmetry projector onto the even (single-valued)
 sector, and :func:`lowest_eigenpairs` keeps its vectors inside it.
 
-:func:`lowest_eigenpairs` diagonalizes 1D operators densely.  For 2D it uses
-the stiff phi_p mode (Kerman, arXiv:2010.14929; Groszkowski & Koch, Quantum 5,
-583 (2021)): a dense solve in a product basis of bound phi_p levels times
-phi_m grid points, refined by LOBPCG on the full grid until every true
-residual meets the tolerance, so the basis size sets the speed, never the
-answer.  Nothing is random, and scipy is imported only inside the solver.
+:func:`lowest_eigenpairs` diagonalizes 1D operators densely.  For 2D it takes
+a hierarchical start (Kerman, arXiv:2010.14929; Groszkowski & Koch, Quantum 5,
+583 (2021)): a dense solve in a product basis of the bound levels of the stiff
+phi_p mode times the low levels of the soft phi_m mode, keeping the phi_m
+levels within two phi_p gaps of the lowest (never fewer than k).  LOBPCG on
+the full grid refines it until every true residual meets the tolerance, so
+the basis sizes set the speed, never the answer.  The kinetic term is applied
+with one real n-D FFT.  Nothing is random, and scipy is imported only inside
+the solver.
 """
 
 from __future__ import annotations
@@ -104,6 +107,11 @@ class HamiltonianOperator:
         self.sector_projector = sector_projector
         # integer wavenumbers squared; exact for periodic plane waves
         self._k2 = np.fft.fftfreq(grid.n, d=1.0 / grid.n) ** 2
+        # sum_axis coeff * k_axis^2 on the real-FFT half spectrum (last axis halved)
+        half = [self._k2] * (potential.ndim - 1) + [np.fft.rfftfreq(grid.n, d=1.0 / grid.n) ** 2]
+        self._kinetic_spectrum = sum(
+            coeff * k2.reshape([-1 if a == axis else 1 for a in range(potential.ndim)])
+            for axis, (coeff, k2) in enumerate(zip(self.kinetic, half)))
 
     @property
     def ndim(self) -> int:
@@ -120,11 +128,15 @@ class HamiltonianOperator:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Apply H to a flattened grid vector."""
         psi = np.asarray(v, dtype=float).reshape(self.potential.shape)
-        out = self.potential * psi
-        for axis, coeff in enumerate(self.kinetic):
-            k2 = self._k2.reshape([-1 if a == axis else 1 for a in range(psi.ndim)])
-            out = out + coeff * np.fft.ifft(k2 * np.fft.fft(psi, axis=axis), axis=axis).real
-        return out.ravel()
+        return (self.potential * psi + self._fourier_diagonal(self._kinetic_spectrum, psi)).ravel()
+
+    def _fourier_diagonal(self, spectrum: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        """Apply a diagonal in the real-FFT half spectrum to the grid axes of
+        psi (trailing axes, if any, are a block of vectors)."""
+        axes = tuple(range(self.ndim))
+        spectrum = spectrum.reshape(spectrum.shape + (1,) * (psi.ndim - self.ndim))
+        return np.fft.irfftn(spectrum * np.fft.rfftn(psi, axes=axes),
+                             s=self.potential.shape, axes=axes)
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """Apply the sector projector (identity if none is set)."""
@@ -149,7 +161,7 @@ def _even_sector_projector(n: int):
     half = n // 2
 
     def project(psi: np.ndarray) -> np.ndarray:
-        return 0.5 * (psi + np.roll(np.roll(psi, half, axis=0), half, axis=1))
+        return 0.5 * (psi + np.roll(psi, (half, half), axis=(0, 1)))
 
     return project
 
@@ -246,27 +258,41 @@ def _kinetic_matrix(coeff: float, k2: np.ndarray) -> np.ndarray:
 
 
 def _product_basis_start(op: HamiltonianOperator, k: int) -> np.ndarray:
-    """The k lowest eigenvectors of H in the product basis {chi_j x e_m},
-    mapped to the grid and projected to the sector.  chi_j are the levels of
-    the phi_p slice through the potential minimum below its barrier top: bound
-    in one well, they hold one copy of each double-covered level, so the
-    projection does not collapse two start vectors onto one."""
+    """The k lowest eigenvectors of H in the product basis {chi_j x xi_a},
+    mapped to the grid and projected to the sector.
+
+    chi_j are the levels of the stiff phi_p slice through the potential
+    minimum below its barrier top (at least two): bound in one well, they hold
+    one copy of each double-covered level, so the projection does not collapse
+    two start vectors onto one.  xi_a are the soft phi_m levels of
+    T_m + V_00(phi_m), the potential that chi_0 sees; M of them are kept, those
+    within two phi_p gaps (chi_1 - chi_0) of the lowest, and never fewer than
+    k.  So the dense solve has size K M instead of K n."""
     from scipy.linalg import eigh
 
     n = op.grid.n
     column = np.unravel_index(np.argmin(op.potential), op.potential.shape)[1]
     slice_ = op.potential[:, column]
     t_p = _kinetic_matrix(op.kinetic[0], op._k2)
-    levels, chi = eigh(t_p + np.diag(slice_))
-    count = max(1, int(np.count_nonzero(levels < slice_.max())))
-    chi = chi[:, :count]
-    # <chi_j e_m|H|chi_l e_m'> = delta_jl T_m,mm' + (chi^T (T_p + U[:, m]) chi)_jl delta_mm'
-    galerkin = np.kron(np.eye(count), _kinetic_matrix(op.kinetic[1], op._k2))
-    m = np.arange(n)
-    galerkin.reshape(count, n, count, n)[:, m, :, m] += (
-        np.einsum("pj,pm,pl->mjl", chi, op.potential, chi) + chi.T @ t_p @ chi)
-    _, coeffs = eigh(galerkin, subset_by_index=(0, k - 1), overwrite_a=True)
-    start = (chi @ coeffs.reshape(count, n * k)).reshape(n * n, k)
+    t_m = _kinetic_matrix(op.kinetic[1], op._k2)
+    h_p = t_p + np.diag(slice_)
+    levels, chi = eigh(h_p, subset_by_value=(-np.inf, slice_.max()), driver="evx")
+    if levels.size < 2:  # a well too shallow to bind two levels: keep the lowest two
+        levels, chi = eigh(h_p, subset_by_index=(0, 1), driver="evx")
+    count = levels.size
+    # V_jl(m) = (chi^T (T_p + U[:, m]) chi)_jl, the phi_p-projected potential
+    v = np.einsum("pj,pm,pl->mjl", chi, op.potential, chi, optimize=True) + chi.T @ t_p @ chi
+    soft, xi = eigh(t_m + np.diag(v[:, 0, 0]), driver="evx")
+    size = max(k, int(np.count_nonzero(soft < soft[0] + 2.0 * (levels[1] - levels[0]))))
+    xi = xi[:, :size]
+    # <chi_j xi_a|H|chi_l xi_b> = delta_jl (xi^T T_m xi)_ab + sum_m xi_ma V_jl(m) xi_mb
+    galerkin = np.einsum("ma,mjl,mb->jalb", xi, v, xi, optimize=True)
+    j = np.arange(count)
+    galerkin[j, :, j, :] += xi.T @ t_m @ xi
+    _, coeffs = eigh(galerkin.reshape(count * size, count * size), subset_by_index=(0, k - 1),
+                     overwrite_a=True, driver="evx")
+    start = np.einsum("pj,ma,jak->pmk", chi, xi, coeffs.reshape(count, size, k),
+                      optimize=True).reshape(n * n, k)
     return np.column_stack([op.project(v) for v in start.T])
 
 
@@ -278,15 +304,14 @@ def _refine(op: HamiltonianOperator, vectors: np.ndarray, tol: float, max_iter: 
     (evals, vectors, residuals, iterations)."""
     from scipy.sparse.linalg import lobpcg
 
-    inverse = 1.0 / (op.kinetic[0] * op._k2[:, None] + op.kinetic[1] * op._k2 + op.energy_scale)
+    inverse = 1.0 / (op._kinetic_spectrum + op.energy_scale)
     iterations = 0
 
     def precondition(block):
         nonlocal iterations
         iterations += 1  # once per LOBPCG iteration
-        psi = np.fft.fft2(block.reshape(*op.potential.shape, -1), axes=(0, 1))
-        psi = np.fft.ifft2(inverse[:, :, None] * psi, axes=(0, 1)).real.reshape(op.dim, -1)
-        return np.column_stack([op.project(v) for v in psi.T])
+        psi = op._fourier_diagonal(inverse, block.reshape(*op.potential.shape, -1))
+        return np.column_stack([op.project(v) for v in psi.reshape(op.dim, -1).T])
 
     while True:
         spent = iterations

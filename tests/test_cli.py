@@ -116,6 +116,23 @@ class TestConfig:
         assert code == cli.EXIT_CONFIG
         assert "double-well" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section, line, command", [
+        ("flux_sweep", "start = 0.49", "spectrum"),
+        ("flux_sweep", "stop = 0.51", "spectrum"),
+        ("temperature_sweep", "start_k = 0.010", "coherence"),
+        ("temperature_sweep", "stop_k = 0.200", "coherence"),
+    ])
+    def test_non_finite_sweep_bound(self, tmp_path, capsys, section, line, command, value):
+        key = line.split(" = ")[0]
+        path = tmp_path / "c.ini"
+        path.write_text(BASE_CONFIG.replace(line, f"{key} = {value}"))
+        code = cli.main(["--config", str(path), "--out", str(tmp_path / "o"), command])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"[{section}] {key} must be finite" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestDataFiles:
     def test_reads_bundled_fixture(self):
@@ -296,6 +313,27 @@ class TestCoherenceCommand:
         _, rows = read_csv(out / "t1_vs_temperature.csv")
         assert rows[0][1] == "" and rows[0][2].startswith("error:")
         assert all(row[2] == "ok" for row in rows[1:])
+
+    def test_ultracold_base_temperature(self, tmp_path, capsys):
+        # hbar omega01 / 2 k_B T ~ 1100 at 0.1 mK: past where exp(x) overflows
+        path = tmp_path / "c.ini"
+        path.write_text(BASE_CONFIG.replace("base_temperature_k = 0.010",
+                                            "base_temperature_k = 1e-4"))
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), "coherence"]) == cli.EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+        budget = json.loads((out / "decoherence_budget.json").read_text())
+        assert 0.0 < budget["t1_qp_s"] < math.inf
+
+    def test_ramsey_time_past_infrared_cutoff_rejected(self, tmp_path, capsys):
+        path = tmp_path / "c.ini"
+        path.write_text(BASE_CONFIG.replace("ramsey_time_s = 1e-6", "ramsey_time_s = 1.0"))
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), "coherence"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "[noise] ramsey_time_s" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not list(out.glob("*.csv"))  # rejected before any table is written
 
     def test_zero_flux_noise_gives_zero_rates(self, tmp_path):
         path = tmp_path / "c.ini"

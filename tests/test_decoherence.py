@@ -15,6 +15,7 @@ from csfq3d.decoherence import (
     decay_envelope,
     effective_temperature,
     flux_dephasing_rates,
+    _bessel_k0e,
     nqp_from_xqp,
     qp_rate_components,
     qp_relaxation_rate,
@@ -64,6 +65,11 @@ class TestBesselK0:
         deviations = [abs(s - target) for s in scaled]
         assert deviations[0] > deviations[1] > deviations[2]
         assert deviations[2] < 1e-3
+
+    def test_scaled_against_scipy_k0e(self):
+        # exp(x) K0(x) stays finite past x = 709, where exp(x) alone overflows
+        for x in np.concatenate([np.logspace(-3, 3, 61), [709.0, 710.0, 1e4, 1e8]]):
+            assert _bessel_k0e(float(x)) == pytest.approx(special.k0e(x), rel=1e-14)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -148,6 +154,14 @@ class TestQpRelaxation:
         env = QuasiparticleEnv(x_qp=6e-8)
         with pytest.warns(QuasiparticleValidityWarning):
             qp_relaxation_rate(reference_qubit(), 4.68, env, 1.0, REFERENCE_MATRIX_ELEMENTS)
+
+    def test_finite_far_below_exp_overflow_temperature(self):
+        # at 0.1 mK, hbar omega / 2 k_B T ~ 1100: the equilibrium part is zero and
+        # the temperature-independent non-equilibrium part is all that is left
+        env = QuasiparticleEnv(x_qp=6e-8)
+        parts = qp_rate_components(reference_qubit(), 4.68, env, 1e-4, REFERENCE_MATRIX_ELEMENTS)
+        assert parts.equilibrium_down == 0.0 and parts.equilibrium_up == 0.0
+        assert parts.total == parts.nonequilibrium > 0.0
 
     def test_rejects_nonpositive_temperature(self):
         env = QuasiparticleEnv(x_qp=6e-8)

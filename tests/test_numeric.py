@@ -131,6 +131,22 @@ class TestOperators:
             HamiltonianOperator((1.0,), np.zeros(16), GridSpec(16),
                                 sector_projector=lambda psi: psi)
 
+    def test_matvec_matches_dense_operator(self):
+        # the real-FFT matvec against the dense kinetic matrices plus diag(U)
+        rng = np.random.default_rng(7)
+        op_1d = build_hamiltonian_1d(reference_qubit_1d(), GridSpec(80))
+        dense_1d = numeric._kinetic_matrix(op_1d.kinetic[0], op_1d._k2) + np.diag(op_1d.potential)
+        op_2d = build_hamiltonian_2d(reference_qubit_2d(), 0.49, GridSpec(24))
+        eye = np.eye(24)
+        dense_2d = (np.kron(numeric._kinetic_matrix(op_2d.kinetic[0], op_2d._k2), eye)
+                    + np.kron(eye, numeric._kinetic_matrix(op_2d.kinetic[1], op_2d._k2))
+                    + np.diag(op_2d.potential.ravel()))
+        for op, dense in ((op_1d, dense_1d), (op_2d, dense_2d)):
+            for _ in range(3):
+                v = rng.standard_normal(op.dim)
+                expected = dense @ v
+                assert np.linalg.norm(op.matvec(v) - expected) <= 1e-12 * np.linalg.norm(expected)
+
 
 def even_sector_levels(op, count=4):
     """Independent oracle: dense P H P restricted to the range of P."""
@@ -215,6 +231,38 @@ class TestLanczos:
                      for e, v in zip(result.eigenvalues, result.eigenvectors.T)]
         assert max(residuals) <= 1e-8 * q.E_J
         np.testing.assert_allclose(result.residual_norms, residuals, rtol=1e-12)
+
+    @pytest.mark.parametrize("f", [0.5, 0.49])
+    @pytest.mark.parametrize("n", [64, 80, 128])
+    def test_contracted_start_meets_residual_contract(self, n, f):
+        q = reference_qubit_2d()
+        result = lowest_eigenpairs(build_hamiltonian_2d(q, f, GridSpec(n)), k=4)
+        assert np.all(result.residual_norms <= 1e-8 * q.E_J)
+        assert 1 <= result.iterations <= 10
+
+    def test_contracted_start_keeps_at_least_k_soft_levels(self):
+        # a stiff soft axis leaves 3 phi_m levels within two phi_p gaps and 3
+        # phi_p levels below the barrier: 9 product states, fewer than k = 10
+        grid = GridSpec(16)
+        phi = grid.phi()
+        bumps = (np.cos(phi)[:, None] * np.sin(2 * phi)[None, :]
+                 + 0.3 * np.cos(2 * phi)[:, None] * np.cos(phi)[None, :])
+        op = HamiltonianOperator((1.3, 3.0), 5.0 * (bumps - bumps.min()), grid, energy_scale=5.0)
+        start = numeric._product_basis_start(op, 10)
+        np.testing.assert_allclose(start.T @ start, np.eye(10), atol=1e-12)
+        dense = np.column_stack([op.matvec(row) for row in np.eye(op.dim)])
+        result = lowest_eigenpairs(op, k=10)
+        np.testing.assert_allclose(result.eigenvalues, np.linalg.eigvalsh(dense)[:10], rtol=1e-9)
+
+    def test_flat_phi_p_slice_keeps_two_levels(self):
+        # U independent of phi_p binds no phi_p level below the slice top; the
+        # start keeps the lowest two, which hold the two lowest product states
+        grid = GridSpec(16)
+        potential = np.tile(3.0 * (1.0 - np.cos(grid.phi())), (16, 1))
+        op = HamiltonianOperator((1.3, 0.7), potential, grid, energy_scale=3.0)
+        dense = np.column_stack([op.matvec(row) for row in np.eye(op.dim)])
+        result = lowest_eigenpairs(op, k=2)
+        np.testing.assert_allclose(result.eigenvalues, np.linalg.eigvalsh(dense)[:2], rtol=1e-9)
 
     def test_refinement_iterations(self):
         # the dense 1D solve needs none; the product-basis start leaves the
