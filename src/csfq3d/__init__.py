@@ -50,7 +50,6 @@ from .decoherence import (
     decay_envelope,
     effective_temperature,
     flux_dephasing_rates,
-    nqp_from_xqp,
     qp_rate_components,
     qp_relaxation_rate,
     thermal_dephasing_rate,
@@ -78,7 +77,6 @@ from .numeric import (
     kinetic_coefficients,
     lowest_eigenpairs,
     numeric_matrix_element,
-    numeric_omega01_vs_flux,
     small_junction_coupling_estimate,
 )
 

@@ -20,7 +20,6 @@ import configparser
 import hashlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -57,8 +56,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_PARTIAL_FAILURE = 3
-
-WORKERS_ENV_VAR = "CSFQ3D_WORKERS"
 
 UNIT_CONVENTIONS = {
     "frequencies": "cyclic GHz (E/h)",
@@ -242,12 +239,8 @@ class RunConfig:
                                            default=0.002, required=False),
         }
 
-    def output_settings(self) -> dict:
-        return {
-            "directory": self._get("output", "directory", str, default="out", required=False),
-            "format": self._get("output", "format", str, default="csv", required=False),
-            "workers": self._get("output", "workers", int, default=None, required=False),
-        }
+    def output_format(self) -> str:
+        return self._get("output", "format", str, default="csv", required=False)
 
 
 # ---------------------------------------------------------------------------
@@ -312,40 +305,17 @@ def _write_manifest(outdir: Path, command: str, config: RunConfig, outputs: list
     _write_json(outdir / "manifest.json", payload)
 
 
-def _resolve_workers(args, config: RunConfig) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    configured = config.output_settings()["workers"]
-    if configured is not None:
-        return max(1, configured)
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"bad {WORKERS_ENV_VAR} value: {env!r}")
-    return 1
-
-
 def _map_indexed(fn, items, workers: int):
-    """Apply fn to each item, preserving input order; exceptions are captured
-    per item as (index, None, error)."""
-    results = [None] * len(items)
-    if workers <= 1:
-        for idx, item in enumerate(items):
-            try:
-                results[idx] = (item, fn(item), None)
-            except Exception as err:  # noqa: BLE001 - reported per sweep point
-                results[idx] = (item, None, err)
-        return results
+    """Apply fn to each item on `workers` threads, preserving input order;
+    each result is (item, value, None) or, when fn raised, (item, None, error)."""
+    def point(item):
+        try:
+            return item, fn(item), None
+        except Exception as err:  # noqa: BLE001 - reported per sweep point
+            return item, None, err
+
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(fn, item): idx for idx, item in enumerate(items)}
-        for future, idx in futures.items():
-            try:
-                results[idx] = (items[idx], future.result(), None)
-            except Exception as err:  # noqa: BLE001
-                results[idx] = (items[idx], None, err)
-    return results
+        return list(pool.map(point, items))
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +384,10 @@ def cmd_spectrum(config: RunConfig, args) -> int:
     grid = config.grid()
     k = max(3, config.eigenstate_count())
     flux = config.sweep("flux_sweep", "start", "stop")
-    workers = _resolve_workers(args, config)
+    workers = max(1, args.workers)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    fmt = args.format or config.output_settings()["format"]
+    fmt = args.format or config.output_format()
 
     def solve(f: float):
         return lowest_eigenpairs(build_hamiltonian_2d(q, f, grid), k=k)
@@ -466,10 +436,10 @@ def cmd_coherence(config: RunConfig, args) -> int:
     env = config.quasiparticle_env()
     noise = config.flux_noise()
     cqed_in = config.cqed_inputs()
-    workers = _resolve_workers(args, config)
+    workers = max(1, args.workers)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    fmt = args.format or config.output_settings()["format"]
+    fmt = args.format or config.output_format()
     matrix_elements = analytic.junction_matrix_elements(q)
 
     temperatures = config.sweep("temperature_sweep", "start_k", "stop_k")
@@ -477,8 +447,8 @@ def cmd_coherence(config: RunConfig, args) -> int:
     ramsey_time = config.ramsey_time_s()
 
     def t1_point(temperature: float) -> float:
-        return 1.0 / qp_relaxation_rate(q, cqed_in["omega01_ghz"], env, temperature,
-                                        matrix_elements)
+        rate = qp_relaxation_rate(q, cqed_in["omega01_ghz"], env, temperature, matrix_elements)
+        return 1.0 / rate if rate > 0.0 else math.inf
 
     t1_rows = [[t, value, "ok"] if err is None else [t, "", f"error:{err.__class__.__name__}"]
                for t, value, err in _map_indexed(t1_point, list(temperatures), workers)]
@@ -532,7 +502,7 @@ def cmd_filter(config: RunConfig, args) -> int:
     settings = config.filter_settings()
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    fmt = args.format or config.output_settings()["format"]
+    fmt = args.format or config.output_format()
     omega = np.logspace(math.log10(settings["omega_min_rad_s"]),
                         math.log10(settings["omega_max_rad_s"]),
                         settings["omega_points"])
@@ -617,8 +587,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", required=True, help="INI configuration file")
     parser.add_argument("--out", default="out", help="output directory (default: out)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help=f"sweep worker count (default: config, then ${WORKERS_ENV_VAR}, then 1)")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="threads for sweep points; outputs do not depend on it (default: 1)")
     parser.add_argument("--format", choices=("csv", "json"), default=None,
                         help="tabular output format (default from config, csv)")
     sub = parser.add_subparsers(dest="command", required=True)

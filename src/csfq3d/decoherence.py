@@ -59,11 +59,6 @@ class QuasiparticleEnv:
         return self.x_qp * 2.0 * self.n_cp
 
 
-def nqp_from_xqp(env: QuasiparticleEnv) -> float:
-    """Quasiparticle density in um^-3 implied by the normalized x_qp."""
-    return env.n_qp
-
-
 @dataclass(frozen=True)
 class AttenuationChain:
     """Thermal radiation sources seen by the cavity: (temperature K, weight)

@@ -69,9 +69,7 @@ anharmonicity_ghz = 0.7863981990780409
 exclude_halfwidth = 0.002
 
 [output]
-directory = out
 format = csv
-workers = 1
 """
 
 
@@ -214,8 +212,9 @@ class TestSpectrumCommand:
         assert set(records[0]) == {"flux_phi0", "omega01_analytic_GHz",
                                    "omega01_numeric_GHz", "omega12_numeric_GHz", "status"}
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
     def test_partial_sweep_failure_marks_row_and_exits_3(self, tmp_path, config_path,
-                                                         monkeypatch):
+                                                         monkeypatch, workers):
         from csfq3d.numeric import ConvergenceError as NumericError
 
         original = cli.lowest_eigenpairs
@@ -233,7 +232,8 @@ class TestSpectrumCommand:
         monkeypatch.setattr(cli, "lowest_eigenpairs", failing)
 
         out = tmp_path / "out"
-        code = cli.main(["--config", str(config_path), "--out", str(out), "spectrum"])
+        code = cli.main(["--config", str(config_path), "--out", str(out),
+                         "--workers", workers, "spectrum"])
         assert code == cli.EXIT_PARTIAL_FAILURE
         _, rows = read_csv(out / "spectrum.csv")
         statuses = [row[4] for row in rows]
@@ -324,6 +324,17 @@ class TestCoherenceCommand:
         assert "Traceback" not in capsys.readouterr().err
         budget = json.loads((out / "decoherence_budget.json").read_text())
         assert 0.0 < budget["t1_qp_s"] < math.inf
+
+    def test_zero_qp_rate_gives_infinite_t1(self, tmp_path, capsys):
+        # x_qp = 0 leaves only the equilibrium rate, which underflows to 0 at 1 mK
+        path = tmp_path / "c.ini"
+        path.write_text(BASE_CONFIG.replace("x_qp = 6.122448979591837e-8", "x_qp = 0")
+                        .replace("base_temperature_k = 0.010", "base_temperature_k = 1e-3"))
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), "coherence"]) == cli.EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+        budget = json.loads((out / "decoherence_budget.json").read_text())
+        assert budget["t1_qp_s"] is None
 
     def test_ramsey_time_past_infrared_cutoff_rejected(self, tmp_path, capsys):
         path = tmp_path / "c.ini"
@@ -428,23 +439,3 @@ class TestFitCommand:
             assert cli.main(["--config", str(config_path), "--out", str(out),
                              "fit", "spectrum", str(DATA_DIR / "spectrum_synthetic.csv")]) == 0
         assert (out_a / "fit_spectrum.json").read_bytes() == (out_b / "fit_spectrum.json").read_bytes()
-
-
-class TestWorkersResolution:
-    def test_env_default(self, tmp_path, config_path, monkeypatch):
-        monkeypatch.setenv(cli.WORKERS_ENV_VAR, "3")
-        config = cli.RunConfig.load(config_path)
-        config._parser.remove_option("output", "workers")
-
-        class Args:
-            workers = None
-
-        assert cli._resolve_workers(Args(), config) == 3
-
-    def test_flag_beats_config(self, config_path):
-        config = cli.RunConfig.load(config_path)
-
-        class Args:
-            workers = 7
-
-        assert cli._resolve_workers(Args(), config) == 7

@@ -16,7 +16,6 @@ from csfq3d.decoherence import (
     effective_temperature,
     flux_dephasing_rates,
     _bessel_k0e,
-    nqp_from_xqp,
     qp_rate_components,
     qp_relaxation_rate,
     thermal_dephasing_rate,
@@ -81,13 +80,13 @@ class TestBesselK0:
 class TestQuasiparticleEnv:
     def test_nqp_reference(self):
         env = QuasiparticleEnv(x_qp=6.1e-8)
-        assert nqp_from_xqp(env) == pytest.approx(0.6, rel=0.01)
+        assert env.n_qp == pytest.approx(0.6, rel=0.01)
         assert env.n_qp == env.x_qp * 2.0 * env.n_cp
 
     def test_nqp_linear(self):
-        base = nqp_from_xqp(QuasiparticleEnv(x_qp=3e-8))
-        assert nqp_from_xqp(QuasiparticleEnv(x_qp=6e-8)) == pytest.approx(2.0 * base, rel=1e-12)
-        assert nqp_from_xqp(QuasiparticleEnv(x_qp=0.0)) == 0.0
+        base = QuasiparticleEnv(x_qp=3e-8).n_qp
+        assert QuasiparticleEnv(x_qp=6e-8).n_qp == pytest.approx(2.0 * base, rel=1e-12)
+        assert QuasiparticleEnv(x_qp=0.0).n_qp == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from csfq3d.numeric import (
     kinetic_coefficients,
     lowest_eigenpairs,
     numeric_matrix_element,
-    numeric_omega01_vs_flux,
     small_junction_coupling_estimate,
 )
 
@@ -271,6 +270,19 @@ class TestLanczos:
         result = lowest_eigenpairs(build_hamiltonian_2d(reference_qubit_2d(), 0.5), k=4)
         assert 1 <= result.iterations <= 10
 
+    @pytest.mark.xfail(strict=True, reason="a symmetry keeps the product-basis start and "
+                       "LOBPCG orthogonal to the third level (lowest_eigenpairs docstring)")
+    def test_phi_p_independent_potential_third_level(self):
+        # U = 3 (1 - cos phi_m) on every phi_p row: the levels are e_a + 1.3 n_p^2
+        # for the phi_m levels e_a, so 2.279 (n_p = +-1) is doubly degenerate;
+        # the solve returns [0.979, 2.279, 2.836] after 0 iterations
+        grid = GridSpec(16)
+        potential = np.tile(3.0 * (1.0 - np.cos(grid.phi())), (16, 1))
+        op = HamiltonianOperator((1.3, 0.7), potential, grid, energy_scale=3.0)
+        dense = np.column_stack([op.matvec(row) for row in np.eye(op.dim)])
+        result = lowest_eigenpairs(op, k=3)
+        np.testing.assert_allclose(result.eigenvalues, np.linalg.eigvalsh(dense)[:3], rtol=1e-9)
+
     def test_k_validation(self):
         op = build_hamiltonian_1d(reference_qubit_1d(), GridSpec(16))
         with pytest.raises(ValueError):
@@ -389,25 +401,18 @@ class TestMatrixElements:
             numeric_matrix_element(op, result, "sin_half_phi_m")
 
 
+def omega01_vs_flux(q, flux_values, grid):
+    """omega01 (GHz) of a full 2D solve at each flux value."""
+    return [lowest_eigenpairs(build_hamiltonian_2d(q, f, grid), k=2).omega01
+            for f in flux_values]
+
+
 class TestOmega01VsFlux:
     def test_symmetric_about_optimal_point(self):
         q = reference_qubit_2d()
-        pairs = numeric_omega01_vs_flux(q, [0.49, 0.5, 0.51], GridSpec(48))
-        w_left, w_mid, w_right = (w for _, w in pairs)
+        w_left, w_mid, w_right = omega01_vs_flux(q, [0.49, 0.5, 0.51], GridSpec(48))
         assert w_left == pytest.approx(w_right, rel=1e-6)
         assert w_mid < w_left
-
-    def test_matches_single_point_solve(self):
-        q = reference_qubit_2d()
-        grid = GridSpec(48)
-        pairs = numeric_omega01_vs_flux(q, [0.5], grid)
-        single = lowest_eigenpairs(build_hamiltonian_2d(q, 0.5, grid), k=2)
-        assert pairs[0][1] == single.omega01
-
-    def test_solver_failure_names_flux(self):
-        q = reference_qubit_2d()
-        with pytest.raises(ConvergenceError, match="f=0.5"):
-            numeric_omega01_vs_flux(q, [0.5], GridSpec(48), k=2, max_iter=1)
 
 
 class TestQuadraticFluxResponse:
@@ -418,8 +423,7 @@ class TestQuadraticFluxResponse:
         # differ); frozen numeric value guards regressions
         q = QubitParams(alpha=0.41, E_J=85.0, E_C=3.2, C_S=78.0)
         offsets = np.array([-0.004, -0.002, 0.0, 0.002, 0.004])
-        pairs = numeric_omega01_vs_flux(q, 0.5 + offsets, GridSpec(80))
-        values = np.array([w for _, w in pairs])
+        values = np.array(omega01_vs_flux(q, 0.5 + offsets, GridSpec(80)))
         coeffs = np.polyfit(offsets, values, 2)
         fit_vals = np.polyval(coeffs, offsets)
         np.testing.assert_allclose(fit_vals, values, rtol=1e-4)
