@@ -30,7 +30,6 @@ from .core import (
     ghz_to_kelvin,
     joule_to_ghz,
     kelvin_to_ghz,
-    validate_params,
 )
 from .cqed import (
     DispersiveLimitWarning,

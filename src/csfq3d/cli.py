@@ -137,7 +137,10 @@ class RunConfig:
             raise ConfigError(f"invalid [grid] section: {err}") from err
 
     def eigenstate_count(self) -> int:
-        return self._get("grid", "states", int, default=4, required=False)
+        count = self._get("grid", "states", int, default=4, required=False)
+        if not 1 <= count <= 10:
+            raise ConfigError(f"[grid] states must be in 1..10, got {count}")
+        return count
 
     def cqed_inputs(self) -> dict:
         return {
@@ -445,6 +448,12 @@ def cmd_coherence(config: RunConfig, args) -> int:
     temperatures = config.sweep("temperature_sweep", "start_k", "stop_k")
     flux = config.sweep("flux_sweep", "start", "stop")
     ramsey_time = config.ramsey_time_s()
+    try:
+        g01, g12 = extract_couplings(cqed_in["omega01_ghz"], cqed_in["omega12_ghz"],
+                                     cavity.omega_c0, config.dressed_cavity_ghz(),
+                                     cqed_in["chi_mhz"])
+    except ValueError as err:
+        raise ConfigError(f"invalid [cqed]/[cavity] values: {err}") from err
 
     def t1_point(temperature: float) -> float:
         rate = qp_relaxation_rate(q, cqed_in["omega01_ghz"], env, temperature, matrix_elements)
@@ -470,9 +479,6 @@ def cmd_coherence(config: RunConfig, args) -> int:
     chain = config.attenuation_chain()
     t_eff = effective_temperature(chain, cavity.omega_c0)
     nbar = thermal_photon_population(config.dressed_cavity_ghz(), t_eff)
-    g01, g12 = extract_couplings(cqed_in["omega01_ghz"], cqed_in["omega12_ghz"],
-                                 cavity.omega_c0, config.dressed_cavity_ghz(),
-                                 cqed_in["chi_mhz"])
     chi01 = (cavity.omega_c0 - config.dressed_cavity_ghz()) * 1e3
     chi12 = 2.0 * (chi01 - cqed_in["chi_mhz"])
     thermal_rate = thermal_dephasing_rate(cavity.kappa, cqed_in["chi_mhz"], nbar)
@@ -500,21 +506,22 @@ def cmd_coherence(config: RunConfig, args) -> int:
 
 def cmd_filter(config: RunConfig, args) -> int:
     settings = config.filter_settings()
+    try:  # every sequence and the frequency grid are checked before any table is written
+        omega = np.logspace(math.log10(settings["omega_min_rad_s"]),
+                            math.log10(settings["omega_max_rad_s"]),
+                            settings["omega_points"])
+        specs = [FilterSpec.ramsey(settings["tau_s"]) if n_pulses == 0
+                 else FilterSpec.cpmg(n_pulses, settings["tau_s"], settings["tau_pi_s"])
+                 for n_pulses in settings["pulse_counts"]]
+    except ValueError as err:
+        raise ConfigError(f"invalid [filter] section: {err}") from err
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     fmt = args.format or config.output_format()
-    omega = np.logspace(math.log10(settings["omega_min_rad_s"]),
-                        math.log10(settings["omega_max_rad_s"]),
-                        settings["omega_points"])
     outputs = []
-    for n_pulses in settings["pulse_counts"]:
-        if n_pulses == 0:
-            spec = FilterSpec.ramsey(settings["tau_s"])
-        else:
-            spec = FilterSpec.cpmg(n_pulses, settings["tau_s"], settings["tau_pi_s"])
-        curve = filter_curve(spec, omega)
-        rows = [[w, g] for w, g in curve]
-        outputs.append(_write_table(outdir / f"filter_N{n_pulses}",
+    for spec in specs:
+        rows = [[w, g] for w, g in filter_curve(spec, omega)]
+        outputs.append(_write_table(outdir / f"filter_N{spec.N}",
                                     ["omega_rad_s", "filter_value"], rows, fmt))
     _write_manifest(outdir, "filter", config, outputs,
                     {"tau_s": settings["tau_s"], "tau_pi_s": settings["tau_pi_s"]})

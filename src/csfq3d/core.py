@@ -152,16 +152,6 @@ def _check_qubit_params(q: QubitParams) -> None:
         )
 
 
-def validate_params(q: QubitParams) -> QubitParams:
-    """Re-run all :class:`QubitParams` invariant checks and return the params.
-
-    Construction already validates; this is the explicit gate for instances
-    coming from deserialization or external code.
-    """
-    _check_qubit_params(q)
-    return q
-
-
 @dataclass(frozen=True)
 class CavityParams:
     """3D cavity mode: bare frequency (GHz, cyclic) and loss rates (MHz, cyclic)."""

@@ -22,11 +22,11 @@ sector, and :func:`lowest_eigenpairs` keeps its vectors inside it.
 a hierarchical start (Kerman, arXiv:2010.14929; Groszkowski & Koch, Quantum 5,
 583 (2021)): a dense solve in a product basis of the bound levels of the stiff
 phi_p mode times the low levels of the soft phi_m mode, keeping the phi_m
-levels within two phi_p gaps of the lowest (never fewer than k).  LOBPCG on
-the full grid refines it until every true residual meets the tolerance, so
-the basis sizes set the speed, never the answer.  The kinetic term is applied
-with one real n-D FFT.  Nothing is random, and scipy is imported only inside
-the solver.
+levels within two phi_p gaps of the lowest (never fewer than k).  A block
+Davidson iteration on the full grid refines it until every true residual
+meets the tolerance, so the basis sizes set the speed, never the answer.  The
+kinetic term is applied with one real n-D FFT pair per block of vectors.
+Nothing is random, and the solver uses numpy alone: a solve imports no scipy.
 
 A flux sweep is one ``lowest_eigenpairs(build_hamiltonian_2d(q, f, grid))``
 per point; ``csfq3d spectrum`` runs it and reports failed points per row.
@@ -35,7 +35,6 @@ per point; ``csfq3d spectrum`` runs it and reports failed points per row.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +86,8 @@ class HamiltonianOperator:
         and the shift of the 2D preconditioner
     sector_projector:
         optional orthogonal projector (2D operators only) that restricts the
-        solve to a symmetry sector; takes and returns a grid-shaped array
+        solve to a symmetry sector; takes and returns a grid-shaped array,
+        with any trailing axes a block of vectors
     """
 
     def __init__(self, kinetic, potential, grid: GridSpec, energy_scale: float = 1.0,
@@ -129,24 +129,27 @@ class HamiltonianOperator:
         return (self.dim, self.dim)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """Apply H to a flattened grid vector."""
-        psi = np.asarray(v, dtype=float).reshape(self.potential.shape)
-        return (self.potential * psi + self._fourier_diagonal(self._kinetic_spectrum, psi)).ravel()
+        """Apply H to a flattened grid vector or to a (dim, m) block of them."""
+        v = np.asarray(v, dtype=float)
+        return (v.T * self.potential.ravel()).T + self._fourier_diagonal(self._kinetic_spectrum, v)
 
-    def _fourier_diagonal(self, spectrum: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        """Apply a diagonal in the real-FFT half spectrum to the grid axes of
-        psi (trailing axes, if any, are a block of vectors)."""
-        axes = tuple(range(self.ndim))
-        spectrum = spectrum.reshape(spectrum.shape + (1,) * (psi.ndim - self.ndim))
-        return np.fft.irfftn(spectrum * np.fft.rfftn(psi, axes=axes),
-                             s=self.potential.shape, axes=axes)
+    def _fourier_diagonal(self, spectrum: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Apply a diagonal in the real-FFT half spectrum to a flattened grid
+        vector or to each column of a (dim, m) block, in contiguous memory."""
+        axes = tuple(range(-self.ndim, 0))
+        batch = np.ascontiguousarray(v.T).reshape(v.shape[1:] + self.potential.shape)
+        out = np.fft.irfftn(spectrum * np.fft.rfftn(batch, axes=axes),
+                            s=self.potential.shape, axes=axes)
+        return out.reshape(v.shape[::-1]).T
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        """Apply the sector projector (identity if none is set)."""
+        """Apply the sector projector (identity if none is set) to a flat
+        vector or a (dim, m) block."""
         if self.sector_projector is None:
             return v
-        psi = np.asarray(v).reshape(self.potential.shape)
-        return np.asarray(self.sector_projector(psi)).ravel()
+        v = np.asarray(v)
+        psi = v.reshape(self.potential.shape + v.shape[1:])
+        return np.asarray(self.sector_projector(psi)).reshape(v.shape)
 
 
 def kinetic_coefficients(q: QubitParams) -> tuple[float, float]:
@@ -204,8 +207,8 @@ def build_hamiltonian_1d(q: QubitParams, grid: GridSpec | None = None) -> Hamilt
 @dataclass(frozen=True)
 class EigenResult:
     """Lowest eigenpairs: energies (GHz, ascending), column eigenvectors,
-    true residual norms ||H v - E v|| and the number of LOBPCG refinement
-    iterations (0 for a dense 1D solve)."""
+    true residual norms ||H v - E v|| and the number of block-Davidson
+    growth steps (0 for a dense 1D solve)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -229,37 +232,36 @@ def lowest_eigenpairs(op: HamiltonianOperator, k: int = 4, tol: float | None = N
                       max_iter: int = 5000) -> EigenResult:
     """Lowest k eigenpairs of a grid Hamiltonian (method: module docstring),
     each with true residual ||H v - E v|| <= tol (default
-    1e-8 * op.energy_scale, i.e. 1e-8 E_J) within max_iter LOBPCG iterations;
-    otherwise raises ConvergenceError carrying the true residual norms.
+    1e-8 * op.energy_scale, i.e. 1e-8 E_J) within max_iter Davidson growth
+    steps; otherwise raises ConvergenceError carrying the true residual norms.
 
     Limitation (2D): the residual test cannot tell that a level is missing.
     If a symmetry of H makes the product-basis start orthogonal to a low
-    state, LOBPCG and its preconditioner keep that symmetry and never reach
-    it, so a higher level is returned in its place.  A phi_p-independent
-    potential shows this at k = 3; the reference device does not (its
-    energies match the dense even-sector oracle)."""
-    from scipy.linalg import eigh
-
+    state, the Davidson refinement and its preconditioner keep that symmetry
+    and never reach it, so a higher level is returned in its place.  A
+    phi_p-independent potential shows this at k = 3; the reference device
+    does not (its energies match the dense even-sector oracle)."""
     if k < 1 or k > 10:
         raise ValueError(f"k must be in 1..10, got {k}")
     if tol is None:
         tol = 1e-8 * op.energy_scale
     if op.ndim == 1:
-        matrix = _kinetic_matrix(op.kinetic[0], op._k2) + np.diag(op.potential)
-        evals, vectors = eigh(matrix, subset_by_index=(0, k - 1), overwrite_a=True)
+        evals, vectors = np.linalg.eigh(_kinetic_matrix(op.kinetic[0], op._k2)
+                                        + np.diag(op.potential))
+        evals, vectors = evals[:k], vectors[:, :k]
         residuals, iterations = _residual_norms(op, evals, vectors), 0
     else:
         evals, vectors, residuals, iterations = _refine(
             op, _product_basis_start(op, k), tol, max_iter)
     if not np.all(residuals <= tol):
         raise ConvergenceError(f"solve did not converge within {iterations} refinement "
-                               f"iterations (worst residual {residuals.max():.3e}, "
+                               f"steps (worst residual {residuals.max():.3e}, "
                                f"tol {tol:.3e})", residuals)
     return EigenResult(evals, vectors, residuals, iterations)
 
 
 def _residual_norms(op: HamiltonianOperator, evals, vectors) -> np.ndarray:
-    return np.array([np.linalg.norm(op.matvec(v) - e * v) for e, v in zip(evals, vectors.T)])
+    return np.linalg.norm(op.matvec(vectors) - vectors * evals, axis=0)
 
 
 def _kinetic_matrix(coeff: float, k2: np.ndarray) -> np.ndarray:
@@ -278,63 +280,58 @@ def _product_basis_start(op: HamiltonianOperator, k: int) -> np.ndarray:
     T_m + V_00(phi_m), the potential that chi_0 sees; M of them are kept, those
     within two phi_p gaps (chi_1 - chi_0) of the lowest, and never fewer than
     k.  So the dense solve has size K M instead of K n."""
-    from scipy.linalg import eigh
-
     n = op.grid.n
     column = np.unravel_index(np.argmin(op.potential), op.potential.shape)[1]
     slice_ = op.potential[:, column]
     t_p = _kinetic_matrix(op.kinetic[0], op._k2)
     t_m = _kinetic_matrix(op.kinetic[1], op._k2)
-    h_p = t_p + np.diag(slice_)
-    levels, chi = eigh(h_p, subset_by_value=(-np.inf, slice_.max()), driver="evx")
-    if levels.size < 2:  # a well too shallow to bind two levels: keep the lowest two
-        levels, chi = eigh(h_p, subset_by_index=(0, 1), driver="evx")
-    count = levels.size
+    levels, chi = np.linalg.eigh(t_p + np.diag(slice_))
+    # a well too shallow to bind two levels keeps the lowest two
+    count = max(2, int(np.count_nonzero(levels <= slice_.max())))
+    levels, chi = levels[:count], chi[:, :count]
     # V_jl(m) = (chi^T (T_p + U[:, m]) chi)_jl, the phi_p-projected potential
     v = np.einsum("pj,pm,pl->mjl", chi, op.potential, chi, optimize=True) + chi.T @ t_p @ chi
-    soft, xi = eigh(t_m + np.diag(v[:, 0, 0]), driver="evx")
+    soft, xi = np.linalg.eigh(t_m + np.diag(v[:, 0, 0]))
     size = max(k, int(np.count_nonzero(soft < soft[0] + 2.0 * (levels[1] - levels[0]))))
     xi = xi[:, :size]
     # <chi_j xi_a|H|chi_l xi_b> = delta_jl (xi^T T_m xi)_ab + sum_m xi_ma V_jl(m) xi_mb
     galerkin = np.einsum("ma,mjl,mb->jalb", xi, v, xi, optimize=True)
     j = np.arange(count)
     galerkin[j, :, j, :] += xi.T @ t_m @ xi
-    _, coeffs = eigh(galerkin.reshape(count * size, count * size), subset_by_index=(0, k - 1),
-                     overwrite_a=True, driver="evx")
-    start = np.einsum("pj,ma,jak->pmk", chi, xi, coeffs.reshape(count, size, k),
-                      optimize=True).reshape(n * n, k)
-    return np.column_stack([op.project(v) for v in start.T])
+    coeffs = np.linalg.eigh(galerkin.reshape(count * size, count * size))[1][:, :k]
+    start = np.einsum("pj,ma,jak->pmk", chi, xi, coeffs.reshape(count, size, k), optimize=True)
+    return op.project(start.reshape(n * n, k))
 
 
-def _refine(op: HamiltonianOperator, vectors: np.ndarray, tol: float, max_iter: int):
-    """LOBPCG from the start block `vectors`, preconditioned by the
-    Fourier-diagonal (T + energy_scale)^-1 and the sector projector, restarted
-    from its best vectors every 20 iterations (a long run can lose a vector to
-    an ill-conditioned Rayleigh-Ritz step once others have locked).  Returns
-    (evals, vectors, residuals, iterations)."""
-    from scipy.sparse.linalg import lobpcg
+# the Davidson basis restarts from its Ritz vectors rather than pass this many times k columns
+_RESTART_BLOCKS = 6
 
+
+def _refine(op: HamiltonianOperator, start: np.ndarray, tol: float, max_iter: int):
+    """Block Davidson from the start block: Rayleigh-Ritz on an orthonormal
+    basis, grown each step by the residuals of the Ritz vectors above tol,
+    preconditioned by the Fourier-diagonal (T + energy_scale)^-1 and the sector
+    projector.  Returns (evals, vectors, residuals, steps)."""
+    k = start.shape[1]
     inverse = 1.0 / (op._kinetic_spectrum + op.energy_scale)
-    iterations = 0
-
-    def precondition(block):
-        nonlocal iterations
-        iterations += 1  # once per LOBPCG iteration
-        psi = op._fourier_diagonal(inverse, block.reshape(*op.potential.shape, -1))
-        return np.column_stack([op.project(v) for v in psi.reshape(op.dim, -1).T])
-
+    basis = np.linalg.qr(start)[0]
+    h_basis = op.matvec(basis)
+    steps = 0
     while True:
-        spent = iterations
-        with warnings.catch_warnings():
-            # an unconverged exit surfaces as ConvergenceError; only LOBPCG's messages
-            # are named, as sweep threads share the filters catch_warnings restores
-            warnings.filterwarnings("ignore", r"(Exited|Failed|eigh failed) ", UserWarning)
-            evals, vectors = lobpcg(lambda b: np.column_stack([op.matvec(v) for v in b.T]),
-                                    vectors, M=precondition, tol=tol, largest=False,
-                                    maxiter=min(20, max_iter - iterations) - 1)
-        residuals = _residual_norms(op, evals, vectors)
-        if np.all(residuals <= tol) or iterations == spent or iterations >= max_iter:
-            return evals, vectors, residuals, iterations
+        evals, coeffs = np.linalg.eigh(basis.T @ h_basis)
+        evals, vectors = evals[:k], basis @ coeffs[:, :k]
+        h_vectors = op.matvec(vectors)
+        residuals = h_vectors - vectors * evals
+        norms = np.linalg.norm(residuals, axis=0)
+        if np.all(norms <= tol) or steps >= max_iter:
+            return evals, vectors, norms, steps
+        block = op.project(op._fourier_diagonal(inverse, residuals[:, norms > tol]))
+        if basis.shape[1] + block.shape[1] > _RESTART_BLOCKS * k:
+            basis, h_basis = vectors, h_vectors
+        for _ in range(2):  # the second pass removes what rounding left in the basis span
+            block = np.linalg.qr(block - basis @ (basis.T @ block))[0]
+        basis, h_basis = np.hstack([basis, block]), np.hstack([h_basis, op.matvec(block)])
+        steps += 1
 
 
 def numeric_matrix_element(op: HamiltonianOperator, result: EigenResult, kind: str,

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -131,6 +134,17 @@ class TestConfig:
         assert f"[{section}] {key} must be finite" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("states", [0, 20])
+    def test_states_outside_solver_range(self, tmp_path, capsys, states):
+        path = tmp_path / "c.ini"
+        path.write_text(BASE_CONFIG.replace("states = 4", f"states = {states}"))
+        out = tmp_path / "o"
+        assert cli.main(["--config", str(path), "--out", str(out), "spectrum"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "[grid] states must be in 1..10" in err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestDataFiles:
     def test_reads_bundled_fixture(self):
@@ -212,6 +226,8 @@ class TestSpectrumCommand:
         assert set(records[0]) == {"flux_phi0", "omega01_analytic_GHz",
                                    "omega01_numeric_GHz", "omega12_numeric_GHz", "status"}
 
+    # a warning raised in a sweep thread would fail that row, and the counts below
+    @pytest.mark.filterwarnings("error::UserWarning")
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_partial_sweep_failure_marks_row_and_exits_3(self, tmp_path, config_path,
                                                          monkeypatch, workers):
@@ -267,6 +283,19 @@ class TestSpectrumCommand:
             assert summary["omega01_numeric_GHz"] == record["omega01_numeric_GHz"]
             assert summary["omega12_numeric_GHz"] == record["omega12_numeric_GHz"]
         assert len(at_optimum) == (1 if stop == 0.51 else 0)
+
+    def test_sweep_imports_no_scipy_solver_modules(self, tmp_path, config_path):
+        # the solver is numpy-only: a spectrum run loads neither scipy.linalg nor scipy.sparse
+        driver = ("import sys; from csfq3d import cli; "
+                  f"code = cli.main(['--config', {str(config_path)!r}, "
+                  f"'--out', {str(tmp_path / 'out')!r}, 'spectrum']); "
+                  "print(code, sorted(m for m in sys.modules "
+                  "if m.startswith(('scipy.linalg', 'scipy.sparse'))))")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        run = subprocess.run([sys.executable, "-c", driver], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["0", "[]"]
 
     def test_unwritable_output_directory(self, tmp_path, config_path, capsys):
         blocker = tmp_path / "blocker"
@@ -346,6 +375,17 @@ class TestCoherenceCommand:
         assert len(err.strip().splitlines()) == 1
         assert not list(out.glob("*.csv"))  # rejected before any table is written
 
+    def test_inconsistent_cavity_pull_rejected(self, tmp_path, capsys):
+        # a bare cavity below the dressed one gives negative coupling radicands
+        path = tmp_path / "c.ini"
+        path.write_text(BASE_CONFIG.replace("omega_c0_ghz = 8.2175", "omega_c0_ghz = 4.68"))
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), "coherence"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "[cqed]/[cavity]" in err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert not list(out.glob("*.csv"))  # rejected before any table is written
+
     def test_zero_flux_noise_gives_zero_rates(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text(BASE_CONFIG.replace("a_phi_phi0sq = 3.24e-12", "a_phi_phi0sq = 0.0"))
@@ -370,6 +410,20 @@ class TestFilterCommand:
             omega = float(row[0])
             expected = 16.0 * math.sin(omega * tau / 4.0) ** 4 / (omega * tau) ** 2
             assert float(row[1]) == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("line, value", [("pulse_counts = 1, 20", "pulse_counts = 1, -1"),
+                                             ("tau_s = 100e-6", "tau_s = 0"),
+                                             ("omega_min_rad_s = 1e3", "omega_min_rad_s = 0")],
+                             ids=["pulse_counts", "tau_s", "omega_min_rad_s"])
+    def test_invalid_sequence_or_grid_rejected(self, tmp_path, capsys, line, value):
+        path = tmp_path / "c.ini"
+        path.write_text(BASE_CONFIG.replace(line, value))
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), "filter"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "[filter]" in err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert not list(out.glob("*.csv"))  # rejected before any table, even a valid N = 1
 
 
 class TestFitCommand:

@@ -16,7 +16,6 @@ from csfq3d.core import (
     joule_to_ghz,
     kelvin_to_ghz,
     normalized_flux,
-    validate_params,
 )
 
 
@@ -69,7 +68,6 @@ def test_kelvin_to_ghz_value():
 class TestQubitParams:
     def test_reference_parameters_validate(self):
         q = QubitParams(alpha=0.41, E_J=85.0, E_C=3.2, C_S=78.0)
-        assert validate_params(q) is q
         assert q.E_CS == pytest.approx(0.24833627339306563, rel=1e-12)
         assert q.beta == pytest.approx(q.C_S / q.C_J, rel=1e-12)
 

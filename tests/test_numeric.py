@@ -146,6 +146,17 @@ class TestOperators:
                 expected = dense @ v
                 assert np.linalg.norm(op.matvec(v) - expected) <= 1e-12 * np.linalg.norm(expected)
 
+    def test_block_matvec_and_project_match_columns(self):
+        rng = np.random.default_rng(13)
+        for op in (build_hamiltonian_1d(reference_qubit_1d(), GridSpec(32)),
+                   build_hamiltonian_2d(reference_qubit_2d(), 0.49, GridSpec(24))):
+            block = rng.standard_normal((op.dim, 3))
+            for apply in (op.matvec, op.project):
+                expected = np.column_stack([apply(col) for col in block.T])
+                result = apply(block)
+                assert result.shape == (op.dim, 3)
+                assert np.linalg.norm(result - expected) <= 1e-12 * np.linalg.norm(expected)
+
 
 def even_sector_levels(op, count=4):
     """Independent oracle: dense P H P restricted to the range of P."""
@@ -159,8 +170,8 @@ def even_sector_levels(op, count=4):
 
 class TestLanczos:
     """Contract of lowest_eigenpairs: dense 1D solve, product-basis start
-    plus LOBPCG refinement in 2D (the class keeps its name so test ids stay
-    stable across the solver change)."""
+    plus block-Davidson refinement in 2D (the class keeps its name so test
+    ids stay stable across solver changes)."""
 
     def test_harmonic_oscillator_spacing(self):
         # quartic term zeroed: pure oscillator, spacing sqrt(4 E_m E_J (1-2 alpha))
@@ -265,13 +276,14 @@ class TestLanczos:
 
     def test_refinement_iterations(self):
         # the dense 1D solve needs none; the product-basis start leaves the
-        # reference device a few LOBPCG iterations at the bundled grid
+        # reference device a few Davidson steps at the bundled grid
         assert lowest_eigenpairs(build_hamiltonian_1d(reference_qubit_1d()), k=4).iterations == 0
         result = lowest_eigenpairs(build_hamiltonian_2d(reference_qubit_2d(), 0.5), k=4)
         assert 1 <= result.iterations <= 10
 
     @pytest.mark.xfail(strict=True, reason="a symmetry keeps the product-basis start and "
-                       "LOBPCG orthogonal to the third level (lowest_eigenpairs docstring)")
+                       "the Davidson refinement orthogonal to the third level "
+                       "(lowest_eigenpairs docstring)")
     def test_phi_p_independent_potential_third_level(self):
         # U = 3 (1 - cos phi_m) on every phi_p row: the levels are e_a + 1.3 n_p^2
         # for the phi_m levels e_a, so 2.279 (n_p = +-1) is doubly degenerate;
