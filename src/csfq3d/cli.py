@@ -3,13 +3,14 @@ output.
 
 Subcommands: spectrum, coherence, filter, fit {spectrum|t1|envelope|fluxnoise}.
 The configuration is an INI file with one section per module (see
-data/example_config.ini for the full schema); command-line flags override
-file values.  Every run writes a manifest.json carrying the config hash,
-package versions and unit conventions, and reruns with an identical config
-are bit-identical.
+data/example_config.ini for the full schema) and the only source of every
+setting that changes an output; the flags name the config, the output
+directory and the thread count.  Every run writes a manifest.json carrying
+the config hash, package versions and unit conventions, and reruns with an
+identical config are bit-identical.
 
-Exit codes: 0 success, 1 config/parse error, 2 fit non-convergence,
-3 partial sweep failure.
+Exit codes: 0 success, 1 config/parse or usage error, 2 fit or eigensolve
+non-convergence, 3 partial sweep failure.
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ import scipy
 
 from . import __version__, analytic
 from .core import CavityParams, QubitParams
-from .cqed import extract_couplings, purcell_t1, total_pull
+from .cqed import dispersive_set, purcell_t1
 from .decoherence import (
+    DEFAULT_GAP_UEV,
+    DEFAULT_N_CP,
     DEFAULT_OMEGA_IR,
     AttenuationChain,
     FluxNoise,
@@ -102,9 +105,25 @@ class RunConfig:
             return default
         raw = self._parser.get(section, key)
         try:
-            return cast(raw)
+            value = cast(raw)
         except ValueError as err:
             raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from err
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"[{section}] {key} must be finite, got {value!r}")
+        return value
+
+    def _positive(self, section, key, default=None, required=True) -> float:
+        value = self._get(section, key, float, default=default, required=required)
+        if not value > 0.0:
+            raise ConfigError(f"[{section}] {key} must be positive, got {value!r}")
+        return value
+
+    def _choice(self, section, key, choices, default) -> str:
+        value = self._get(section, key, str, default=default, required=False)
+        if value not in choices:
+            raise ConfigError(f"[{section}] {key} must be one of {', '.join(choices)}, "
+                              f"got {value!r}")
+        return value
 
     def qubit(self) -> QubitParams:
         try:
@@ -136,16 +155,10 @@ class RunConfig:
         except ValueError as err:
             raise ConfigError(f"invalid [grid] section: {err}") from err
 
-    def eigenstate_count(self) -> int:
-        count = self._get("grid", "states", int, default=4, required=False)
-        if not 1 <= count <= 10:
-            raise ConfigError(f"[grid] states must be in 1..10, got {count}")
-        return count
-
     def cqed_inputs(self) -> dict:
         return {
-            "omega01_ghz": self._get("cqed", "omega01_ghz", float),
-            "omega12_ghz": self._get("cqed", "omega12_ghz", float),
+            "omega01_ghz": self._positive("cqed", "omega01_ghz"),
+            "omega12_ghz": self._positive("cqed", "omega12_ghz"),
             "chi_mhz": self._get("cqed", "chi_mhz", float),
         }
 
@@ -153,8 +166,10 @@ class RunConfig:
         try:
             return QuasiparticleEnv(
                 x_qp=self._get("noise", "x_qp", float),
-                Delta0=self._get("noise", "delta0_uev", float, default=200.0, required=False),
-                n_cp=self._get("noise", "n_cp_per_um3", float, default=4.9e6, required=False),
+                Delta0=self._get("noise", "delta0_uev", float,
+                                 default=DEFAULT_GAP_UEV, required=False),
+                n_cp=self._get("noise", "n_cp_per_um3", float,
+                               default=DEFAULT_N_CP, required=False),
             )
         except ValueError as err:
             raise ConfigError(f"invalid [noise] section: {err}") from err
@@ -178,7 +193,7 @@ class RunConfig:
         return value
 
     def base_temperature_k(self) -> float:
-        return self._get("noise", "base_temperature_k", float, default=0.010, required=False)
+        return self._positive("noise", "base_temperature_k", default=0.010, required=False)
 
     def attenuation_chain(self) -> AttenuationChain:
         raw = self._get("attenuation", "stages", str)
@@ -202,9 +217,6 @@ class RunConfig:
     def sweep(self, section: str, start_key: str, stop_key: str) -> np.ndarray:
         start = self._get(section, start_key, float)
         stop = self._get(section, stop_key, float)
-        for key, value in ((start_key, start), (stop_key, stop)):
-            if not math.isfinite(value):
-                raise ConfigError(f"[{section}] {key} must be finite, got {value!r}")
         steps = self._get(section, "steps", int)
         if steps < 2:
             raise ConfigError(f"[{section}] steps must be >= 2, got {steps}")
@@ -231,19 +243,22 @@ class RunConfig:
     def envelope_settings(self) -> dict:
         return {
             "t1_s": self._get("envelope", "t1_s", float),
-            "shape": self._get("envelope", "shape", str, default="gaussian", required=False),
+            "shape": self._choice("envelope", "shape", ("gaussian", "exponential"),
+                                  default="gaussian"),
         }
 
     def fit_settings(self) -> dict:
+        window = self._get("fit", "exclude_halfwidth", float, default=0.002, required=False)
+        if not window >= 0.0:
+            raise ConfigError(f"[fit] exclude_halfwidth must be >= 0, got {window!r}")
         return {
             "anharmonicity_ghz": self._get("fit", "anharmonicity_ghz", float,
                                            default=None, required=False),
-            "exclude_halfwidth": self._get("fit", "exclude_halfwidth", float,
-                                           default=0.002, required=False),
+            "exclude_halfwidth": window,
         }
 
     def output_format(self) -> str:
-        return self._get("output", "format", str, default="csv", required=False)
+        return self._choice("output", "format", ("csv", "json"), default="csv")
 
 
 # ---------------------------------------------------------------------------
@@ -385,15 +400,14 @@ def read_data_csv(path: str | Path, columns: tuple[str, str]) -> DataSeries:
 def cmd_spectrum(config: RunConfig, args) -> int:
     q = config.qubit()
     grid = config.grid()
-    k = max(3, config.eigenstate_count())
     flux = config.sweep("flux_sweep", "start", "stop")
+    fmt = config.output_format()
     workers = max(1, args.workers)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    fmt = args.format or config.output_format()
 
-    def solve(f: float):
-        return lowest_eigenpairs(build_hamiltonian_2d(q, f, grid), k=k)
+    def solve(f: float):  # the three levels behind omega01 and omega12
+        return lowest_eigenpairs(build_hamiltonian_2d(q, f, grid), k=3)
 
     rows = []
     failures = 0
@@ -439,19 +453,20 @@ def cmd_coherence(config: RunConfig, args) -> int:
     env = config.quasiparticle_env()
     noise = config.flux_noise()
     cqed_in = config.cqed_inputs()
+    base_temperature = config.base_temperature_k()
+    fmt = config.output_format()
     workers = max(1, args.workers)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    fmt = args.format or config.output_format()
     matrix_elements = analytic.junction_matrix_elements(q)
 
     temperatures = config.sweep("temperature_sweep", "start_k", "stop_k")
     flux = config.sweep("flux_sweep", "start", "stop")
     ramsey_time = config.ramsey_time_s()
     try:
-        g01, g12 = extract_couplings(cqed_in["omega01_ghz"], cqed_in["omega12_ghz"],
-                                     cavity.omega_c0, config.dressed_cavity_ghz(),
-                                     cqed_in["chi_mhz"])
+        dispersive = dispersive_set(cqed_in["omega01_ghz"], cqed_in["omega12_ghz"],
+                                    cavity.omega_c0, config.dressed_cavity_ghz(),
+                                    cqed_in["chi_mhz"])
     except ValueError as err:
         raise ConfigError(f"invalid [cqed]/[cavity] values: {err}") from err
 
@@ -479,22 +494,20 @@ def cmd_coherence(config: RunConfig, args) -> int:
     chain = config.attenuation_chain()
     t_eff = effective_temperature(chain, cavity.omega_c0)
     nbar = thermal_photon_population(config.dressed_cavity_ghz(), t_eff)
-    chi01 = (cavity.omega_c0 - config.dressed_cavity_ghz()) * 1e3
-    chi12 = 2.0 * (chi01 - cqed_in["chi_mhz"])
     thermal_rate = thermal_dephasing_rate(cavity.kappa, cqed_in["chi_mhz"], nbar)
     budget = {
-        "t1_qp_s": t1_point(config.base_temperature_k()),
-        "t1_purcell_s": purcell_t1(cavity.kappa, g01, cqed_in["omega01_ghz"],
+        "t1_qp_s": t1_point(base_temperature),
+        "t1_purcell_s": purcell_t1(cavity.kappa, dispersive.g01, cqed_in["omega01_ghz"],
                                    config.dressed_cavity_ghz()),
         "t_phi_thermal_s": 1.0 / thermal_rate if thermal_rate > 0.0 else None,
         "t_eff_K": t_eff,
         "nbar": nbar,
-        "g01_MHz": g01,
-        "g12_MHz": g12,
-        "chi01_MHz": chi01,
-        "chi12_MHz": chi12,
-        "chi_MHz": total_pull(chi01, chi12),
-        "base_temperature_K": config.base_temperature_k(),
+        "g01_MHz": dispersive.g01,
+        "g12_MHz": dispersive.g12,
+        "chi01_MHz": dispersive.chi01,
+        "chi12_MHz": dispersive.chi12,
+        "chi_MHz": dispersive.chi,
+        "base_temperature_K": base_temperature,
         "rate_convention": UNIT_CONVENTIONS["purcell_and_thermal_photon_rates"],
     }
     budget_path = outdir / "decoherence_budget.json"
@@ -515,9 +528,9 @@ def cmd_filter(config: RunConfig, args) -> int:
                  for n_pulses in settings["pulse_counts"]]
     except ValueError as err:
         raise ConfigError(f"invalid [filter] section: {err}") from err
+    fmt = config.output_format()
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    fmt = args.format or config.output_format()
     outputs = []
     for spec in specs:
         rows = [[w, g] for w, g in filter_curve(spec, omega)]
@@ -563,11 +576,10 @@ def cmd_fit(config: RunConfig, args) -> int:
                  "matrix_elements": list(matrix_elements)}
     elif args.target == "envelope":
         envelope = config.envelope_settings()
-        shape = args.shape or envelope["shape"]
-        result = fit_envelope(data, envelope["t1_s"], shape)
-        extra = {"model": f"{shape} decay envelope", "t1_s": envelope["t1_s"]}
+        result = fit_envelope(data, envelope["t1_s"], envelope["shape"])
+        extra = {"model": f"{envelope['shape']} decay envelope", "t1_s": envelope["t1_s"]}
     elif args.target == "fluxnoise":
-        window = args.window if args.window is not None else settings["exclude_halfwidth"]
+        window = settings["exclude_halfwidth"]
         result = fit_flux_noise(data, config.qubit(), exclude_halfwidth=window)
         extra = {"model": "linear Gamma_E vs |domega01/df|",
                  "exclude_halfwidth": window,
@@ -586,8 +598,16 @@ def cmd_fit(config: RunConfig, args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error ends like a config error: exit 1 with one error line.
+    Subcommand parsers are built from the same class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="csfq3d",
         description="Forward models and fits for a capacitively shunted flux "
                     "qubit in a 3D cavity.",
@@ -596,8 +616,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="out", help="output directory (default: out)")
     parser.add_argument("--workers", type=int, default=1,
                         help="threads for sweep points; outputs do not depend on it (default: 1)")
-    parser.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="tabular output format (default from config, csv)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("spectrum", help="flux sweep of analytic and numeric omega01/omega12")
@@ -607,16 +625,12 @@ def _build_parser() -> argparse.ArgumentParser:
     fit_parser = sub.add_parser("fit", help="parameter extraction from a data CSV")
     fit_parser.add_argument("target", choices=sorted(DATA_SCHEMAS))
     fit_parser.add_argument("data", help="input CSV (see README for schemas)")
-    fit_parser.add_argument("--shape", choices=("gaussian", "exponential"), default=None,
-                            help="envelope shape override")
-    fit_parser.add_argument("--window", type=float, default=None,
-                            help="fluxnoise exclusion half-width override")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = RunConfig.load(args.config)
         if args.command == "spectrum":
             return cmd_spectrum(config, args)

@@ -63,11 +63,6 @@ def microev_to_joule(energy_uev: float) -> float:
     return energy_uev * 1e-6 * CONSTANTS.e
 
 
-def microev_to_ghz(energy_uev: float) -> float:
-    """Micro-electronvolt to cyclic GHz."""
-    return joule_to_ghz(microev_to_joule(energy_uev))
-
-
 def charging_energy_from_capacitance(capacitance_ff: float) -> float:
     """Single-electron charging energy e^2/2C of a capacitance in fF, as cyclic GHz.
 
@@ -137,12 +132,10 @@ def _check_qubit_params(q: QubitParams) -> None:
         raise ValueError(
             f"alpha = {q.alpha} >= 0.5: double-well regime unsupported"
         )
-    if q.E_J <= 0.0:
-        raise ValueError(f"E_J must be positive, got {q.E_J} GHz")
-    if q.E_C <= 0.0:
-        raise ValueError(f"E_C must be positive, got {q.E_C} GHz")
-    if q.C_S <= 0.0:
-        raise ValueError(f"C_S must be positive, got {q.C_S} fF")
+    for name, value, unit in (("E_J", q.E_J, "GHz"), ("E_C", q.E_C, "GHz"),
+                              ("C_S", q.C_S, "fF")):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value} {unit}")
     if q.alpha <= 0.125:
         warnings.warn(
             f"alpha = {q.alpha} <= 1/8: quartic coefficient (8 alpha - 1) is not "

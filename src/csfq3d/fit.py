@@ -19,6 +19,7 @@ import numpy as np
 from . import analytic
 from .core import NegativeAnharmonicityWarning, QubitParams
 from .decoherence import (
+    DEFAULT_N_CP,
     QuasiparticleEnv,
     QuasiparticleValidityWarning,
     decay_envelope,
@@ -294,7 +295,7 @@ def fit_spectrum(data: DataSeries, init: QubitParams,
 
 
 def fit_xqp(data: DataSeries, q: QubitParams, omega01_ghz: float, delta0_uev: float,
-            matrix_elements: tuple[float, float], n_cp: float = 4.9e6) -> FitResult:
+            matrix_elements: tuple[float, float], n_cp: float = DEFAULT_N_CP) -> FitResult:
     """Extract the quasiparticle density x_qp from T1 vs temperature data.
 
     data holds (temperature K, T1 s); the fit runs on rates Gamma = 1/T1

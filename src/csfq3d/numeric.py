@@ -311,7 +311,8 @@ def _refine(op: HamiltonianOperator, start: np.ndarray, tol: float, max_iter: in
     """Block Davidson from the start block: Rayleigh-Ritz on an orthonormal
     basis, grown each step by the residuals of the Ritz vectors above tol,
     preconditioned by the Fourier-diagonal (T + energy_scale)^-1 and the sector
-    projector.  Returns (evals, vectors, residuals, steps)."""
+    projector.  Returns (evals, vectors, residuals, steps) once every residual
+    is <= tol, after max_iter steps, or at the first non-finite residual."""
     k = start.shape[1]
     inverse = 1.0 / (op._kinetic_spectrum + op.energy_scale)
     basis = np.linalg.qr(start)[0]
@@ -323,7 +324,7 @@ def _refine(op: HamiltonianOperator, start: np.ndarray, tol: float, max_iter: in
         h_vectors = op.matvec(vectors)
         residuals = h_vectors - vectors * evals
         norms = np.linalg.norm(residuals, axis=0)
-        if np.all(norms <= tol) or steps >= max_iter:
+        if np.all(norms <= tol) or steps >= max_iter or not np.all(np.isfinite(norms)):
             return evals, vectors, norms, steps
         block = op.project(op._fourier_diagonal(inverse, residuals[:, norms > tol]))
         if basis.shape[1] + block.shape[1] > _RESTART_BLOCKS * k:

@@ -1,3 +1,4 @@
+import configparser
 import json
 import math
 import os
@@ -34,7 +35,6 @@ chi_mhz = 0.892
 
 [grid]
 n = 20
-states = 4
 
 [noise]
 x_qp = 6.122448979591837e-8
@@ -134,16 +134,141 @@ class TestConfig:
         assert f"[{section}] {key} must be finite" in err
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("states", [0, 20])
-    def test_states_outside_solver_range(self, tmp_path, capsys, states):
+    @pytest.mark.parametrize("line, value, command", [
+        ("format = csv", "format = xml", ["filter"]),
+        ("format = csv", "format = JSON", ["spectrum"]),
+        ("shape = gaussian", "shape = foo", ["fit", "envelope", "envelope_synthetic.csv"]),
+        ("exclude_halfwidth = 0.002", "exclude_halfwidth = -0.001",
+         ["fit", "fluxnoise", "fluxnoise_synthetic.csv"]),
+        ("exclude_halfwidth = 0.002", "exclude_halfwidth = nan",
+         ["fit", "fluxnoise", "fluxnoise_synthetic.csv"]),
+        ("exclude_halfwidth = 0.002", "exclude_halfwidth = inf",
+         ["fit", "fluxnoise", "fluxnoise_synthetic.csv"]),
+    ], ids=["format-xml", "format-case", "shape", "halfwidth-negative", "halfwidth-nan",
+            "halfwidth-inf"])
+    def test_invalid_output_setting_rejected(self, tmp_path, capsys, line, value, command):
+        section, key = {"format": ("output", "format"), "shape": ("envelope", "shape"),
+                        "exclude_halfwidth": ("fit", "exclude_halfwidth")}[line.split(" = ")[0]]
         path = tmp_path / "c.ini"
-        path.write_text(BASE_CONFIG.replace("states = 4", f"states = {states}"))
+        path.write_text(BASE_CONFIG.replace(line, value))
         out = tmp_path / "o"
-        assert cli.main(["--config", str(path), "--out", str(out), "spectrum"]) == cli.EXIT_CONFIG
+        command = [str(DATA_DIR / a) if a.endswith(".csv") else a for a in command]
+        assert cli.main(["--config", str(path), "--out", str(out), *command]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "[grid] states must be in 1..10" in err
-        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
-        assert not out.exists()
+        assert err.startswith(f"error: [{section}] {key} must be")
+        assert len(err.strip().splitlines()) == 1
+        assert not list(out.glob("*"))  # rejected before any output is written
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["--config", "c.ini"],
+        ["--config", "c.ini", "--format", "json", "spectrum"],
+        ["--config", "c.ini", "fit", "envelope", "d.csv", "--shape", "exponential"],
+        ["--config", "c.ini", "fit", "fluxnoise", "d.csv", "--window", "0.003"],
+        ["--config", "c.ini", "fit", "nonsense", "d.csv"],
+        ["--config", "c.ini", "--workers", "two", "spectrum"],
+    ], ids=["no-arguments", "no-command", "format-flag", "shape-flag", "window-flag",
+            "bad-fit-target", "bad-workers"])
+    def test_usage_error_exits_1_with_one_line(self, tmp_path, capsys, argv):
+        code = cli.main(["--out", str(tmp_path / "o"), *argv])
+        assert code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+
+    def test_flags_set_no_output_value(self):
+        # every output-changing setting lives in the hashed config
+        parser = cli._build_parser()
+        assert {o for a in parser._actions for o in a.option_strings} == {
+            "-h", "--help", "--config", "--out", "--workers"}
+        fit_parser = parser._subparsers._group_actions[0].choices["fit"]
+        assert [a.dest for a in fit_parser._actions] == ["help", "target", "data"]
+
+    def test_legacy_states_key_is_ignored(self, tmp_path, config_path):
+        path = tmp_path / "legacy.ini"
+        path.write_text(BASE_CONFIG.replace("n = 20\n", "n = 20\nstates = 99\n"))
+        out_new, out_old = tmp_path / "new", tmp_path / "old"
+        assert cli.main(["--config", str(config_path), "--out", str(out_new), "spectrum"]) == 0
+        assert cli.main(["--config", str(path), "--out", str(out_old), "spectrum"]) == 0
+        for name in ("spectrum.csv", "spectrum_summary.json"):
+            assert (out_new / name).read_bytes() == (out_old / name).read_bytes()
+
+
+# the sections each command reads, and the values a one-key mutation tries
+COMMAND_SECTIONS = {
+    "spectrum": ("qubit", "grid", "flux_sweep", "output"),
+    "coherence": ("qubit", "cavity", "cqed", "noise", "attenuation", "flux_sweep",
+                  "temperature_sweep", "output"),
+    "filter": ("filter", "output"),
+}
+MUTATIONS = ("nan", "inf", "0", "-1", "1e300")
+
+
+class TestMutatedConfig:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+    @pytest.mark.parametrize("value", MUTATIONS)
+    @pytest.mark.parametrize("command", sorted(COMMAND_SECTIONS))
+    def test_one_key_mutation_ends_in_exit_code(self, tmp_path, capsys, command, value):
+        # each key the command reads, set to one bad value at a time: the run
+        # ends in a documented exit code, and exit 1 or 2 prints one error line
+        escapes = []
+        for section in COMMAND_SECTIONS[command]:
+            keys = configparser.ConfigParser()
+            keys.read_string(BASE_CONFIG)
+            for key in keys[section]:
+                parser = configparser.ConfigParser()
+                parser.read_string(BASE_CONFIG)
+                parser[section][key] = value
+                path = tmp_path / f"{section}.{key}.ini"
+                with open(path, "w") as handle:
+                    parser.write(handle)
+                label = f"[{section}] {key} = {value}"
+                try:
+                    code = cli.main(["--config", str(path), "--out",
+                                     str(tmp_path / f"{section}.{key}"), command])
+                except Exception as err:  # noqa: BLE001 - the escape is the finding
+                    escapes.append(f"{label}: {err.__class__.__name__}: {err}")
+                    continue
+                errors = [line for line in capsys.readouterr().err.splitlines()
+                          if line.startswith("error:")]
+                if code not in (0, 1, 2, 3):
+                    escapes.append(f"{label}: exit {code}")
+                elif code in (1, 2) and len(errors) != 1:
+                    escapes.append(f"{label}: exit {code} printed {errors}")
+        assert not escapes, "\n".join(escapes)
+
+
+class TestBundledConfigs:
+    @pytest.mark.parametrize("name", ["example_config.ini", "example_config_perturbative.ini"])
+    def test_every_key_is_read(self, tmp_path, monkeypatch, name):
+        # a key that no command reads is a dead knob: it sets nothing it names
+        text = (DATA_DIR / name).read_text()
+        keys = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        keys.read_string(text)
+        set_keys = {(section, key) for section in keys.sections() for key in keys[section]}
+        # shrink the numeric work as the determinism acceptance test does
+        path = tmp_path / name
+        path.write_text(text.replace("n = 80", "n = 24").replace("steps = 21", "steps = 5")
+                        .replace("steps = 16", "steps = 5")
+                        .replace("omega_points = 400", "omega_points = 40"))
+        read = set()
+        original = cli.RunConfig._get
+
+        def recording(self, section, key, *args, **kwargs):
+            read.add((section, key))
+            return original(self, section, key, *args, **kwargs)
+
+        monkeypatch.setattr(cli.RunConfig, "_get", recording)
+        commands = [["spectrum"], ["coherence"], ["filter"],
+                    *(["fit", target, str(DATA_DIR / f"{target}_synthetic.csv")]
+                      for target in sorted(cli.DATA_SCHEMAS))]
+        for command in commands:
+            code = cli.main(["--config", str(path), "--out", str(tmp_path / "_".join(command[:2])),
+                             *command])
+            assert code in (cli.EXIT_OK, cli.EXIT_NOT_CONVERGED), command
+        assert set_keys - read == set()
 
 
 class TestDataFiles:
@@ -216,10 +341,11 @@ class TestSpectrumCommand:
                          "--workers", "4", "spectrum"]) == 0
         assert (out_a / "spectrum.csv").read_bytes() == (out_b / "spectrum.csv").read_bytes()
 
-    def test_json_format(self, tmp_path, config_path):
+    def test_json_format(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text(BASE_CONFIG.replace("format = csv", "format = json"))
         out = tmp_path / "json_out"
-        code = cli.main(["--config", str(config_path), "--out", str(out),
-                         "--format", "json", "spectrum"])
+        code = cli.main(["--config", str(path), "--out", str(out), "spectrum"])
         assert code == cli.EXIT_OK
         records = json.loads((out / "spectrum.json").read_text())
         assert len(records) == 5
@@ -263,19 +389,19 @@ class TestSpectrumCommand:
         # 0.5 is an exact sweep point of linspace(0.49, 0.51, 5); the summary
         # reuses that solve, and solves f = 0.5 once more only if it is absent
         path = tmp_path / "c.ini"
-        path.write_text(BASE_CONFIG.replace("stop = 0.51", f"stop = {stop}"))
+        path.write_text(BASE_CONFIG.replace("stop = 0.51", f"stop = {stop}")
+                        .replace("format = csv", "format = json"))
         calls = []
         original = cli.lowest_eigenpairs
 
         def counting(op, k=4, **kwargs):
-            calls.append(op)
+            calls.append(k)
             return original(op, k=k, **kwargs)
 
         monkeypatch.setattr(cli, "lowest_eigenpairs", counting)
         out = tmp_path / "out"
-        assert cli.main(["--config", str(path), "--out", str(out), "--format", "json",
-                         "spectrum"]) == cli.EXIT_OK
-        assert len(calls) == solves
+        assert cli.main(["--config", str(path), "--out", str(out), "spectrum"]) == cli.EXIT_OK
+        assert calls == [3] * solves  # the three levels behind omega01 and omega12
         records = json.loads((out / "spectrum.json").read_text())
         summary = json.loads((out / "spectrum_summary.json").read_text())
         at_optimum = [r for r in records if r["flux_phi0"] == 0.5]
@@ -459,11 +585,12 @@ class TestFitCommand:
         result = json.loads((out / "fit_envelope.json").read_text())
         assert result["parameters"]["gamma_phi_per_s"] == pytest.approx(1.25e4, rel=1e-3)
 
-    def test_envelope_shape_override(self, tmp_path, config_path):
+    def test_envelope_shape_override(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text(BASE_CONFIG.replace("shape = gaussian", "shape = exponential"))
         out = tmp_path / "out"
-        code = cli.main(["--config", str(config_path), "--out", str(out),
-                         "fit", "envelope", str(DATA_DIR / "envelope_synthetic.csv"),
-                         "--shape", "exponential"])
+        code = cli.main(["--config", str(path), "--out", str(out),
+                         "fit", "envelope", str(DATA_DIR / "envelope_synthetic.csv")])
         assert code == cli.EXIT_OK
         result = json.loads((out / "fit_envelope.json").read_text())
         assert result["model"] == "exponential decay envelope"

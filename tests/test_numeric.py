@@ -227,6 +227,16 @@ class TestLanczos:
             lowest_eigenpairs(op, k=4, max_iter=1)
         assert err.value.residual_norms.size > 0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("energy", ["E_J", "E_C"])
+    def test_overflowing_operator_stops_at_first_non_finite_residual(self, energy):
+        # at 1e300 GHz the matvec overflows; the refinement must not spin to max_iter
+        q = QubitParams(**{**FULL_2D, energy: 1e300})
+        op = build_hamiltonian_2d(q, 0.5, GridSpec(20))
+        with pytest.raises(ConvergenceError, match=r"within [01] refinement steps") as err:
+            lowest_eigenpairs(op, k=3)
+        assert not np.all(np.isfinite(err.value.residual_norms))
+
     @pytest.mark.parametrize("n", [16, 24])
     def test_matches_dense_even_sector_oracle_2d(self, n):
         op = build_hamiltonian_2d(reference_qubit_2d(), 0.5, GridSpec(n))
