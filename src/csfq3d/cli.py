@@ -411,13 +411,13 @@ def cmd_spectrum(config: RunConfig, args) -> int:
 
     rows = []
     failures = 0
-    optimal = None
+    optimal = optimal_error = None
     for f, result, err in _map_indexed(solve, list(flux), workers):
         w_analytic = analytic.omega01(q, f)
+        if f == 0.5:
+            optimal, optimal_error = result, err
         if err is None:
             rows.append([f, w_analytic, result.omega01, result.transition(1, 2), "ok"])
-            if f == 0.5:
-                optimal = result
         else:
             failures += 1
             rows.append([f, w_analytic, "", "", f"error:{err.__class__.__name__}"])
@@ -425,13 +425,13 @@ def cmd_spectrum(config: RunConfig, args) -> int:
                          ["flux_phi0", "omega01_analytic_GHz", "omega01_numeric_GHz",
                           "omega12_numeric_GHz", "status"], rows, fmt)
 
-    if optimal is None:  # the optimal point is not a (successful) sweep point
-        optimal = solve(0.5)
+    if optimal is None and optimal_error is None:  # the optimal point is not a sweep point
+        [(_, optimal, optimal_error)] = _map_indexed(solve, [0.5], 1)
     spectrum = analytic.perturbative_spectrum(q)
-    summary = {
-        "omega01_numeric_GHz": optimal.omega01,
-        "omega12_numeric_GHz": optimal.transition(1, 2),
-        "anharmonicity_numeric_GHz": optimal.anharmonicity,
+    summary = {  # a failed optimal-point solve leaves its numeric fields null
+        "omega01_numeric_GHz": optimal and optimal.omega01,
+        "omega12_numeric_GHz": optimal and optimal.transition(1, 2),
+        "anharmonicity_numeric_GHz": optimal and optimal.anharmonicity,
         "omega01_analytic_GHz": spectrum.Delta,
         "anharmonicity_analytic_GHz": spectrum.A,
         "epsilon_slope_GHz_per_flux": spectrum.dEps_df,
@@ -444,6 +444,9 @@ def cmd_spectrum(config: RunConfig, args) -> int:
     _write_json(summary_path, summary)
     _write_manifest(outdir, "spectrum", config, [table, summary_path],
                     {"workers": workers})
+    if optimal_error is not None:
+        print(f"error: optimal point f = 0.5: {optimal_error}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     return EXIT_PARTIAL_FAILURE if failures else EXIT_OK
 
 

@@ -8,8 +8,9 @@ potential
 and kinetic energy E_p n_p^2 + E_m n_m^2 with E_p = 2 E_C and
 E_m = 2 E_C / (1 + 2 alpha + 2 beta), beta = C_S/C_J, which reduces to
 E_m -> E_CS in the heavy-shunt limit beta -> infinity.  Derivatives are
-applied spectrally (FFT), so a plane wave e^{i m phi} is an exact eigenvector
-of the kinetic term with eigenvalue E m^2.
+spectral: along each axis the kinetic term is the dense n x n matrix that
+multiplies each grid plane wave e^{i m phi}, |m| <= n/2, by E m^2, so those
+waves are exact eigenvectors of it.
 
 The (phi_p, phi_m) square [-pi, pi)^2 double-covers the physical junction
 phase torus: shifting one junction phase by 2 pi maps (phi_p, phi_m) to
@@ -25,8 +26,12 @@ phi_p mode times the low levels of the soft phi_m mode, keeping the phi_m
 levels within two phi_p gaps of the lowest (never fewer than k).  A block
 Davidson iteration on the full grid refines it until every true residual
 meets the tolerance, so the basis sizes set the speed, never the answer.  The
-kinetic term is applied with one real n-D FFT pair per block of vectors.
-Nothing is random, and the solver uses numpy alone: a solve imports no scipy.
+kinetic term is applied as one matrix product per axis with the dense 1D
+kinetic matrices, and the refinement's preconditioner through their
+eigenpairs.  Both depend only on (coefficient, n), not on the flux, so they are
+built once and shared by every operator of a sweep, the start and the 1D
+solve.  Nothing is random, and the solver uses numpy alone: a solve imports no
+scipy.
 
 A flux sweep is one ``lowest_eigenpairs(build_hamiltonian_2d(q, f, grid))``
 per point; ``csfq3d spectrum`` runs it and reports failed points per row.
@@ -34,8 +39,10 @@ per point; ``csfq3d spectrum`` runs it and reports failed points per row.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,9 +75,33 @@ class GridSpec:
         return -math.pi + self.spacing * np.arange(self.n)
 
 
+class _KineticFactors(NamedTuple):
+    """Read-only dense kinetic term coeff * n^2 along one axis of an n-point
+    grid, with its eigenvalues (ascending) and orthonormal eigenvectors."""
+
+    matrix: np.ndarray
+    levels: np.ndarray
+    modes: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _kinetic_factors(coeff: float, n: int) -> _KineticFactors:
+    """The kinetic factors for one axis, built once per (coeff, n): the matrix
+    multiplies the plane wave e^{i m phi} by coeff m^2 for the integer
+    wavenumbers m of np.fft.fftfreq (m = -n/2 for the Nyquist wave)."""
+    k2 = np.fft.fftfreq(n, d=1.0 / n) ** 2
+    matrix = coeff * np.fft.ifft(k2[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0).real
+    factors = _KineticFactors(matrix, *np.linalg.eigh(matrix))
+    for array in factors:
+        array.flags.writeable = False
+    return factors
+
+
 class HamiltonianOperator:
     """Real-symmetric Hamiltonian on a periodic grid: spectral kinetic term
-    plus a diagonal potential.
+    plus a diagonal potential.  The kinetic term is one dense matrix product
+    per axis, with factors shared by every operator with the same
+    coefficient and grid (see :class:`_KineticFactors`).
 
     Parameters
     ----------
@@ -108,13 +139,7 @@ class HamiltonianOperator:
         self.grid = grid
         self.energy_scale = float(energy_scale)
         self.sector_projector = sector_projector
-        # integer wavenumbers squared; exact for periodic plane waves
-        self._k2 = np.fft.fftfreq(grid.n, d=1.0 / grid.n) ** 2
-        # sum_axis coeff * k_axis^2 on the real-FFT half spectrum (last axis halved)
-        half = [self._k2] * (potential.ndim - 1) + [np.fft.rfftfreq(grid.n, d=1.0 / grid.n) ** 2]
-        self._kinetic_spectrum = sum(
-            coeff * k2.reshape([-1 if a == axis else 1 for a in range(potential.ndim)])
-            for axis, (coeff, k2) in enumerate(zip(self.kinetic, half)))
+        self._factors = tuple(_kinetic_factors(coeff, grid.n) for coeff in self.kinetic)
 
     @property
     def ndim(self) -> int:
@@ -129,17 +154,16 @@ class HamiltonianOperator:
         return (self.dim, self.dim)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """Apply H to a flattened grid vector or to a (dim, m) block of them."""
-        v = np.asarray(v, dtype=float)
-        return (v.T * self.potential.ravel()).T + self._fourier_diagonal(self._kinetic_spectrum, v)
+        """Apply H to a flattened grid vector or to a (dim, m) block of them.
 
-    def _fourier_diagonal(self, spectrum: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Apply a diagonal in the real-FFT half spectrum to a flattened grid
-        vector or to each column of a (dim, m) block, in contiguous memory."""
-        axes = tuple(range(-self.ndim, 0))
-        batch = np.ascontiguousarray(v.T).reshape(v.shape[1:] + self.potential.shape)
-        out = np.fft.irfftn(spectrum * np.fft.rfftn(batch, axes=axes),
-                            s=self.potential.shape, axes=axes)
+        The block is worked on as its transpose, m grid-shaped rows, so the
+        transpose of a C-ordered (m, dim) array goes in and out uncopied."""
+        v = np.asarray(v, dtype=float)
+        rows = v.T.reshape(v.shape[1:] + self.potential.shape)
+        out = rows @ self._factors[-1].matrix  # the kinetic matrices are symmetric
+        if self.ndim == 2:
+            out += np.matmul(self._factors[0].matrix, rows)
+        out += self.potential * rows
         return out.reshape(v.shape[::-1]).T
 
     def project(self, v: np.ndarray) -> np.ndarray:
@@ -238,16 +262,18 @@ def lowest_eigenpairs(op: HamiltonianOperator, k: int = 4, tol: float | None = N
     Limitation (2D): the residual test cannot tell that a level is missing.
     If a symmetry of H makes the product-basis start orthogonal to a low
     state, the Davidson refinement and its preconditioner keep that symmetry
-    and never reach it, so a higher level is returned in its place.  A
-    phi_p-independent potential shows this at k = 3; the reference device
-    does not (its energies match the dense even-sector oracle)."""
+    and never reach it, so a higher level is returned in its place.  The
+    start keeps each degenerate cluster of phi_p slice levels whole, so a
+    phi_p-independent potential no longer shows this; a symmetry that splits
+    a degenerate cluster of the soft phi_m levels at the M cut still can.  The
+    reference device shows neither (its energies match the dense even-sector
+    oracle)."""
     if k < 1 or k > 10:
         raise ValueError(f"k must be in 1..10, got {k}")
     if tol is None:
         tol = 1e-8 * op.energy_scale
     if op.ndim == 1:
-        evals, vectors = np.linalg.eigh(_kinetic_matrix(op.kinetic[0], op._k2)
-                                        + np.diag(op.potential))
+        evals, vectors = np.linalg.eigh(op._factors[0].matrix + np.diag(op.potential))
         evals, vectors = evals[:k], vectors[:, :k]
         residuals, iterations = _residual_norms(op, evals, vectors), 0
     else:
@@ -264,30 +290,28 @@ def _residual_norms(op: HamiltonianOperator, evals, vectors) -> np.ndarray:
     return np.linalg.norm(op.matvec(vectors) - vectors * evals, axis=0)
 
 
-def _kinetic_matrix(coeff: float, k2: np.ndarray) -> np.ndarray:
-    """Dense coeff * n^2 along one axis, in the spectral form of matvec."""
-    return coeff * np.fft.ifft(k2[:, None] * np.fft.fft(np.eye(k2.size), axis=0), axis=0).real
-
-
 def _product_basis_start(op: HamiltonianOperator, k: int) -> np.ndarray:
     """The k lowest eigenvectors of H in the product basis {chi_j x xi_a},
     mapped to the grid and projected to the sector.
 
     chi_j are the levels of the stiff phi_p slice through the potential
-    minimum below its barrier top (at least two): bound in one well, they hold
-    one copy of each double-covered level, so the projection does not collapse
-    two start vectors onto one.  xi_a are the soft phi_m levels of
+    minimum below its barrier top (at least two, and never part of a
+    degenerate cluster): bound in one well, they hold one copy of each
+    double-covered level, so the projection does not collapse two start
+    vectors onto one.  xi_a are the soft phi_m levels of
     T_m + V_00(phi_m), the potential that chi_0 sees; M of them are kept, those
     within two phi_p gaps (chi_1 - chi_0) of the lowest, and never fewer than
     k.  So the dense solve has size K M instead of K n."""
     n = op.grid.n
     column = np.unravel_index(np.argmin(op.potential), op.potential.shape)[1]
     slice_ = op.potential[:, column]
-    t_p = _kinetic_matrix(op.kinetic[0], op._k2)
-    t_m = _kinetic_matrix(op.kinetic[1], op._k2)
+    t_p, t_m = (factors.matrix for factors in op._factors)
     levels, chi = np.linalg.eigh(t_p + np.diag(slice_))
     # a well too shallow to bind two levels keeps the lowest two
     count = max(2, int(np.count_nonzero(levels <= slice_.max())))
+    # and a degenerate cluster of slice levels is kept whole, never cut in half
+    while count < n and levels[count] - levels[count - 1] <= 1e-9 * op.energy_scale:
+        count += 1
     levels, chi = levels[:count], chi[:, :count]
     # V_jl(m) = (chi^T (T_p + U[:, m]) chi)_jl, the phi_p-projected potential
     v = np.einsum("pj,pm,pl->mjl", chi, op.potential, chi, optimize=True) + chi.T @ t_p @ chi
@@ -303,36 +327,61 @@ def _product_basis_start(op: HamiltonianOperator, k: int) -> np.ndarray:
     return op.project(start.reshape(n * n, k))
 
 
-# the Davidson basis restarts from its Ritz vectors rather than pass this many times k columns
+# the Davidson basis restarts from its Ritz vectors rather than hold more than this many times k rows
 _RESTART_BLOCKS = 6
+
+
+def _settled(norms: np.ndarray, tol: float, steps: int, max_iter: int) -> bool:
+    return bool(np.all(norms <= tol) or steps >= max_iter or not np.all(np.isfinite(norms)))
 
 
 def _refine(op: HamiltonianOperator, start: np.ndarray, tol: float, max_iter: int):
     """Block Davidson from the start block: Rayleigh-Ritz on an orthonormal
     basis, grown each step by the residuals of the Ritz vectors above tol,
-    preconditioned by the Fourier-diagonal (T + energy_scale)^-1 and the sector
-    projector.  Returns (evals, vectors, residuals, steps) once every residual
-    is <= tol, after max_iter steps, or at the first non-finite residual."""
+    preconditioned by (T + energy_scale)^-1 in the eigenbasis of the kinetic
+    matrices and by the sector projector.  Returns (evals, vectors, residuals,
+    steps) once every residual is <= tol, after max_iter steps, or at the first
+    non-finite residual.
+
+    Blocks are row-major (m, dim) arrays in two preallocated buffers, the
+    basis and its H-image.  Each step applies H once, to the new rows, and
+    takes the Ritz residuals from the H-image; H is applied to the Ritz
+    vectors only to confirm an exit, so the residuals returned are true ones,
+    and a failed confirmation continues the iteration from them."""
     k = start.shape[1]
-    inverse = 1.0 / (op._kinetic_spectrum + op.energy_scale)
-    basis = np.linalg.qr(start)[0]
-    h_basis = op.matvec(basis)
-    steps = 0
+    t_p, t_m = op._factors
+    inverse = 1.0 / (t_p.levels[:, None] + t_m.levels + op.energy_scale)
+    basis = np.empty((_RESTART_BLOCKS * k, op.dim))
+    h_basis = np.empty_like(basis)
+    basis[:k] = np.linalg.qr(start)[0].T
+    h_basis[:k] = op.matvec(basis[:k].T).T
+    size, steps = k, 0
     while True:
-        evals, coeffs = np.linalg.eigh(basis.T @ h_basis)
-        evals, vectors = evals[:k], basis @ coeffs[:, :k]
-        h_vectors = op.matvec(vectors)
-        residuals = h_vectors - vectors * evals
-        norms = np.linalg.norm(residuals, axis=0)
-        if np.all(norms <= tol) or steps >= max_iter or not np.all(np.isfinite(norms)):
-            return evals, vectors, norms, steps
-        block = op.project(op._fourier_diagonal(inverse, residuals[:, norms > tol]))
-        if basis.shape[1] + block.shape[1] > _RESTART_BLOCKS * k:
-            basis, h_basis = vectors, h_vectors
+        evals, coeffs = np.linalg.eigh(basis[:size] @ h_basis[:size].T)
+        evals, coeffs = evals[:k], coeffs[:, :k].T
+        vectors, h_vectors = coeffs @ basis[:size], coeffs @ h_basis[:size]
+        residuals = h_vectors - evals[:, None] * vectors
+        norms = np.linalg.norm(residuals, axis=1)
+        if _settled(norms, tol, steps, max_iter):
+            h_vectors = op.matvec(vectors.T).T
+            residuals = h_vectors - evals[:, None] * vectors
+            norms = np.linalg.norm(residuals, axis=1)
+            if _settled(norms, tol, steps, max_iter):
+                return evals, vectors.T, norms, steps
+        # (T + energy_scale)^-1: into the kinetic eigenbasis, scale, and back
+        rows = residuals[norms > tol].reshape((-1,) + op.potential.shape)
+        scaled = np.matmul(t_p.modes.T, rows @ t_m.modes) * inverse
+        rows = np.matmul(t_p.modes, scaled @ t_m.modes.T)
+        block = op.project(rows.reshape(-1, op.dim).T).T
+        if size + len(block) > len(basis):
+            basis[:k], h_basis[:k], size = vectors, h_vectors, k
         for _ in range(2):  # the second pass removes what rounding left in the basis span
-            block = np.linalg.qr(block - basis @ (basis.T @ block))[0]
-        basis, h_basis = np.hstack([basis, block]), np.hstack([h_basis, op.matvec(block)])
-        steps += 1
+            block = block - (block @ basis[:size].T) @ basis[:size]
+            block = np.linalg.qr(block.T)[0].T
+        new = slice(size, size + len(block))
+        basis[new] = block
+        h_basis[new] = op.matvec(basis[new].T).T
+        size, steps = new.stop, steps + 1
 
 
 def numeric_matrix_element(op: HamiltonianOperator, result: EigenResult, kind: str,

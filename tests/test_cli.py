@@ -410,6 +410,29 @@ class TestSpectrumCommand:
             assert summary["omega12_numeric_GHz"] == record["omega12_numeric_GHz"]
         assert len(at_optimum) == (1 if stop == 0.51 else 0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+    @pytest.mark.parametrize("stop", [0.51, 0.499])
+    def test_failed_optimal_point_still_writes_every_output(self, tmp_path, capsys, stop):
+        # at E_J = 1e300 every solve overflows, the optimal point whether it is
+        # a sweep point (stop 0.51) or solved after the sweep (stop 0.499)
+        path = tmp_path / "c.ini"
+        path.write_text(BASE_CONFIG.replace("e_j_ghz = 136.75", "e_j_ghz = 1e300")
+                        .replace("stop = 0.51", f"stop = {stop}"))
+        out = tmp_path / "out"
+        code = cli.main(["--config", str(path), "--out", str(out), "spectrum"])
+        assert code == cli.EXIT_NOT_CONVERGED
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and "f = 0.5" in errors[0]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == ["spectrum.csv", "spectrum_summary.json"]
+        _, rows = read_csv(out / "spectrum.csv")
+        assert [row[4] for row in rows] == ["error:ConvergenceError"] * 5
+        summary = json.loads((out / "spectrum_summary.json").read_text())
+        assert summary["failed_points"] == 5
+        for key in ("omega01_numeric_GHz", "omega12_numeric_GHz", "anharmonicity_numeric_GHz"):
+            assert key in summary and summary[key] is None
+
     def test_sweep_imports_no_scipy_solver_modules(self, tmp_path, config_path):
         # the solver is numpy-only: a spectrum run loads neither scipy.linalg nor scipy.sparse
         driver = ("import sys; from csfq3d import cli; "
