@@ -489,10 +489,9 @@ def cmd_coherence(config: RunConfig, args) -> int:
         gamma_e, gamma_r = flux_dephasing_rates(noise, derivative, ramsey_time)
         ratio = gamma_r / gamma_e if gamma_e > 0.0 else ""
         flux_rows.append([f, gamma_e, gamma_r, ratio])
-    flux_table = _write_table(outdir / "dephasing_vs_flux",
-                              ["flux_phi0", "gamma_phi_echo_per_s",
-                               "gamma_phi_ramsey_per_s", "ramsey_echo_ratio"],
-                              flux_rows, fmt)
+    flux_header = ["flux_phi0", "gamma_phi_echo_per_s", "gamma_phi_ramsey_per_s",
+                   "ramsey_echo_ratio"]
+    flux_table = _write_table(outdir / "dephasing_vs_flux", flux_header, flux_rows, fmt)
 
     chain = config.attenuation_chain()
     t_eff = effective_temperature(chain, cavity.omega_c0)
@@ -502,7 +501,7 @@ def cmd_coherence(config: RunConfig, args) -> int:
         "t1_qp_s": t1_point(base_temperature),
         "t1_purcell_s": purcell_t1(cavity.kappa, dispersive.g01, cqed_in["omega01_ghz"],
                                    config.dressed_cavity_ghz()),
-        "t_phi_thermal_s": 1.0 / thermal_rate if thermal_rate > 0.0 else None,
+        "t_phi_thermal_s": None if thermal_rate == 0.0 else 1.0 / thermal_rate,
         "t_eff_K": t_eff,
         "nbar": nbar,
         "g01_MHz": dispersive.g01,
@@ -517,7 +516,16 @@ def cmd_coherence(config: RunConfig, args) -> int:
     _write_json(budget_path, budget)
     _write_manifest(outdir, "coherence", config, [t1_table, flux_table, budget_path],
                     {"workers": workers})
-    return EXIT_PARTIAL_FAILURE if failures else EXIT_OK
+    # an overflowing input leaves a non-finite rate or a NaN time; an
+    # infinite budget time (no quasiparticle rate) is a legitimate value
+    invalid = [f"dephasing_vs_flux {name} = {value} at flux_phi0 = {row[0]}"
+               for row in flux_rows for name, value in zip(flux_header, row)
+               if isinstance(value, float) and not math.isfinite(value)]
+    invalid += [f"decoherence_budget {key} = nan" for key, value in budget.items()
+                if isinstance(value, float) and math.isnan(value)]
+    if invalid:
+        print(f"error: {invalid[0]}", file=sys.stderr)
+    return EXIT_PARTIAL_FAILURE if failures or invalid else EXIT_OK
 
 
 def cmd_filter(config: RunConfig, args) -> int:

@@ -1,10 +1,12 @@
 """Inverse problems: extraction of qubit and noise parameters from data.
 
-All nonlinear fits run through one Levenberg-Marquardt core with numeric
-central-difference Jacobians.  Parameters with a restricted physical domain
-are fitted through transforms (alpha by a logit onto (0, 0.5), energies and
-capacitances by a log) or by clipping (densities and rates at zero), so the
-optimizer never leaves the physical region.  The flux-noise amplitude is a
+The nonlinear fits (spectrum, coherence envelope, T1 trace) run through one
+Levenberg-Marquardt core with numeric central-difference Jacobians and build
+their results through one helper.  Parameters with a restricted physical
+domain are fitted through transforms (alpha by a logit onto (0, 0.5),
+energies and capacitances by a log) or by clipping (rates at zero), so the
+optimizer never leaves the physical region.  The quasiparticle density x_qp
+and the flux-noise amplitude A_Phi enter their models linearly, so each is a
 closed-form through-origin regression, no iteration needed.
 """
 
@@ -23,7 +25,7 @@ from .decoherence import (
     QuasiparticleEnv,
     QuasiparticleValidityWarning,
     decay_envelope,
-    qp_relaxation_rate,
+    qp_rate_components,
 )
 
 
@@ -116,7 +118,6 @@ class _LMOutcome:
     cost_history: tuple[float, ...]
     iterations: int
     converged: bool
-    flags: tuple[str, ...]
 
 
 def _levenberg_marquardt(residual_fn, x0, *, clip=None, max_iter=200,
@@ -141,7 +142,6 @@ def _levenberg_marquardt(residual_fn, x0, *, clip=None, max_iter=200,
     history = [cost]
     lam = 1e-3
     converged = False
-    flags: tuple[str, ...] = ()
     iterations = 0
 
     jac = _central_jacobian(residual_fn, x, floor, rel_step)
@@ -187,22 +187,65 @@ def _levenberg_marquardt(residual_fn, x0, *, clip=None, max_iter=200,
             break
 
     return _LMOutcome(x=x, residual=r, jacobian=jac, cost_history=tuple(history),
-                      iterations=iterations, converged=converged, flags=flags)
+                      iterations=iterations, converged=converged)
 
 
-def _covariance(outcome: _LMOutcome, n_params: int):
-    """Linearized covariance s^2 (J^T J)^-1 at the optimum; None if degenerate."""
-    m = len(outcome.residual)
-    dof = max(m - n_params, 1)
-    s2 = float(outcome.residual @ outcome.residual) / dof
+def _lm_result(outcome: _LMOutcome, parameters: dict[str, float], scale,
+               flags: tuple[str, ...] = (), converged: bool = True) -> FitResult:
+    """FitResult of an LM fit in physical parameters.
+
+    The covariance is the linearized s^2 (J^T J)^-1 at the optimum (the
+    pseudo-inverse, flagged ``degenerate_jacobian``, when J^T J is singular
+    or ill-conditioned), mapped through the diagonal scale = d(physical)/d(fitted).
+    """
+    m, n_params = outcome.jacobian.shape
+    s2 = float(outcome.residual @ outcome.residual) / max(m - n_params, 1)
     normal = outcome.jacobian.T @ outcome.jacobian
     try:
         cond = np.linalg.cond(normal)
     except np.linalg.LinAlgError:
-        return None, ("degenerate_jacobian",)
-    if not np.isfinite(cond) or cond > 1e14:
-        return s2 * np.linalg.pinv(normal), ("degenerate_jacobian",)
-    return s2 * np.linalg.inv(normal), ()
+        cond = None
+    well_posed = cond is not None and cond <= 1e14  # False for nan and inf
+    inverse = np.linalg.inv if well_posed else np.linalg.pinv
+    cov_u = s2 * inverse(normal) if cond is not None else None
+    scale = np.asarray(scale)
+    cov = scale[:, None] * cov_u * scale if cov_u is not None else None
+    sigma = np.sqrt(np.diag(cov)) if cov is not None else np.full(n_params, np.nan)
+    return FitResult(
+        parameters=parameters,
+        uncertainties=dict(zip(parameters, sigma)),
+        covariance=cov,
+        residual_norm=float(np.linalg.norm(outcome.residual)),
+        iterations=outcome.iterations,
+        converged=outcome.converged and converged,
+        cost_history=outcome.cost_history,
+        flags=(() if well_posed else ("degenerate_jacobian",)) + flags,
+    )
+
+
+def _through_origin(regressor: np.ndarray, target: np.ndarray, name: str,
+                    nonnegative: bool = False):
+    """Least-squares slope of target = slope * regressor (weights already
+    applied to both), clipped at zero if nonnegative, with its standard error
+    and the residual at that slope."""
+    denom = float(regressor @ regressor)
+    if denom == 0.0:
+        raise RankDeficientDataError(f"{name} vanishes at every point")
+    slope = float(regressor @ target) / denom
+    if nonnegative:
+        slope = max(slope, 0.0)
+    residual = target - slope * regressor
+    dof = max(len(target) - 1, 1)
+    return slope, math.sqrt(float(residual @ residual) / dof / denom), residual
+
+
+def _regression_result(parameters, uncertainties, sigma_slope, residual, flags=()):
+    """FitResult of a through-origin regression: one step, slope covariance."""
+    return FitResult(parameters=parameters, uncertainties=uncertainties,
+                     covariance=np.array([[sigma_slope**2]]),
+                     residual_norm=float(np.linalg.norm(residual)), iterations=1,
+                     converged=True, cost_history=(float(residual @ residual),),
+                     flags=flags)
 
 
 def _logit_half(alpha: float) -> float:
@@ -275,31 +318,21 @@ def fit_spectrum(data: DataSeries, init: QubitParams,
     outcome = _levenberg_marquardt(residual, u0)
     alpha, c_s, e_j = unpack(outcome.x)
 
-    cov_u, flags = _covariance(outcome, 3)
     # chain rule through the transforms: d alpha/du = alpha (1 - 2 alpha),
     # d C_S/du = C_S, d E_J/du = E_J
-    jac_phys = np.diag([alpha * (1.0 - 2.0 * alpha), c_s, e_j])
-    cov = jac_phys @ cov_u @ jac_phys if cov_u is not None else None
-    sigma = np.sqrt(np.diag(cov)) if cov is not None else np.full(3, np.nan)
-
-    return FitResult(
-        parameters={"alpha": alpha, "C_S_fF": c_s, "E_J_GHz": e_j},
-        uncertainties={"alpha": sigma[0], "C_S_fF": sigma[1], "E_J_GHz": sigma[2]},
-        covariance=cov,
-        residual_norm=float(np.linalg.norm(outcome.residual)),
-        iterations=outcome.iterations,
-        converged=outcome.converged,
-        cost_history=outcome.cost_history,
-        flags=outcome.flags + flags,
-    )
+    return _lm_result(outcome, {"alpha": alpha, "C_S_fF": c_s, "E_J_GHz": e_j},
+                      [alpha * (1.0 - 2.0 * alpha), c_s, e_j])
 
 
 def fit_xqp(data: DataSeries, q: QubitParams, omega01_ghz: float, delta0_uev: float,
             matrix_elements: tuple[float, float], n_cp: float = DEFAULT_N_CP) -> FitResult:
     """Extract the quasiparticle density x_qp from T1 vs temperature data.
 
-    data holds (temperature K, T1 s); the fit runs on rates Gamma = 1/T1
-    against the quasiparticle forward model, with x_qp clipped at zero.
+    data holds (temperature K, T1 s); the fit runs on rates Gamma = 1/T1.  The
+    model Gamma(T) = x_qp s + Gamma_eq(T), with s the temperature-independent
+    non-equilibrium rate per unit x_qp and Gamma_eq the equilibrium rate, is
+    linear in x_qp, so x_qp is the weighted through-origin regression
+    x_qp = max(0, sum w^2 s (Gamma - Gamma_eq) / sum w^2 s^2).
     """
     temperatures = data.x
     t1 = data.y
@@ -311,52 +344,24 @@ def fit_xqp(data: DataSeries, q: QubitParams, omega01_ghz: float, delta0_uev: fl
     # T1 uncertainties propagate to rate space as sigma_Gamma = sigma_T1/T1^2
     weight = t1**2 / data.y_err if data.y_err is not None else np.ones_like(rates)
 
-    def model(x_qp: float) -> np.ndarray:
-        # the fit parameter is clipped at zero; differencing at the boundary
-        # may probe formally negative values, which map onto the boundary
-        env = QuasiparticleEnv(x_qp=max(x_qp, 0.0), Delta0=delta0_uev, n_cp=n_cp)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", QuasiparticleValidityWarning)
-            return np.array([
-                qp_relaxation_rate(q, omega01_ghz, env, t, matrix_elements)
-                for t in temperatures
-            ])
-
-    def residual(u):
-        return (model(u[0]) - rates) * weight
-
-    # initial guess: attribute the excess rate at the coldest point to the
-    # non-equilibrium term
-    thermal_only = model(0.0)
-    coldest = int(np.argmin(temperatures))
-    excess = max(rates[coldest] - thermal_only[coldest], 0.0)
-    sensitivity = (model(1e-8)[coldest] - thermal_only[coldest]) / 1e-8
-    x0 = excess / sensitivity if sensitivity > 0.0 else 1e-8
-    x0 = max(x0, 1e-12)
-
-    def clip(u):
-        return np.maximum(u, 0.0)
-
-    outcome = _levenberg_marquardt(residual, np.array([x0]), clip=clip)
-    x_qp = float(outcome.x[0])
-    cov, flags = _covariance(outcome, 1)
-    sigma = float(np.sqrt(cov[0, 0])) if cov is not None else np.nan
+    unit = QuasiparticleEnv(x_qp=1.0, Delta0=delta0_uev, n_cp=n_cp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QuasiparticleValidityWarning)
+        parts = [qp_rate_components(q, omega01_ghz, unit, t, matrix_elements)
+                 for t in temperatures]
+    per_unit = np.array([p.nonequilibrium for p in parts])
+    thermal = np.array([p.equilibrium_down + p.equilibrium_up for p in parts])
+    x_qp, sigma, residual = _through_origin(
+        weight * per_unit, weight * (rates - thermal),
+        "non-equilibrium rate per unit x_qp", nonnegative=True)
 
     # data dominated by the thermal term (e.g. only high temperatures)
     # leaves x_qp with a wide relative uncertainty
-    if sigma != 0.0 and (not np.isfinite(sigma) or sigma > 0.5 * x_qp):
-        flags = flags + ("x_qp_weakly_constrained",)
+    weak = sigma != 0.0 and (not np.isfinite(sigma) or sigma > 0.5 * x_qp)
 
-    return FitResult(
-        parameters={"x_qp": x_qp, "n_qp_per_um3": x_qp * 2.0 * n_cp},
-        uncertainties={"x_qp": sigma, "n_qp_per_um3": sigma * 2.0 * n_cp},
-        covariance=cov,
-        residual_norm=float(np.linalg.norm(outcome.residual)),
-        iterations=outcome.iterations,
-        converged=outcome.converged,
-        cost_history=outcome.cost_history,
-        flags=outcome.flags + flags,
-    )
+    return _regression_result({"x_qp": x_qp, "n_qp_per_um3": x_qp * 2.0 * n_cp},
+                              {"x_qp": sigma, "n_qp_per_um3": sigma * 2.0 * n_cp},
+                              sigma, residual, ("x_qp_weakly_constrained",) if weak else ())
 
 
 def fit_envelope(data: DataSeries, t1_s: float, shape: str = "gaussian") -> FitResult:
@@ -395,25 +400,11 @@ def fit_envelope(data: DataSeries, t1_s: float, shape: str = "gaussian") -> FitR
         amplitude0 = max(abs(y).max(), 1.0) * 1e-3
     u0 = np.array([1.0 / span, amplitude0, offset0])
     outcome = _levenberg_marquardt(residual, u0, clip=clip)
-    gamma, amplitude, offset = outcome.x
-
-    cov, flags = _covariance(outcome, 3)
-    sigma = np.sqrt(np.diag(cov)) if cov is not None else np.full(3, np.nan)
-    if amplitude < 0.0:
-        flags = flags + ("negative_amplitude",)
-
-    return FitResult(
-        parameters={"gamma_phi_per_s": float(gamma), "amplitude": float(amplitude),
-                    "offset": float(offset)},
-        uncertainties={"gamma_phi_per_s": sigma[0], "amplitude": sigma[1],
-                       "offset": sigma[2]},
-        covariance=cov,
-        residual_norm=float(np.linalg.norm(outcome.residual)),
-        iterations=outcome.iterations,
-        converged=outcome.converged,
-        cost_history=outcome.cost_history,
-        flags=outcome.flags + flags,
-    )
+    gamma, amplitude, offset = (float(v) for v in outcome.x)
+    return _lm_result(outcome,
+                      {"gamma_phi_per_s": gamma, "amplitude": amplitude, "offset": offset},
+                      [1.0, 1.0, 1.0],
+                      flags=("negative_amplitude",) if amplitude < 0.0 else ())
 
 
 def fit_t1_exponential(data: DataSeries) -> FitResult:
@@ -427,8 +418,7 @@ def fit_t1_exponential(data: DataSeries) -> FitResult:
     offset0 = float(y[-1])
     amplitude0 = float(y[0] - offset0)
     scale = float(np.max(np.abs(y))) + 1e-300
-    degenerate_init = abs(amplitude0) < 1e-12 * scale
-    if degenerate_init:
+    if abs(amplitude0) < 1e-12 * scale:
         amplitude0 = scale * 1e-3
 
     weight = 1.0 / data.y_err if data.y_err is not None else np.ones_like(y)
@@ -441,27 +431,10 @@ def fit_t1_exponential(data: DataSeries) -> FitResult:
     outcome = _levenberg_marquardt(residual, u0)
     t1 = math.exp(outcome.x[0])
     amplitude, offset = float(outcome.x[1]), float(outcome.x[2])
-
-    cov_u, flags = _covariance(outcome, 3)
-    converged = outcome.converged
-    if abs(amplitude) < 1e-6 * scale:
-        flags = flags + ("non_decaying",)
-        converged = False
-
-    jac_phys = np.diag([t1, 1.0, 1.0])
-    cov = jac_phys @ cov_u @ jac_phys if cov_u is not None else None
-    sigma = np.sqrt(np.diag(cov)) if cov is not None else np.full(3, np.nan)
-
-    return FitResult(
-        parameters={"T1_s": t1, "amplitude": amplitude, "offset": offset},
-        uncertainties={"T1_s": sigma[0], "amplitude": sigma[1], "offset": sigma[2]},
-        covariance=cov,
-        residual_norm=float(np.linalg.norm(outcome.residual)),
-        iterations=outcome.iterations,
-        converged=converged,
-        cost_history=outcome.cost_history,
-        flags=outcome.flags + flags,
-    )
+    non_decaying = abs(amplitude) < 1e-6 * scale
+    return _lm_result(outcome, {"T1_s": t1, "amplitude": amplitude, "offset": offset},
+                      [t1, 1.0, 1.0], flags=("non_decaying",) if non_decaying else (),
+                      converged=not non_decaying)
 
 
 def fit_flux_noise(data: DataSeries, q: QubitParams,
@@ -485,23 +458,9 @@ def fit_flux_noise(data: DataSeries, q: QubitParams,
     derivative = np.array([
         abs(analytic.domega01_df(q, fi)) * 2.0 * math.pi * 1e9 for fi in f
     ])
-    denom = float(derivative @ derivative)
-    if denom == 0.0:
-        raise RankDeficientDataError("flux derivative vanishes at every point")
-    slope = float(derivative @ rates) / denom
-    residual = rates - slope * derivative
-    dof = max(len(f) - 1, 1)
-    sigma_slope = math.sqrt(float(residual @ residual) / dof / denom)
+    slope, sigma_slope, residual = _through_origin(derivative, rates, "flux derivative")
     a_phi = slope * slope / math.log(2.0)
     sigma_a = 2.0 * abs(slope) * sigma_slope / math.log(2.0)
-
-    return FitResult(
-        parameters={"A_Phi_Phi0sq": a_phi, "slope": slope},
-        uncertainties={"A_Phi_Phi0sq": sigma_a, "slope": sigma_slope},
-        covariance=np.array([[sigma_slope**2]]),
-        residual_norm=float(np.linalg.norm(residual)),
-        iterations=1,
-        converged=True,
-        cost_history=(float(residual @ residual),),
-        flags=(),
-    )
+    return _regression_result({"A_Phi_Phi0sq": a_phi, "slope": slope},
+                              {"A_Phi_Phi0sq": sigma_a, "slope": sigma_slope},
+                              sigma_slope, residual)

@@ -25,7 +25,7 @@ a hierarchical start (Kerman, arXiv:2010.14929; Groszkowski & Koch, Quantum 5,
 phi_p mode times the low levels of the soft phi_m mode, keeping the phi_m
 levels within two phi_p gaps of the lowest (never fewer than k).  A block
 Davidson iteration on the full grid refines it until every true residual
-meets the tolerance, so the basis sizes set the speed, never the answer.  The
+is within 1e-8 E_J, so the basis sizes set the speed, never the answer.  The
 kinetic term is applied as one matrix product per axis with the dense 1D
 kinetic matrices, and the refinement's preconditioner through their
 eigenpairs.  Both depend only on (coefficient, n), not on the flux, so they are
@@ -149,10 +149,6 @@ class HamiltonianOperator:
     def dim(self) -> int:
         return self.potential.size
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.dim, self.dim)
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Apply H to a flattened grid vector or to a (dim, m) block of them.
 
@@ -252,12 +248,12 @@ class EigenResult:
         return self.transition(1, 2) - self.transition(0, 1)
 
 
-def lowest_eigenpairs(op: HamiltonianOperator, k: int = 4, tol: float | None = None,
+def lowest_eigenpairs(op: HamiltonianOperator, k: int = 4,
                       max_iter: int = 5000) -> EigenResult:
     """Lowest k eigenpairs of a grid Hamiltonian (method: module docstring),
-    each with true residual ||H v - E v|| <= tol (default
-    1e-8 * op.energy_scale, i.e. 1e-8 E_J) within max_iter Davidson growth
-    steps; otherwise raises ConvergenceError carrying the true residual norms.
+    each with true residual ||H v - E v|| <= 1e-8 * op.energy_scale (i.e.
+    1e-8 E_J) within max_iter Davidson growth steps; otherwise raises
+    ConvergenceError carrying the true residual norms.
 
     Limitation (2D): the residual test cannot tell that a level is missing.
     If a symmetry of H makes the product-basis start orthogonal to a low
@@ -270,8 +266,7 @@ def lowest_eigenpairs(op: HamiltonianOperator, k: int = 4, tol: float | None = N
     oracle)."""
     if k < 1 or k > 10:
         raise ValueError(f"k must be in 1..10, got {k}")
-    if tol is None:
-        tol = 1e-8 * op.energy_scale
+    tol = 1e-8 * op.energy_scale
     if op.ndim == 1:
         evals, vectors = np.linalg.eigh(op._factors[0].matrix + np.diag(op.potential))
         evals, vectors = evals[:k], vectors[:, :k]

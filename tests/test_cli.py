@@ -433,13 +433,19 @@ class TestSpectrumCommand:
         for key in ("omega01_numeric_GHz", "omega12_numeric_GHz", "anharmonicity_numeric_GHz"):
             assert key in summary and summary[key] is None
 
-    def test_sweep_imports_no_scipy_solver_modules(self, tmp_path, config_path):
-        # the solver is numpy-only: a spectrum run loads neither scipy.linalg nor scipy.sparse
+    @pytest.mark.parametrize("command", [
+        ["spectrum"],
+        ["fit", "t1", str(DATA_DIR / "t1_synthetic.csv")],
+        ["fit", "spectrum", str(DATA_DIR / "spectrum_synthetic.csv")],
+    ], ids=["spectrum", "fit-t1", "fit-spectrum"])
+    def test_sweep_imports_no_scipy_solver_modules(self, tmp_path, config_path, command):
+        # the solver and the fits are numpy-only: a run loads none of
+        # scipy.linalg, scipy.sparse or scipy.optimize
         driver = ("import sys; from csfq3d import cli; "
                   f"code = cli.main(['--config', {str(config_path)!r}, "
-                  f"'--out', {str(tmp_path / 'out')!r}, 'spectrum']); "
+                  f"'--out', {str(tmp_path / 'out')!r}, *{command!r}]); "
                   "print(code, sorted(m for m in sys.modules "
-                  "if m.startswith(('scipy.linalg', 'scipy.sparse'))))")
+                  "if m.startswith(('scipy.linalg', 'scipy.sparse', 'scipy.optimize'))))")
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
         run = subprocess.run([sys.executable, "-c", driver], env=env, capture_output=True,
                              text=True, timeout=120)
@@ -542,6 +548,36 @@ class TestCoherenceCommand:
         assert cli.main(["--config", str(path), "--out", str(out), "coherence"]) == 0
         _, rows = read_csv(out / "dephasing_vs_flux.csv")
         assert all(float(row[1]) == 0.0 and float(row[2]) == 0.0 for row in rows)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("section, key, quantity", [
+        ("qubit", "e_j_ghz", "dephasing_vs_flux gamma_phi_echo_per_s"),
+        ("flux_sweep", "start", "dephasing_vs_flux gamma_phi_echo_per_s"),
+        ("cavity", "kappa_c_mhz", "decoherence_budget t_phi_thermal_s"),
+        ("cavity", "kappa_i_mhz", "decoherence_budget t_phi_thermal_s"),
+        ("cqed", "chi_mhz", "decoherence_budget t_phi_thermal_s"),
+        ("cavity", "omega_c_ghz", None),  # no thermal photons: null, not NaN
+    ], ids=["e_j", "flux_start", "kappa_c", "kappa_i", "chi", "omega_c"])
+    def test_overflowing_value_exits_3_naming_the_quantity(self, tmp_path, capsys,
+                                                            section, key, quantity):
+        parser = configparser.ConfigParser()
+        parser.read_string(BASE_CONFIG)
+        parser[section][key] = "1e300"
+        path = tmp_path / "c.ini"
+        with open(path, "w") as handle:
+            parser.write(handle)
+        out = tmp_path / "out"
+        code = cli.main(["--config", str(path), "--out", str(out), "coherence"])
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        if quantity is None:
+            assert code == cli.EXIT_OK and errors == []
+            assert json.loads((out / "decoherence_budget.json").read_text())[
+                "t_phi_thermal_s"] is None
+        else:
+            assert code == cli.EXIT_PARTIAL_FAILURE
+            assert len(errors) == 1 and errors[0].startswith(f"error: {quantity} = ")
+        assert (out / "manifest.json").is_file()  # the tables are still written
 
 
 class TestFilterCommand:

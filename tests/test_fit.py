@@ -1,10 +1,11 @@
 import math
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from csfq3d import analytic
+from csfq3d import analytic, cli
 from csfq3d.core import QubitParams, capacitance_from_charging_energy
 from csfq3d.decoherence import QuasiparticleEnv, decay_envelope, qp_relaxation_rate
 from csfq3d.fit import (
@@ -154,6 +155,55 @@ class TestFitXqp:
     def test_invalid_data_rejected(self):
         with pytest.raises(FitError):
             fit_xqp(DataSeries([0.01, 0.05], [1e-4, -1e-4]), self.q, 4.68, 200.0, self.m)
+
+    def test_vanishing_matrix_elements_rejected(self):
+        data = DataSeries(self.temps, self.t1_data(6e-8))
+        with pytest.raises(RankDeficientDataError):
+            fit_xqp(data, self.q, 4.68, 200.0, (0.0, 0.0))
+
+    def oracle_case(self, case):
+        """(data, qubit, matrix elements) of one oracle case."""
+        if case == "bundled":
+            # the fixture's generator set (example_config_perturbative.ini)
+            q = QubitParams(alpha=0.41, E_J=85.0, E_C=3.2, C_S=78.0)
+            path = resources.files("csfq3d") / "data" / "t1_synthetic.csv"
+            data = cli.read_data_csv(path, ("temp_K", "t1_s"))
+            return data, q, analytic.junction_matrix_elements(q)
+        if case == "noisy-weighted":
+            t1 = self.t1_data(6e-8)
+            noisy = t1 * (1.0 + np.random.default_rng(7).normal(0.0, 0.03, len(t1)))
+            return DataSeries(self.temps, noisy, y_err=0.03 * t1), self.q, self.m
+        # hot data living longer than the thermal rate alone allows: the
+        # unconstrained optimum is negative, so the fit clips at zero
+        hot = np.array([0.12, 0.15, 0.20])
+        t1 = np.array([
+            1.2 / qp_relaxation_rate(self.q, 4.68, QuasiparticleEnv(x_qp=0.0), t, self.m)
+            for t in hot
+        ])
+        return DataSeries(hot, t1), self.q, self.m
+
+    @pytest.mark.parametrize("case", ["bundled", "noisy-weighted", "hot-clipped"])
+    def test_closed_form_matches_bounded_minimizer(self, case):
+        # scipy is an oracle here only: the fits themselves import no scipy.optimize
+        from scipy.optimize import minimize_scalar
+
+        data, q, m = self.oracle_case(case)
+        rates = 1.0 / data.y
+        weight = data.y**2 / data.y_err if data.y_err is not None else np.ones_like(rates)
+
+        def cost(u):  # the weighted rate cost of the forward model, x_qp = u * 1e-7
+            env = QuasiparticleEnv(x_qp=u * 1e-7, Delta0=200.0)
+            model = np.array([qp_relaxation_rate(q, 4.68, env, t, m) for t in data.x])
+            return float(np.sum((weight * (model - rates)) ** 2))
+
+        best = minimize_scalar(cost, bounds=(0.0, 10.0), method="bounded",
+                               options={"xatol": 1e-10}).x * 1e-7
+        x_qp = fit_xqp(data, q, 4.68, 200.0, m).parameters["x_qp"]
+        if case == "hot-clipped":
+            assert x_qp == 0.0
+            assert best == pytest.approx(0.0, abs=1e-15)
+        else:
+            assert x_qp == pytest.approx(best, rel=1e-6)
 
 
 class TestFitEnvelope:
