@@ -78,6 +78,18 @@ class DataFileError(Exception):
     """Malformed input data file."""
 
 
+#: default of a key that must be set; None is a valid default (an optional key)
+_REQUIRED = object()
+
+
+def _build(section: str, factory, **values):
+    """factory(**values), with its ValueError reported as an invalid section."""
+    try:
+        return factory(**values)
+    except ValueError as err:
+        raise ConfigError(f"invalid [{section}] section: {err}") from err
+
+
 class RunConfig:
     """Typed access to the INI sections, validated through the module types."""
 
@@ -98,9 +110,9 @@ class RunConfig:
             raise ConfigError(f"cannot parse config: {err}") from err
         return cls(parser, text)
 
-    def _get(self, section, key, cast, default=None, required=True):
+    def _get(self, section, key, cast, default=_REQUIRED):
         if not self._parser.has_option(section, key):
-            if required and default is None:
+            if default is _REQUIRED:
                 raise ConfigError(f"missing [{section}] {key}")
             return default
         raw = self._parser.get(section, key)
@@ -112,48 +124,37 @@ class RunConfig:
             raise ConfigError(f"[{section}] {key} must be finite, got {value!r}")
         return value
 
-    def _positive(self, section, key, default=None, required=True) -> float:
-        value = self._get(section, key, float, default=default, required=required)
+    def _positive(self, section, key, default=_REQUIRED) -> float:
+        value = self._get(section, key, float, default=default)
         if not value > 0.0:
             raise ConfigError(f"[{section}] {key} must be positive, got {value!r}")
         return value
 
     def _choice(self, section, key, choices, default) -> str:
-        value = self._get(section, key, str, default=default, required=False)
+        value = self._get(section, key, str, default=default)
         if value not in choices:
             raise ConfigError(f"[{section}] {key} must be one of {', '.join(choices)}, "
                               f"got {value!r}")
         return value
 
     def qubit(self) -> QubitParams:
-        try:
-            return QubitParams(
-                alpha=self._get("qubit", "alpha", float),
-                E_J=self._get("qubit", "e_j_ghz", float),
-                E_C=self._get("qubit", "e_c_ghz", float),
-                C_S=self._get("qubit", "c_s_ff", float),
-            )
-        except ValueError as err:
-            raise ConfigError(f"invalid [qubit] section: {err}") from err
+        return _build("qubit", QubitParams,
+                      alpha=self._get("qubit", "alpha", float),
+                      E_J=self._get("qubit", "e_j_ghz", float),
+                      E_C=self._get("qubit", "e_c_ghz", float),
+                      C_S=self._get("qubit", "c_s_ff", float))
 
     def cavity(self) -> CavityParams:
-        try:
-            return CavityParams(
-                omega_c0=self._get("cavity", "omega_c0_ghz", float),
-                kappa_c=self._get("cavity", "kappa_c_mhz", float),
-                kappa_i=self._get("cavity", "kappa_i_mhz", float),
-            )
-        except ValueError as err:
-            raise ConfigError(f"invalid [cavity] section: {err}") from err
+        return _build("cavity", CavityParams,
+                      omega_c0=self._get("cavity", "omega_c0_ghz", float),
+                      kappa_c=self._get("cavity", "kappa_c_mhz", float),
+                      kappa_i=self._get("cavity", "kappa_i_mhz", float))
 
     def dressed_cavity_ghz(self) -> float:
         return self._get("cavity", "omega_c_ghz", float)
 
     def grid(self) -> GridSpec:
-        try:
-            return GridSpec(n=self._get("grid", "n", int, default=80, required=False))
-        except ValueError as err:
-            raise ConfigError(f"invalid [grid] section: {err}") from err
+        return _build("grid", GridSpec, n=self._get("grid", "n", int, default=80))
 
     def cqed_inputs(self) -> dict:
         return {
@@ -163,29 +164,19 @@ class RunConfig:
         }
 
     def quasiparticle_env(self) -> QuasiparticleEnv:
-        try:
-            return QuasiparticleEnv(
-                x_qp=self._get("noise", "x_qp", float),
-                Delta0=self._get("noise", "delta0_uev", float,
-                                 default=DEFAULT_GAP_UEV, required=False),
-                n_cp=self._get("noise", "n_cp_per_um3", float,
-                               default=DEFAULT_N_CP, required=False),
-            )
-        except ValueError as err:
-            raise ConfigError(f"invalid [noise] section: {err}") from err
+        return _build("noise", QuasiparticleEnv,
+                      x_qp=self._get("noise", "x_qp", float),
+                      Delta0=self._get("noise", "delta0_uev", float, default=DEFAULT_GAP_UEV),
+                      n_cp=self._get("noise", "n_cp_per_um3", float, default=DEFAULT_N_CP))
 
     def flux_noise(self) -> FluxNoise:
-        try:
-            return FluxNoise(
-                A_Phi=self._get("noise", "a_phi_phi0sq", float),
-                omega_ir=self._get("noise", "omega_ir_rad_s", float,
-                                   default=DEFAULT_OMEGA_IR, required=False),
-            )
-        except ValueError as err:
-            raise ConfigError(f"invalid [noise] section: {err}") from err
+        return _build("noise", FluxNoise,
+                      A_Phi=self._get("noise", "a_phi_phi0sq", float),
+                      omega_ir=self._get("noise", "omega_ir_rad_s", float,
+                                         default=DEFAULT_OMEGA_IR))
 
     def ramsey_time_s(self) -> float:
-        value = self._get("noise", "ramsey_time_s", float, default=1e-6, required=False)
+        value = self._get("noise", "ramsey_time_s", float, default=1e-6)
         omega_ir = self.flux_noise().omega_ir
         if not 0.0 < omega_ir * value < 1.0:
             raise ConfigError(f"[noise] ramsey_time_s must satisfy 0 < omega_ir * t < 1 "
@@ -193,7 +184,7 @@ class RunConfig:
         return value
 
     def base_temperature_k(self) -> float:
-        return self._positive("noise", "base_temperature_k", default=0.010, required=False)
+        return self._positive("noise", "base_temperature_k", default=0.010)
 
     def attenuation_chain(self) -> AttenuationChain:
         raw = self._get("attenuation", "stages", str)
@@ -209,10 +200,7 @@ class RunConfig:
                 raise ConfigError(
                     f"bad [attenuation] stage {item!r}; expected T_K:weight"
                 ) from err
-        try:
-            return AttenuationChain(stages=tuple(stages))
-        except ValueError as err:
-            raise ConfigError(f"invalid [attenuation] section: {err}") from err
+        return _build("attenuation", AttenuationChain, stages=tuple(stages))
 
     def sweep(self, section: str, start_key: str, stop_key: str) -> np.ndarray:
         start = self._get(section, start_key, float)
@@ -223,21 +211,18 @@ class RunConfig:
         return np.linspace(start, stop, steps)
 
     def filter_settings(self) -> dict:
-        raw = self._get("filter", "pulse_counts", str, default="1, 20", required=False)
+        raw = self._get("filter", "pulse_counts", str, default="1, 20")
         try:
             counts = tuple(int(part) for part in raw.split(",") if part.strip())
         except ValueError as err:
             raise ConfigError(f"bad [filter] pulse_counts: {raw!r}") from err
         return {
             "pulse_counts": counts,
-            "tau_s": self._get("filter", "tau_s", float, default=100e-6, required=False),
-            "tau_pi_s": self._get("filter", "tau_pi_s", float, default=0.0, required=False),
-            "omega_min_rad_s": self._get("filter", "omega_min_rad_s", float,
-                                         default=1e2, required=False),
-            "omega_max_rad_s": self._get("filter", "omega_max_rad_s", float,
-                                         default=1e7, required=False),
-            "omega_points": self._get("filter", "omega_points", int,
-                                      default=400, required=False),
+            "tau_s": self._get("filter", "tau_s", float, default=100e-6),
+            "tau_pi_s": self._get("filter", "tau_pi_s", float, default=0.0),
+            "omega_min_rad_s": self._get("filter", "omega_min_rad_s", float, default=1e2),
+            "omega_max_rad_s": self._get("filter", "omega_max_rad_s", float, default=1e7),
+            "omega_points": self._get("filter", "omega_points", int, default=400),
         }
 
     def envelope_settings(self) -> dict:
@@ -248,12 +233,11 @@ class RunConfig:
         }
 
     def fit_settings(self) -> dict:
-        window = self._get("fit", "exclude_halfwidth", float, default=0.002, required=False)
+        window = self._get("fit", "exclude_halfwidth", float, default=0.002)
         if not window >= 0.0:
             raise ConfigError(f"[fit] exclude_halfwidth must be >= 0, got {window!r}")
         return {
-            "anharmonicity_ghz": self._get("fit", "anharmonicity_ghz", float,
-                                           default=None, required=False),
+            "anharmonicity_ghz": self._get("fit", "anharmonicity_ghz", float, default=None),
             "exclude_halfwidth": window,
         }
 

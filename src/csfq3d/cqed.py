@@ -61,7 +61,15 @@ def total_pull(chi01_mhz: float, chi12_mhz: float) -> float:
 
 def extract_couplings(omega01_ghz: float, omega12_ghz: float, omega_c0_ghz: float,
                       omega_c_ghz: float, chi_mhz: float) -> tuple[float, float]:
-    """(g01, g12) in MHz from measured frequencies and the cavity pull.
+    """(g01, g12) in MHz from measured frequencies and the cavity pull; the
+    couplings of dispersive_set."""
+    ds = dispersive_set(omega01_ghz, omega12_ghz, omega_c0_ghz, omega_c_ghz, chi_mhz)
+    return ds.g01, ds.g12
+
+
+def dispersive_set(omega01_ghz: float, omega12_ghz: float, omega_c0_ghz: float,
+                   omega_c_ghz: float, chi_mhz: float) -> DispersiveSet:
+    """Full dispersive summary from measured frequencies and the cavity pull.
 
     Inverts chi01 = omega_c0 - omega_c and chi12 = 2(chi01 - chi); both
     radicands chi_ij (omega_ij - omega_c0) must be positive, otherwise the
@@ -76,17 +84,8 @@ def extract_couplings(omega01_ghz: float, omega12_ghz: float, omega_c0_ghz: floa
             "inconsistent inputs: negative radicand for "
             f"g01^2 = {g01_sq:.3f} or g12^2 = {g12_sq:.3f} MHz^2"
         )
-    return math.sqrt(g01_sq), math.sqrt(g12_sq)
-
-
-def dispersive_set(omega01_ghz: float, omega12_ghz: float, omega_c0_ghz: float,
-                   omega_c_ghz: float, chi_mhz: float) -> DispersiveSet:
-    """Full dispersive summary built from the same inputs as extract_couplings."""
-    g01, g12 = extract_couplings(omega01_ghz, omega12_ghz, omega_c0_ghz, omega_c_ghz, chi_mhz)
-    chi01 = (omega_c0_ghz - omega_c_ghz) * 1e3
-    chi12 = 2.0 * (chi01 - chi_mhz)
     return DispersiveSet(chi01=chi01, chi12=chi12, chi=total_pull(chi01, chi12),
-                         g01=g01, g12=g12)
+                         g01=math.sqrt(g01_sq), g12=math.sqrt(g12_sq))
 
 
 def purcell_t1(kappa_mhz: float, g01_mhz: float, omega01_ghz: float,

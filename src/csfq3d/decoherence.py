@@ -1,7 +1,7 @@
 """Forward models for the decoherence channels of the 3D c-shunt flux qubit:
-quasiparticle-limited relaxation, thermal-photon dephasing with its
-effective-temperature solver, 1/omega flux-noise dephasing, and coherence
-decay envelopes.
+quasiparticle-limited relaxation, thermal-photon dephasing with the closed-form
+effective temperature of the attenuation chain, 1/omega flux-noise dephasing,
+and coherence decay envelopes.
 
 Rate conventions (documented per function, never mixed inside one formula):
 
@@ -63,10 +63,10 @@ class QuasiparticleEnv:
 class AttenuationChain:
     """Thermal radiation sources seen by the cavity: (temperature K, weight)
     stages, where each weight is the net power attenuation between that stage
-    and the cavity.  Only weight ratios matter; see effective_temperature."""
+    and the cavity.  The cavity sees the weighted mean Bose occupation of the
+    stages, so only weight ratios matter; see effective_temperature."""
 
     stages: tuple[tuple[float, float], ...]
-    resistance: float = 50.0
 
     def __post_init__(self) -> None:
         if not self.stages:
@@ -245,41 +245,31 @@ def thermal_voltage_psd(omega_ghz: float, temperature_k: float,
 def effective_temperature(chain: AttenuationChain, omega_c_ghz: float) -> float:
     """Temperature whose resistor noise matches the weighted chain noise, K.
 
-    Solves S(omega_c, T_eff) = sum_i A_i S(omega_c, T_i) / sum_i A_i by
-    bisection; the weights are normalized internally so only their ratios
-    matter.  The answer is bracketed by the coldest and hottest stages and
-    resolved far below the guaranteed 0.01 mK tolerance.  If the target lies
-    below the 1 mK search floor the floor is returned with a warning.
+    The Johnson noise S(omega_c, T) is proportional to the Bose occupation
+    n(omega_c, T), so T_eff = h f / (k_B ln(1 + 1/nbar)) in closed form, with
+    nbar = sum_i A_i n(omega_c, T_i) / sum_i A_i; only weight ratios matter.
+    Below the 1 mK floor (or when nbar underflows to zero) the floor is
+    returned with a warning.
     """
     if omega_c_ghz <= 0.0:
         raise ValueError(f"cavity frequency must be positive, got {omega_c_ghz} GHz")
     total_weight = sum(weight for _, weight in chain.stages)
     if total_weight <= 0.0:
         raise ValueError("all attenuation weights are zero")
-    target = sum(
-        weight * thermal_voltage_psd(omega_c_ghz, temperature, chain.resistance)
+    nbar = sum(
+        weight * thermal_photon_population(omega_c_ghz, temperature)
         for temperature, weight in chain.stages
     ) / total_weight
-
-    lo = 1e-3
-    hi = max(temperature for temperature, _ in chain.stages)
-    if thermal_voltage_psd(omega_c_ghz, lo, chain.resistance) >= target:
+    t_eff = 0.0 if nbar == 0.0 else (
+        CONSTANTS.h * omega_c_ghz * 1e9 / (CONSTANTS.k_B * math.log1p(1.0 / nbar)))
+    if t_eff < 1e-3:
         warnings.warn(
-            "chain noise target lies below the 1 mK search floor; returning 1 mK",
+            "effective temperature lies below the 1 mK floor; returning 1 mK",
             UserWarning,
             stacklevel=2,
         )
-        return lo
-    hi = max(hi, lo * 2.0)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if thermal_voltage_psd(omega_c_ghz, mid, chain.resistance) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12 * hi:
-            break
-    return 0.5 * (lo + hi)
+        return 1e-3
+    return t_eff
 
 
 def thermal_photon_population(omega_c_ghz: float, temperature_k: float) -> float:

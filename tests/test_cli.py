@@ -437,15 +437,17 @@ class TestSpectrumCommand:
         ["spectrum"],
         ["fit", "t1", str(DATA_DIR / "t1_synthetic.csv")],
         ["fit", "spectrum", str(DATA_DIR / "spectrum_synthetic.csv")],
-    ], ids=["spectrum", "fit-t1", "fit-spectrum"])
+        ["coherence"],
+    ], ids=["spectrum", "fit-t1", "fit-spectrum", "coherence"])
     def test_sweep_imports_no_scipy_solver_modules(self, tmp_path, config_path, command):
-        # the solver and the fits are numpy-only: a run loads none of
-        # scipy.linalg, scipy.sparse or scipy.optimize
+        # the solver, the fits and the decoherence budget are numpy-only: a run
+        # loads none of scipy.linalg, scipy.sparse, scipy.optimize or scipy.special
         driver = ("import sys; from csfq3d import cli; "
                   f"code = cli.main(['--config', {str(config_path)!r}, "
                   f"'--out', {str(tmp_path / 'out')!r}, *{command!r}]); "
                   "print(code, sorted(m for m in sys.modules "
-                  "if m.startswith(('scipy.linalg', 'scipy.sparse', 'scipy.optimize'))))")
+                  "if m.startswith(('scipy.linalg', 'scipy.sparse', 'scipy.optimize', "
+                  "'scipy.special'))))")
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
         run = subprocess.run([sys.executable, "-c", driver], env=env, capture_output=True,
                              text=True, timeout=120)

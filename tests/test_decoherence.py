@@ -172,19 +172,19 @@ class TestEffectiveTemperature:
     def test_single_stage_identity(self):
         for weight in (1.0, 0.37):
             chain = AttenuationChain(stages=((0.137, weight),))
-            assert effective_temperature(chain, 8.2175) == pytest.approx(0.137, abs=1e-8)
+            assert effective_temperature(chain, 8.2175) == pytest.approx(0.137, rel=1e-14, abs=0.0)
 
     def test_example_chain_lands_near_50_mk(self):
         t_eff = effective_temperature(EXAMPLE_CHAIN, 8.2175)
         assert t_eff == pytest.approx(0.049888134, rel=1e-6)
         assert t_eff == pytest.approx(0.050, rel=0.05)
 
-    def test_residual_of_defining_equation(self):
-        omega = 8.2175
+    @pytest.mark.parametrize("omega", [4.0, 8.2175, 20.0])
+    def test_residual_of_defining_equation(self, omega):
         t_eff = effective_temperature(EXAMPLE_CHAIN, omega)
         total = sum(w for _, w in EXAMPLE_CHAIN.stages)
         target = sum(w * thermal_voltage_psd(omega, t) for t, w in EXAMPLE_CHAIN.stages) / total
-        assert thermal_voltage_psd(omega, t_eff) == pytest.approx(target, rel=1e-6)
+        assert thermal_voltage_psd(omega, t_eff) == pytest.approx(target, rel=1e-13, abs=0.0)
 
     def test_ratio_only_dependence(self):
         scaled = AttenuationChain(stages=tuple((t, 137.0 * w) for t, w in EXAMPLE_CHAIN.stages))
@@ -196,8 +196,10 @@ class TestEffectiveTemperature:
         with pytest.raises(ValueError, match="zero"):
             effective_temperature(chain, 8.2175)
 
-    def test_below_floor_returns_floor_with_warning(self):
-        chain = AttenuationChain(stages=((5e-4, 1.0),))
+    # at 0.5 mK nbar underflows to zero; at 0.9 mK it is positive but T_eff < 1 mK
+    @pytest.mark.parametrize("temperature", [5e-4, 9e-4])
+    def test_below_floor_returns_floor_with_warning(self, temperature):
+        chain = AttenuationChain(stages=((temperature, 1.0),))
         with pytest.warns(UserWarning, match="1 mK"):
             assert effective_temperature(chain, 8.2175) == 1e-3
 
