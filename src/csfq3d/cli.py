@@ -393,24 +393,23 @@ def cmd_spectrum(config: RunConfig, args) -> int:
     def solve(f: float):  # the three levels behind omega01 and omega12
         return lowest_eigenpairs(build_hamiltonian_2d(q, f, grid), k=3)
 
+    # H(1 - f) is H(f) with phi_m -> -phi_m, so each mirror pair is solved once
+    keys = sorted({min(f, 1.0 - f) for f in flux} | {0.5})
+    solved = {f: (result, err) for f, result, err in _map_indexed(solve, keys, workers)}
     rows = []
-    failures = 0
-    optimal = optimal_error = None
-    for f, result, err in _map_indexed(solve, list(flux), workers):
+    for f in flux:
         w_analytic = analytic.omega01(q, f)
-        if f == 0.5:
-            optimal, optimal_error = result, err
+        result, err = solved[min(f, 1.0 - f)]
         if err is None:
             rows.append([f, w_analytic, result.omega01, result.transition(1, 2), "ok"])
         else:
-            failures += 1
             rows.append([f, w_analytic, "", "", f"error:{err.__class__.__name__}"])
+    failures = sum(row[4] != "ok" for row in rows)
     table = _write_table(outdir / "spectrum",
                          ["flux_phi0", "omega01_analytic_GHz", "omega01_numeric_GHz",
                           "omega12_numeric_GHz", "status"], rows, fmt)
 
-    if optimal is None and optimal_error is None:  # the optimal point is not a sweep point
-        [(_, optimal, optimal_error)] = _map_indexed(solve, [0.5], 1)
+    optimal, optimal_error = solved[0.5]
     spectrum = analytic.perturbative_spectrum(q)
     summary = {  # a failed optimal-point solve leaves its numeric fields null
         "omega01_numeric_GHz": optimal and optimal.omega01,

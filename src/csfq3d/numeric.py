@@ -33,8 +33,9 @@ built once and shared by every operator of a sweep, the start and the 1D
 solve.  Nothing is random, and the solver uses numpy alone: a solve imports no
 scipy.
 
-A flux sweep is one ``lowest_eigenpairs(build_hamiltonian_2d(q, f, grid))``
-per point; ``csfq3d spectrum`` runs it and reports failed points per row.
+H(1 - f) is H(f) under phi_m -> -phi_m (grid index j -> (n - j) mod n, which
+keeps the kinetic term and the even-sector projector), so ``csfq3d spectrum``
+solves each mirror pair of a flux sweep once and reports failed points per row.
 """
 
 from __future__ import annotations

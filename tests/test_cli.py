@@ -362,15 +362,16 @@ class TestSpectrumCommand:
         original = cli.lowest_eigenpairs
 
         def failing(op, k=4, **kwargs):
-            # fail the f = 0.495 sweep point (and its flux mirror 0.505,
-            # whose potential is identical); summary and other rows succeed
-            if abs(op.potential[0, 0] - failing.marker) < 1e-12:
+            # fail the one solve at f = 0.495, which also fills the row of its
+            # flux mirror 0.505; summary and other rows succeed
+            if np.array_equal(op.potential, failing.marker):
+                failing.hits += 1
                 raise NumericError("forced failure", [1.0])
             return original(op, k=k, **kwargs)
 
         probe = cli.RunConfig.load(config_path)
-        marker_op = cli.build_hamiltonian_2d(probe.qubit(), 0.495, probe.grid())
-        failing.marker = marker_op.potential[0, 0]
+        failing.marker = cli.build_hamiltonian_2d(probe.qubit(), 0.495, probe.grid()).potential
+        failing.hits = 0
         monkeypatch.setattr(cli, "lowest_eigenpairs", failing)
 
         out = tmp_path / "out"
@@ -379,15 +380,18 @@ class TestSpectrumCommand:
         assert code == cli.EXIT_PARTIAL_FAILURE
         _, rows = read_csv(out / "spectrum.csv")
         statuses = [row[4] for row in rows]
+        assert failing.hits == 1
+        assert [row[0] for row in rows if row[4] != "ok"] == ["0.495", "0.505"]
         assert statuses.count("error:ConvergenceError") == 2
         assert statuses.count("ok") == len(rows) - 2
         summary = json.loads((out / "spectrum_summary.json").read_text())
         assert summary["failed_points"] == 2
 
-    @pytest.mark.parametrize("stop,solves", [(0.51, 5), (0.499, 6)])
+    @pytest.mark.parametrize("stop,solves", [(0.51, 3), (0.499, 6)])
     def test_optimal_point_reuses_sweep_solve(self, tmp_path, monkeypatch, stop, solves):
-        # 0.5 is an exact sweep point of linspace(0.49, 0.51, 5); the summary
-        # reuses that solve, and solves f = 0.5 once more only if it is absent
+        # linspace(0.49, 0.51, 5) is three solves, 0.49, 0.495 and 0.5, each
+        # row f > 0.5 reusing its mirror 1 - f and the summary the 0.5 row;
+        # linspace(0.49, 0.499, 5) has no mirror pairs and lacks 0.5
         path = tmp_path / "c.ini"
         path.write_text(BASE_CONFIG.replace("stop = 0.51", f"stop = {stop}")
                         .replace("format = csv", "format = json"))
@@ -410,11 +414,47 @@ class TestSpectrumCommand:
             assert summary["omega12_numeric_GHz"] == record["omega12_numeric_GHz"]
         assert len(at_optimum) == (1 if stop == 0.51 else 0)
 
+    @pytest.mark.parametrize("steps,solves", [(5, 3), (9, 7)])
+    def test_symmetric_sweep_solves_only_up_to_optimal_point(self, tmp_path, monkeypatch,
+                                                             steps, solves):
+        # keys are not rounded: in linspace(0.49, 0.51, 9), 1 - f misses the
+        # mirror point by an ulp at 0.4925 and 0.4975, so both sides are solved
+        fluxes = []
+        original = cli.build_hamiltonian_2d
+
+        def recording(q, f, grid=None):
+            fluxes.append(f)
+            return original(q, f, grid)
+
+        monkeypatch.setattr(cli, "build_hamiltonian_2d", recording)
+        path = tmp_path / "c.ini"
+        path.write_text(BASE_CONFIG.replace("steps = 5", f"steps = {steps}", 1))
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), "spectrum"]) == cli.EXIT_OK
+        assert len(fluxes) == len(set(fluxes)) == solves
+        assert max(fluxes) == 0.5
+        _, rows = read_csv(out / "spectrum.csv")  # cells carry 12 significant digits
+        for row, mirror in zip(rows, rows[::-1]):
+            for cell, mirror_cell in zip(row[2:4], mirror[2:4]):
+                assert float(cell) == pytest.approx(float(mirror_cell), rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("ini", ["example_config.ini", "example_config_perturbative.ini"])
+    def test_bundled_mirror_rows_are_byte_equal(self, tmp_path, ini):
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(DATA_DIR / ini), "--out", str(out),
+                         "spectrum"]) == cli.EXIT_OK
+        header, rows = read_csv(out / "spectrum.csv")
+        assert len(rows) == 21
+        numeric = [header.index("omega01_numeric_GHz"), header.index("omega12_numeric_GHz")]
+        for row, mirror in zip(rows, rows[::-1]):
+            assert float(row[0]) == 1.0 - float(mirror[0])
+            assert [row[i] for i in numeric] == [mirror[i] for i in numeric]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
     @pytest.mark.parametrize("stop", [0.51, 0.499])
     def test_failed_optimal_point_still_writes_every_output(self, tmp_path, capsys, stop):
         # at E_J = 1e300 every solve overflows, the optimal point whether it is
-        # a sweep point (stop 0.51) or solved after the sweep (stop 0.499)
+        # a sweep point (stop 0.51) or a solve of its own (stop 0.499)
         path = tmp_path / "c.ini"
         path.write_text(BASE_CONFIG.replace("e_j_ghz = 136.75", "e_j_ghz = 1e300")
                         .replace("stop = 0.51", f"stop = {stop}"))

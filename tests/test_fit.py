@@ -294,7 +294,7 @@ class TestFitFluxNoise:
     def test_round_trip(self):
         a_true = (1.8e-6) ** 2
         result = fit_flux_noise(self.synthetic(a_true), self.q)
-        assert result.parameters["A_Phi_Phi0sq"] == pytest.approx(a_true, rel=0.01)
+        assert result.parameters["A_Phi_Phi0sq"] == pytest.approx(a_true, rel=0.01, abs=0.0)
         assert math.sqrt(result.parameters["A_Phi_Phi0sq"]) * 1e6 == pytest.approx(1.8, rel=0.005)
 
     def test_all_zero_rates(self):

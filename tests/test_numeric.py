@@ -512,6 +512,52 @@ class TestOmega01VsFlux:
         assert w_mid < w_left
 
 
+def reflect_phi_m(n):
+    """Index permutation of phi_m -> -phi_m on the periodic grid."""
+    return (-np.arange(n)) % n
+
+
+class TestFluxReflection:
+    """H(1 - f) is H(f) under phi_m -> -phi_m, the premise for solving each
+    mirror pair of a flux sweep once."""
+
+    @pytest.mark.parametrize("n", [24, 80])
+    @pytest.mark.parametrize("f", [0.3, 0.49, 0.5, 0.51, 1.2])
+    def test_potential_reflects(self, n, f):
+        q = reference_qubit_2d()
+        grid = GridSpec(n)
+        mirrored = build_hamiltonian_2d(q, 1.0 - f, grid).potential
+        reflected = build_hamiltonian_2d(q, f, grid).potential[:, reflect_phi_m(n)]
+        np.testing.assert_allclose(mirrored, reflected, rtol=0, atol=1e-12 * q.E_J)
+
+    @pytest.mark.parametrize("n", [24, 80])
+    def test_operator_reflects(self, n):
+        # kinetic term included: H(1 - f) R v = R H(f) v for any grid vector v
+        q = reference_qubit_2d()
+        grid = GridSpec(n)
+        perm = reflect_phi_m(n)
+        v = np.random.default_rng(5).standard_normal((n, n))
+        lhs = build_hamiltonian_2d(q, 0.51, grid).matvec(v[:, perm].ravel())
+        rhs = build_hamiltonian_2d(q, 0.49, grid).matvec(v.ravel()).reshape(n, n)[:, perm]
+        np.testing.assert_allclose(lhs, rhs.ravel(), rtol=0, atol=1e-12 * q.E_J)
+
+    @pytest.mark.parametrize("n", [24, 80])
+    def test_even_sector_projector_commutes_with_reflection(self, n):
+        op = build_hamiltonian_2d(reference_qubit_2d(), 0.49, GridSpec(n))
+        perm = reflect_phi_m(n)
+        psi = np.random.default_rng(7).standard_normal((n, n, 3))
+        np.testing.assert_array_equal(op.sector_projector(psi[:, perm]),
+                                      op.sector_projector(psi)[:, perm])
+
+    @pytest.mark.parametrize("f", [0.49, 0.495])
+    def test_mirror_solves_share_eigenvalues(self, f):
+        q = reference_qubit_2d()
+        grid = GridSpec(80)
+        left = lowest_eigenpairs(build_hamiltonian_2d(q, f, grid), k=3)
+        right = lowest_eigenpairs(build_hamiltonian_2d(q, 1.0 - f, grid), k=3)
+        np.testing.assert_allclose(right.eigenvalues, left.eigenvalues, rtol=1e-12, atol=0)
+
+
 class TestQuadraticFluxResponse:
     def test_parabolic_near_optimal_point(self):
         # numeric curvature of omega01(f); the analytic 2 (d eps/df)^2/Delta
