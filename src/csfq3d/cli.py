@@ -25,7 +25,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, analytic
 from .core import CavityParams, QubitParams
@@ -297,7 +296,6 @@ def _write_manifest(outdir: Path, command: str, config: RunConfig, outputs: list
         "environment": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "unit_conventions": UNIT_CONVENTIONS,
         "outputs": sorted(p.name for p in outputs),

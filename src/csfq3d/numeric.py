@@ -15,27 +15,29 @@ waves are exact eigenvectors of it.
 The (phi_p, phi_m) square [-pi, pi)^2 double-covers the physical junction
 phase torus: shifting one junction phase by 2 pi maps (phi_p, phi_m) to
 (phi_p + pi, phi_m + pi), so every physical level appears twice, paired with
-an unphysical partner that is odd under that half-cell translation.  The 2D
-operator therefore carries a symmetry projector onto the even (single-valued)
-sector, and :func:`lowest_eigenpairs` keeps its vectors inside it.
+an unphysical partner that is odd under that half-cell translation.  A 2D
+operator therefore acts on the even (single-valued) sector alone.  An even
+vector obeys psi(i + n/2, j + n/2) = psi(i, j), so it is stored as its half
+grid of rows i < n/2, with n^2/2 entries; :meth:`HamiltonianOperator.expand`
+rebuilds the full grid.
 
 :func:`lowest_eigenpairs` diagonalizes 1D operators densely.  For 2D it takes
 a hierarchical start (Kerman, arXiv:2010.14929; Groszkowski & Koch, Quantum 5,
 583 (2021)): a dense solve in a product basis of the bound levels of the stiff
 phi_p mode times the low levels of the soft phi_m mode, keeping the phi_m
-levels within two phi_p gaps of the lowest (never fewer than k).  A block
-Davidson iteration on the full grid refines it until every true residual
-is within 1e-8 E_J, so the basis sizes set the speed, never the answer.  The
-kinetic term is applied as one matrix product per axis with the dense 1D
-kinetic matrices, and the refinement's preconditioner through their
-eigenpairs.  Both depend only on (coefficient, n), not on the flux, so they are
-built once and shared by every operator of a sweep, the start and the 1D
-solve.  Nothing is random, and the solver uses numpy alone: a solve imports no
-scipy.
+levels within two phi_p gaps of the lowest (never fewer than k), folded onto
+the half grid.  A block Davidson iteration on the half grid refines it until
+every true residual is within 1e-8 E_J, so the basis sizes set the speed, never
+the answer.  The kinetic term is applied as one matrix product per axis with
+the dense 1D kinetic matrices, and the refinement's preconditioner through
+their eigenpairs.  Both depend only on (coefficient, n), not on the flux, so
+they are built once and shared by every operator of a sweep, the start and the
+1D solve.  Nothing is random, and the solver uses numpy alone: a solve imports
+no scipy.
 
 H(1 - f) is H(f) under phi_m -> -phi_m (grid index j -> (n - j) mod n, which
-keeps the kinetic term and the even-sector projector), so ``csfq3d spectrum``
-solves each mirror pair of a flux sweep once and reports failed points per row.
+keeps the kinetic term and the even sector), so ``csfq3d spectrum`` solves
+each mirror pair of a flux sweep once and reports failed points per row.
 """
 
 from __future__ import annotations
@@ -104,26 +106,27 @@ class HamiltonianOperator:
     per axis, with factors shared by every operator with the same
     coefficient and grid (see :class:`_KineticFactors`).
 
+    A 2D operator acts on the even sector (module docstring): a vector v is
+    a flat half grid of shape (n/2, n), dim = n^2/2, and stands for the
+    full-grid vector expand(v)/sqrt(2), of the same norm and residual norm.
+
     Parameters
     ----------
     kinetic:
         kinetic coefficients in GHz, one per axis: (E_m,) for a 1D operator
         or (E_p, E_m) for 2D.  Axis order matches the potential array.
     potential:
-        diagonal potential on the grid, GHz; shape (n,) or (n, n)
+        diagonal potential on the grid, GHz; shape (n,) or (n, n).  A 2D
+        potential must be invariant under the half-cell translation
+        (i, j) -> (i + n/2, j + n/2) to 1e-12 of its largest magnitude.
     grid:
         the GridSpec both axes share
     energy_scale:
         characteristic energy (GHz), usually E_J; sets the residual tolerance
         and the shift of the 2D preconditioner
-    sector_projector:
-        optional orthogonal projector (2D operators only) that restricts the
-        solve to a symmetry sector; takes and returns a grid-shaped array,
-        with any trailing axes a block of vectors
     """
 
-    def __init__(self, kinetic, potential, grid: GridSpec, energy_scale: float = 1.0,
-                 sector_projector=None):
+    def __init__(self, kinetic, potential, grid: GridSpec, energy_scale: float = 1.0):
         potential = np.asarray(potential, dtype=float)
         if potential.ndim not in (1, 2):
             raise ValueError("potential must be 1D or 2D")
@@ -133,14 +136,17 @@ class HamiltonianOperator:
             )
         if len(kinetic) != potential.ndim:
             raise ValueError("need one kinetic coefficient per potential axis")
-        if sector_projector is not None and potential.ndim != 2:
-            raise ValueError("sector projectors apply to 2D operators only")
+        half = grid.n // 2
+        if potential.ndim == 2 and np.max(np.abs(potential - np.roll(
+                potential, (half, half), axis=(0, 1)))) > 1e-12 * np.max(np.abs(potential)):
+            raise ValueError("2D potential is not invariant under the half-cell translation")
         self.kinetic = tuple(float(c) for c in kinetic)
         self.potential = potential
         self.grid = grid
         self.energy_scale = float(energy_scale)
-        self.sector_projector = sector_projector
         self._factors = tuple(_kinetic_factors(coeff, grid.n) for coeff in self.kinetic)
+        self._shape = (half, grid.n) if potential.ndim == 2 else potential.shape
+        self._diagonal = potential[:self._shape[0]]  # the potential on the stored rows
 
     @property
     def ndim(self) -> int:
@@ -148,29 +154,27 @@ class HamiltonianOperator:
 
     @property
     def dim(self) -> int:
-        return self.potential.size
+        return math.prod(self._shape)
+
+    def expand(self, rows: np.ndarray) -> np.ndarray:
+        """The full (..., n, n) grid of 2D half-grid rows (..., n/2, n): row
+        i + n/2 is row i shifted by n/2 along phi_m."""
+        return np.concatenate((rows, np.roll(rows, self.grid.n // 2, axis=-1)), axis=-2)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """Apply H to a flattened grid vector or to a (dim, m) block of them.
+        """Apply H to a flat vector or to a (dim, m) block of them.
 
-        The block is worked on as its transpose, m grid-shaped rows, so the
-        transpose of a C-ordered (m, dim) array goes in and out uncopied."""
+        The block is worked on as its transpose, m rows of the stored shape,
+        so the transpose of a C-ordered (m, dim) array goes in and out
+        uncopied."""
         v = np.asarray(v, dtype=float)
-        rows = v.T.reshape(v.shape[1:] + self.potential.shape)
+        rows = v.T.reshape(v.shape[1:] + self._shape)
         out = rows @ self._factors[-1].matrix  # the kinetic matrices are symmetric
         if self.ndim == 2:
-            out += np.matmul(self._factors[0].matrix, rows)
-        out += self.potential * rows
+            # the stored rows of T_p applied to the full grid
+            out += np.matmul(self._factors[0].matrix[:self._shape[0]], self.expand(rows))
+        out += self._diagonal * rows
         return out.reshape(v.shape[::-1]).T
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        """Apply the sector projector (identity if none is set) to a flat
-        vector or a (dim, m) block."""
-        if self.sector_projector is None:
-            return v
-        v = np.asarray(v)
-        psi = v.reshape(self.potential.shape + v.shape[1:])
-        return np.asarray(self.sector_projector(psi)).reshape(v.shape)
 
 
 def kinetic_coefficients(q: QubitParams) -> tuple[float, float]:
@@ -184,21 +188,12 @@ def kinetic_coefficients(q: QubitParams) -> tuple[float, float]:
     return e_p, e_m
 
 
-def _even_sector_projector(n: int):
-    half = n // 2
-
-    def project(psi: np.ndarray) -> np.ndarray:
-        return 0.5 * (psi + np.roll(psi, (half, half), axis=(0, 1)))
-
-    return project
-
-
 def build_hamiltonian_2d(q: QubitParams, f, grid: GridSpec | None = None) -> HamiltonianOperator:
     """Full two-phase Hamiltonian at normalized flux f.
 
-    The returned operator is restricted (via its sector projector) to the
-    sector even under the half-cell translation, i.e. to wavefunctions
-    single-valued in the junction phases; see the module docstring.
+    The returned operator acts on the sector even under the half-cell
+    translation, i.e. on wavefunctions single-valued in the junction phases;
+    see the module docstring.
     """
     grid = grid or GridSpec()
     fval = normalized_flux(f)
@@ -207,10 +202,7 @@ def build_hamiltonian_2d(q: QubitParams, f, grid: GridSpec | None = None) -> Ham
     phi_p, phi_m = np.meshgrid(phi, phi, indexing="ij")
     potential = 2.0 * q.E_J * (1.0 - np.cos(phi_p) * np.cos(phi_m)) \
         + q.alpha * q.E_J * (1.0 - np.cos(2.0 * math.pi * fval + 2.0 * phi_m))
-    return HamiltonianOperator(
-        (e_p, e_m), potential, grid, energy_scale=q.E_J,
-        sector_projector=_even_sector_projector(grid.n),
-    )
+    return HamiltonianOperator((e_p, e_m), potential, grid, energy_scale=q.E_J)
 
 
 def build_hamiltonian_1d(q: QubitParams, grid: GridSpec | None = None) -> HamiltonianOperator:
@@ -227,9 +219,10 @@ def build_hamiltonian_1d(q: QubitParams, grid: GridSpec | None = None) -> Hamilt
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Lowest eigenpairs: energies (GHz, ascending), column eigenvectors,
-    true residual norms ||H v - E v|| and the number of block-Davidson
-    growth steps (0 for a dense 1D solve)."""
+    """Lowest eigenpairs: energies (GHz, ascending), unit column eigenvectors
+    in the operator's layout (2D: half grids, see :class:`HamiltonianOperator`),
+    true residual norms ||H v - E v|| and the number of block-Davidson growth
+    steps (0 for a dense 1D solve)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -260,11 +253,11 @@ def lowest_eigenpairs(op: HamiltonianOperator, k: int = 4,
     If a symmetry of H makes the product-basis start orthogonal to a low
     state, the Davidson refinement and its preconditioner keep that symmetry
     and never reach it, so a higher level is returned in its place.  The
-    start keeps each degenerate cluster of phi_p slice levels whole, so a
-    phi_p-independent potential no longer shows this; a symmetry that splits
-    a degenerate cluster of the soft phi_m levels at the M cut still can.  The
-    reference device shows neither (its energies match the dense even-sector
-    oracle)."""
+    qubit's own phi_p -> -phi_p symmetry does this when the k lowest
+    product-basis states are all even in phi_p: on a weak shunt (alpha =
+    0.437, E_J = 10 GHz, E_C = 3.2 GHz, C_S = 5 fF, f = 0.5, k = 4) the fourth
+    level reads 34.3306 GHz instead of 29.3708 GHz.  The reference device's
+    energies match the dense even-sector oracle."""
     if k < 1 or k > 10:
         raise ValueError(f"k must be in 1..10, got {k}")
     tol = 1e-8 * op.energy_scale
@@ -288,13 +281,13 @@ def _residual_norms(op: HamiltonianOperator, evals, vectors) -> np.ndarray:
 
 def _product_basis_start(op: HamiltonianOperator, k: int) -> np.ndarray:
     """The k lowest eigenvectors of H in the product basis {chi_j x xi_a},
-    mapped to the grid and projected to the sector.
+    mapped to the full grid and folded onto the sector's half grid.
 
     chi_j are the levels of the stiff phi_p slice through the potential
     minimum below its barrier top (at least two, and never part of a
     degenerate cluster): bound in one well, they hold one copy of each
-    double-covered level, so the projection does not collapse two start
-    vectors onto one.  xi_a are the soft phi_m levels of
+    double-covered level, so the fold does not collapse two start vectors
+    onto one.  xi_a are the soft phi_m levels of
     T_m + V_00(phi_m), the potential that chi_0 sees; M of them are kept, those
     within two phi_p gaps (chi_1 - chi_0) of the lowest, and never fewer than
     k.  So the dense solve has size K M instead of K n."""
@@ -320,7 +313,9 @@ def _product_basis_start(op: HamiltonianOperator, k: int) -> np.ndarray:
     galerkin[j, :, j, :] += xi.T @ t_m @ xi
     coeffs = np.linalg.eigh(galerkin.reshape(count * size, count * size))[1][:, :k]
     start = np.einsum("pj,ma,jak->pmk", chi, xi, coeffs.reshape(count, size, k), optimize=True)
-    return op.project(start.reshape(n * n, k))
+    # the even part of each start vector, on the half grid (up to a factor 2)
+    half = n // 2
+    return (start[:half] + np.roll(start[half:], half, axis=1)).reshape(op.dim, k)
 
 
 # the Davidson basis restarts from its Ritz vectors rather than hold more than this many times k rows
@@ -332,12 +327,13 @@ def _settled(norms: np.ndarray, tol: float, steps: int, max_iter: int) -> bool:
 
 
 def _refine(op: HamiltonianOperator, start: np.ndarray, tol: float, max_iter: int):
-    """Block Davidson from the start block: Rayleigh-Ritz on an orthonormal
-    basis, grown each step by the residuals of the Ritz vectors above tol,
-    preconditioned by (T + energy_scale)^-1 in the eigenbasis of the kinetic
-    matrices and by the sector projector.  Returns (evals, vectors, residuals,
-    steps) once every residual is <= tol, after max_iter steps, or at the first
-    non-finite residual.
+    """Block Davidson on the half grid from the start block: Rayleigh-Ritz on
+    an orthonormal basis, grown each step by the residuals of the Ritz vectors
+    above tol, preconditioned by (T + energy_scale)^-1 in the eigenbasis of
+    the kinetic matrices, which keeps the sector.  Returns (evals, vectors,
+    residuals, steps) once every residual is <= tol, after max_iter steps, or
+    at the first non-finite residual; a half-grid residual norm equals that of
+    the unit full-grid vector expand(v)/sqrt(2).
 
     Blocks are row-major (m, dim) arrays in two preallocated buffers, the
     basis and its H-image.  Each step applies H once, to the new rows, and
@@ -347,6 +343,7 @@ def _refine(op: HamiltonianOperator, start: np.ndarray, tol: float, max_iter: in
     k = start.shape[1]
     t_p, t_m = op._factors
     inverse = 1.0 / (t_p.levels[:, None] + t_m.levels + op.energy_scale)
+    half = op.grid.n // 2
     basis = np.empty((_RESTART_BLOCKS * k, op.dim))
     h_basis = np.empty_like(basis)
     basis[:k] = np.linalg.qr(start)[0].T
@@ -364,11 +361,11 @@ def _refine(op: HamiltonianOperator, start: np.ndarray, tol: float, max_iter: in
             norms = np.linalg.norm(residuals, axis=1)
             if _settled(norms, tol, steps, max_iter):
                 return evals, vectors.T, norms, steps
-        # (T + energy_scale)^-1: into the kinetic eigenbasis, scale, and back
-        rows = residuals[norms > tol].reshape((-1,) + op.potential.shape)
+        # (T + energy_scale)^-1 on the full grid: into the kinetic eigenbasis,
+        # scale, and back to the stored rows
+        rows = op.expand(residuals[norms > tol].reshape((-1, half, op.grid.n)))
         scaled = np.matmul(t_p.modes.T, rows @ t_m.modes) * inverse
-        rows = np.matmul(t_p.modes, scaled @ t_m.modes.T)
-        block = op.project(rows.reshape(-1, op.dim).T).T
+        block = (np.matmul(t_p.modes[:half], scaled) @ t_m.modes.T).reshape(-1, op.dim)
         if size + len(block) > len(basis):
             basis[:k], h_basis[:k], size = vectors, h_vectors, k
         for _ in range(2):  # the second pass removes what rounding left in the basis span

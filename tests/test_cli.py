@@ -478,16 +478,19 @@ class TestSpectrumCommand:
         ["fit", "t1", str(DATA_DIR / "t1_synthetic.csv")],
         ["fit", "spectrum", str(DATA_DIR / "spectrum_synthetic.csv")],
         ["coherence"],
-    ], ids=["spectrum", "fit-t1", "fit-spectrum", "coherence"])
+        ["filter"],
+        ["fit", "envelope", str(DATA_DIR / "envelope_synthetic.csv")],
+        ["fit", "fluxnoise", str(DATA_DIR / "fluxnoise_synthetic.csv")],
+    ], ids=["spectrum", "fit-t1", "fit-spectrum", "coherence", "filter", "fit-envelope",
+            "fit-fluxnoise"])
     def test_sweep_imports_no_scipy_solver_modules(self, tmp_path, config_path, command):
-        # the solver, the fits and the decoherence budget are numpy-only: a run
-        # loads none of scipy.linalg, scipy.sparse, scipy.optimize or scipy.special
+        # scipy is not a runtime dependency: no command loads scipy or any
+        # scipy.* module
         driver = ("import sys; from csfq3d import cli; "
                   f"code = cli.main(['--config', {str(config_path)!r}, "
                   f"'--out', {str(tmp_path / 'out')!r}, *{command!r}]); "
                   "print(code, sorted(m for m in sys.modules "
-                  "if m.startswith(('scipy.linalg', 'scipy.sparse', 'scipy.optimize', "
-                  "'scipy.special'))))")
+                  "if m == 'scipy' or m.startswith('scipy.')))")
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
         run = subprocess.run([sys.executable, "-c", driver], env=env, capture_output=True,
                              text=True, timeout=120)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given, strategies as st
@@ -76,8 +77,16 @@ class TestExtractCouplings:
     def test_round_trip_against_chi_partial(self, g01, g12, omega01, anharmonicity):
         omega12 = omega01 + anharmonicity
         omega_c0 = 8.2175
-        chi01 = cqed.chi_partial(g01, omega01, omega_c0)
-        chi12 = cqed.chi_partial(g12, omega12, omega_c0)
+        # some draws leave the dispersive regime: each chi_partial warns
+        # exactly when its g/|detuning| exceeds the ceiling, and never otherwise
+        ratios = [g / abs((omega - omega_c0) * 1e3)
+                  for g, omega in ((g01, omega01), (g12, omega12))]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            chi01 = cqed.chi_partial(g01, omega01, omega_c0)
+            chi12 = cqed.chi_partial(g12, omega12, omega_c0)
+        assert [w.category for w in caught] == [cqed.DispersiveLimitWarning] * sum(
+            ratio > cqed.DISPERSIVE_RATIO_CEILING for ratio in ratios)
         chi = cqed.total_pull(chi01, chi12)
         omega_c = omega_c0 - chi01 * 1e-3
         g01_back, g12_back = cqed.extract_couplings(omega01, omega12, omega_c0, omega_c, chi)

@@ -18,6 +18,8 @@ from csfq3d.numeric import (
 )
 
 FULL_2D = dict(alpha=0.437, E_J=136.75, E_C=3.2, C_S=60.0)
+# a weak shunt (beta ~ 0.83) whose fourth level the 2D solve misses
+WEAK_SHUNT_2D = dict(alpha=0.437, E_J=10.0, E_C=3.2, C_S=5.0)
 
 
 def reference_qubit_2d():
@@ -41,6 +43,50 @@ def charge_basis_levels(alpha, e_j, e_cs, n_charge=80, count=4):
     h[idx, idx + 2] += alpha * e_j * 0.5
     h[idx + 2, idx] += alpha * e_j * 0.5
     return np.linalg.eigvalsh(h)[:count]
+
+
+def dense_grid_operator(op):
+    """Dense H on the full grid, built column by column from an FFT reference,
+    not from the solver's kinetic matrices: the integer wavenumbers m of
+    np.fft.fftfreq scale each plane wave by E m^2."""
+    m2 = np.fft.fftfreq(op.grid.n, d=1.0 / op.grid.n) ** 2
+    if op.ndim == 1:
+        symbol, fft, ifft = op.kinetic[0] * m2, np.fft.fft, np.fft.ifft
+    else:
+        symbol = op.kinetic[0] * m2[:, None] + op.kinetic[1] * m2[None, :]
+        fft, ifft = np.fft.fft2, np.fft.ifft2
+    shape = op.potential.shape
+    return np.column_stack([
+        (ifft(symbol * fft(unit.reshape(shape))).real + op.potential * unit.reshape(shape)).ravel()
+        for unit in np.eye(op.potential.size)])
+
+
+def half_cell_expand(v, n):
+    """Full grid of a flat half-grid vector: psi(i + n/2, j + n/2) = psi(i, j)."""
+    rows = v.reshape(n // 2, n)
+    return np.concatenate((rows, np.roll(rows, n // 2, axis=1))).ravel()
+
+
+def even_sector_levels(op, count=4):
+    """Independent oracle: the dense full-grid H restricted to the range of
+    the half-cell projector (1 + R)/2, R the roll by (n/2, n/2)."""
+    n = op.grid.n
+    units = np.eye(n * n).reshape(n * n, n, n)
+    projector = np.column_stack([
+        (0.5 * (unit + np.roll(unit, (n // 2, n // 2), axis=(0, 1)))).ravel() for unit in units])
+    weights, vectors = np.linalg.eigh(projector)
+    basis = vectors[:, weights > 0.5]
+    return np.linalg.eigvalsh(basis.T @ dense_grid_operator(op) @ basis)[:count]
+
+
+def generic_potential(grid, scale=5.0):
+    """A potential with no symmetry but the half-cell translation: cos phi_p
+    and sin(phi_m + 0.4) both change sign under it, cos(2 phi_p + 0.5) and
+    cos 2 phi_m keep it."""
+    phi_p, phi_m = np.meshgrid(grid.phi(), grid.phi(), indexing="ij")
+    bumps = (np.cos(phi_p) * np.sin(phi_m + 0.4)
+             + 0.3 * np.cos(2 * phi_p + 0.5) * np.cos(2 * phi_m))
+    return scale * (bumps - bumps.min())
 
 
 class TestGridSpec:
@@ -110,13 +156,15 @@ class TestOperators:
             expected = e_kin * mode**2 * wave
             np.testing.assert_allclose(op.matvec(wave), expected, atol=1e-10 * max(1, mode**2))
 
-    def test_projector_preserved_by_matvec(self):
-        # H commutes with the half-cell translation, so the even sector is invariant
+    def test_2d_operator_stores_the_half_grid(self):
         op = build_hamiltonian_2d(reference_qubit_2d(), 0.5, GridSpec(24))
-        rng = np.random.default_rng(11)
-        v = op.project(rng.standard_normal(op.dim))
-        hv = op.matvec(v)
-        np.testing.assert_allclose(op.project(hv), hv, atol=1e-9 * np.linalg.norm(hv))
+        assert op.potential.shape == (24, 24)
+        assert op.dim == 24 * 24 // 2
+        rows = np.random.default_rng(11).standard_normal((2, 12, 24))
+        full = op.expand(rows)
+        assert full.shape == (2, 24, 24)
+        np.testing.assert_array_equal(full[:, :12], rows)
+        np.testing.assert_array_equal(np.roll(full, (12, 12), axis=(1, 2)), full)
 
     def test_shape_validation(self):
         grid = GridSpec(16)
@@ -125,43 +173,42 @@ class TestOperators:
         with pytest.raises(ValueError):
             HamiltonianOperator((1.0,), np.zeros((16, 16)), grid)
 
-    def test_sector_projector_only_on_2d(self):
-        with pytest.raises(ValueError, match="2D"):
-            HamiltonianOperator((1.0,), np.zeros(16), GridSpec(16),
-                                sector_projector=lambda psi: psi)
+    @pytest.mark.parametrize("shift", [(12, 0), (0, 12), (1, 1)])
+    def test_rejects_potential_outside_the_even_sector(self, shift):
+        # a potential that the half-cell translation changes mixes the two
+        # sectors; the half grid cannot hold its solution
+        grid = GridSpec(24)
+        potential = generic_potential(grid)
+        potential[shift] += 1e-9 * potential.max()
+        with pytest.raises(ValueError, match="half-cell"):
+            HamiltonianOperator((1.3, 0.7), potential, grid)
+        potential[shift[0] - 12, shift[1] - 12] = potential[shift]
+        HamiltonianOperator((1.3, 0.7), potential, grid)
 
     def test_matvec_matches_dense_operator(self):
-        # against a dense H built column by column from an FFT reference, not
-        # from the solver's kinetic matrices: the integer wavenumbers m of
-        # np.fft.fftfreq scale each plane wave by E m^2
+        # a 2D operator is the full-grid H applied to the expanded half grid,
+        # read back on the stored rows
         rng = np.random.default_rng(7)
         for op in (build_hamiltonian_1d(reference_qubit_1d(), GridSpec(80)),
                    build_hamiltonian_2d(reference_qubit_2d(), 0.49, GridSpec(24))):
-            m2 = np.fft.fftfreq(op.grid.n, d=1.0 / op.grid.n) ** 2
-            if op.ndim == 1:
-                symbol, fft, ifft = op.kinetic[0] * m2, np.fft.fft, np.fft.ifft
-            else:
-                symbol = op.kinetic[0] * m2[:, None] + op.kinetic[1] * m2[None, :]
-                fft, ifft = np.fft.fft2, np.fft.ifft2
-            dense = np.column_stack([
-                (ifft(symbol * fft(unit.reshape(op.potential.shape))).real
-                 + op.potential * unit.reshape(op.potential.shape)).ravel()
-                for unit in np.eye(op.dim)])
+            dense = dense_grid_operator(op)
             for _ in range(3):
                 v = rng.standard_normal(op.dim)
-                expected = dense @ v
+                if op.ndim == 1:
+                    expected = dense @ v
+                else:
+                    expected = (dense @ half_cell_expand(v, op.grid.n))[:op.dim]
                 assert np.linalg.norm(op.matvec(v) - expected) <= 1e-12 * np.linalg.norm(expected)
 
-    def test_block_matvec_and_project_match_columns(self):
+    def test_block_matvec_matches_columns(self):
         rng = np.random.default_rng(13)
         for op in (build_hamiltonian_1d(reference_qubit_1d(), GridSpec(32)),
                    build_hamiltonian_2d(reference_qubit_2d(), 0.49, GridSpec(24))):
             block = rng.standard_normal((op.dim, 3))
-            for apply in (op.matvec, op.project):
-                expected = np.column_stack([apply(col) for col in block.T])
-                result = apply(block)
-                assert result.shape == (op.dim, 3)
-                assert np.linalg.norm(result - expected) <= 1e-12 * np.linalg.norm(expected)
+            expected = np.column_stack([op.matvec(col) for col in block.T])
+            result = op.matvec(block)
+            assert result.shape == (op.dim, 3)
+            assert np.linalg.norm(result - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestSolverStructure:
@@ -235,16 +282,6 @@ class TestSolverStructure:
             assert result.iterations <= 5, f
 
 
-def even_sector_levels(op, count=4):
-    """Independent oracle: dense P H P restricted to the range of P."""
-    identity = np.eye(op.dim)
-    dense = np.column_stack([op.matvec(col) for col in identity])
-    projector = np.column_stack([op.project(col) for col in identity])
-    weights, vectors = np.linalg.eigh(projector)
-    basis = vectors[:, weights > 0.5]
-    return np.linalg.eigvalsh(basis.T @ dense @ basis)[:count]
-
-
 class TestLanczos:
     """Contract of lowest_eigenpairs: dense 1D solve, product-basis start
     plus block-Davidson refinement in 2D (the class keeps its name so test
@@ -269,18 +306,11 @@ class TestLanczos:
         np.testing.assert_allclose(result.eigenvalues, evals_dense, rtol=1e-10)
 
     def test_matches_dense_diagonalization_2d_generic(self):
-        # generic (asymmetric) potential: no symmetry, no projector
+        # no symmetry but the half-cell translation
         grid = GridSpec(16)
-        rng = np.random.default_rng(3)
-        phi = grid.phi()
-        bumps = (np.cos(phi)[:, None] * np.sin(2 * phi)[None, :]
-                 + 0.3 * np.cos(2 * phi)[:, None] * np.cos(phi)[None, :])
-        potential = 5.0 * (bumps - bumps.min())
-        op = HamiltonianOperator((1.3, 0.7), potential, grid, energy_scale=5.0)
-        dense = np.column_stack([op.matvec(row) for row in np.eye(op.dim)])
-        evals_dense = np.linalg.eigvalsh(dense)[:4]
+        op = HamiltonianOperator((1.3, 0.7), generic_potential(grid), grid, energy_scale=5.0)
         result = lowest_eigenpairs(op, k=4)
-        np.testing.assert_allclose(result.eigenvalues, evals_dense, rtol=1e-9)
+        np.testing.assert_allclose(result.eigenvalues, even_sector_levels(op), rtol=1e-9)
 
     def test_residuals_and_orthonormality(self):
         q = reference_qubit_2d()
@@ -314,9 +344,17 @@ class TestLanczos:
             lowest_eigenpairs(op, k=3)
         assert not np.all(np.isfinite(err.value.residual_norms))
 
-    @pytest.mark.parametrize("n", [16, 24])
-    def test_matches_dense_even_sector_oracle_2d(self, n):
-        op = build_hamiltonian_2d(reference_qubit_2d(), 0.5, GridSpec(n))
+    @pytest.mark.parametrize("params,n", [
+        pytest.param(FULL_2D, 16, id="16"),
+        pytest.param(FULL_2D, 24, id="24"),
+        pytest.param(WEAK_SHUNT_2D, 16, id="weak_shunt-16", marks=pytest.mark.xfail(
+            strict=True, reason="known defect: every product-basis start vector is even "
+            "in phi_p, and H and the preconditioner keep that parity, so the fourth "
+            "level (29.3708 GHz, odd in phi_p) is missed and 34.3306 GHz returned in "
+            "its place with every residual <= 1e-8 E_J")),
+    ])
+    def test_matches_dense_even_sector_oracle_2d(self, params, n):
+        op = build_hamiltonian_2d(QubitParams(**params), 0.5, GridSpec(n))
         result = lowest_eigenpairs(op, k=4)
         np.testing.assert_allclose(result.eigenvalues, even_sector_levels(op), rtol=1e-9)
 
@@ -341,25 +379,20 @@ class TestLanczos:
         # a stiff soft axis leaves 3 phi_m levels within two phi_p gaps and 3
         # phi_p levels below the barrier: 9 product states, fewer than k = 10
         grid = GridSpec(16)
-        phi = grid.phi()
-        bumps = (np.cos(phi)[:, None] * np.sin(2 * phi)[None, :]
-                 + 0.3 * np.cos(2 * phi)[:, None] * np.cos(phi)[None, :])
-        op = HamiltonianOperator((1.3, 3.0), 5.0 * (bumps - bumps.min()), grid, energy_scale=5.0)
+        op = HamiltonianOperator((1.3, 3.0), generic_potential(grid), grid, energy_scale=5.0)
         start = numeric._product_basis_start(op, 10)
-        np.testing.assert_allclose(start.T @ start, np.eye(10), atol=1e-12)
-        dense = np.column_stack([op.matvec(row) for row in np.eye(op.dim)])
+        assert start.shape == (op.dim, 10) and np.linalg.matrix_rank(start) == 10
         result = lowest_eigenpairs(op, k=10)
-        np.testing.assert_allclose(result.eigenvalues, np.linalg.eigvalsh(dense)[:10], rtol=1e-9)
+        np.testing.assert_allclose(result.eigenvalues, even_sector_levels(op, 10), rtol=1e-9)
 
     def test_flat_phi_p_slice_keeps_two_levels(self):
         # U independent of phi_p binds no phi_p level below the slice top; the
         # start keeps the lowest two, which hold the two lowest product states
         grid = GridSpec(16)
-        potential = np.tile(3.0 * (1.0 - np.cos(grid.phi())), (16, 1))
+        potential = np.tile(3.0 * (1.0 - np.cos(2.0 * grid.phi())), (16, 1))
         op = HamiltonianOperator((1.3, 0.7), potential, grid, energy_scale=3.0)
-        dense = np.column_stack([op.matvec(row) for row in np.eye(op.dim)])
         result = lowest_eigenpairs(op, k=2)
-        np.testing.assert_allclose(result.eigenvalues, np.linalg.eigvalsh(dense)[:2], rtol=1e-9)
+        np.testing.assert_allclose(result.eigenvalues, even_sector_levels(op, 2), rtol=1e-9)
 
     def test_refinement_iterations(self):
         # the dense 1D solve needs none; the product-basis start leaves the
@@ -369,16 +402,27 @@ class TestLanczos:
         assert 1 <= result.iterations <= 10
 
     def test_phi_p_independent_potential_third_level(self):
-        # U = 3 (1 - cos phi_m) on every phi_p row: the levels are e_a + 1.3 n_p^2
-        # for the phi_m levels e_a, so 2.279 (n_p = +-1) is doubly degenerate;
-        # a start that kept one of the two slice levels n_p = +-1 missed the
-        # other, and the solve returned [0.979, 2.279, 2.836]
+        # U = 3 (1 - cos 2 phi_m) on every phi_p row: the levels are e_a + 1.3 n_p^2
+        # for the phi_m levels e_a, with n_p even for the phi_m levels even under
+        # phi_m -> phi_m + pi and odd for the odd ones, so 3.191 (n_p = +-1 on
+        # the first odd phi_m level) is doubly degenerate
         grid = GridSpec(16)
-        potential = np.tile(3.0 * (1.0 - np.cos(grid.phi())), (16, 1))
+        potential = np.tile(3.0 * (1.0 - np.cos(2.0 * grid.phi())), (16, 1))
         op = HamiltonianOperator((1.3, 0.7), potential, grid, energy_scale=3.0)
-        dense = np.column_stack([op.matvec(row) for row in np.eye(op.dim)])
         result = lowest_eigenpairs(op, k=3)
-        np.testing.assert_allclose(result.eigenvalues, np.linalg.eigvalsh(dense)[:3], rtol=1e-9)
+        np.testing.assert_allclose(result.eigenvalues, even_sector_levels(op, 3), rtol=1e-9)
+
+    def test_degenerate_slice_cluster_is_kept_whole(self):
+        # U = 0.3 (1 - cos 3 phi_p cos phi_m): the slice at phi_m = -pi binds one
+        # level (0.298) below its top (0.6) and has the degenerate pair 2.296
+        # above it; a start that kept the lowest two slice levels split the
+        # pair, and the solve missed the third level 2.99663
+        grid = GridSpec(16)
+        phi_p, phi_m = np.meshgrid(grid.phi(), grid.phi(), indexing="ij")
+        potential = 0.3 * (1.0 - np.cos(3.0 * phi_p) * np.cos(phi_m))
+        op = HamiltonianOperator((2.0, 0.7), potential, grid, energy_scale=0.3)
+        result = lowest_eigenpairs(op, k=3)
+        np.testing.assert_allclose(result.eigenvalues, even_sector_levels(op, 3), rtol=1e-9)
 
     def test_k_validation(self):
         op = build_hamiltonian_1d(reference_qubit_1d(), GridSpec(16))
@@ -532,22 +576,18 @@ class TestFluxReflection:
 
     @pytest.mark.parametrize("n", [24, 80])
     def test_operator_reflects(self, n):
-        # kinetic term included: H(1 - f) R v = R H(f) v for any grid vector v
+        # kinetic term included: H(1 - f) R v = R H(f) v for any half-grid
+        # vector v, with R the same column permutation on the half and the
+        # full grid, so it keeps the even sector
         q = reference_qubit_2d()
         grid = GridSpec(n)
         perm = reflect_phi_m(n)
-        v = np.random.default_rng(5).standard_normal((n, n))
+        v = np.random.default_rng(5).standard_normal((n // 2, n))
+        op = build_hamiltonian_2d(q, 0.49, grid)
+        np.testing.assert_array_equal(op.expand(v[:, perm]), op.expand(v)[:, perm])
         lhs = build_hamiltonian_2d(q, 0.51, grid).matvec(v[:, perm].ravel())
-        rhs = build_hamiltonian_2d(q, 0.49, grid).matvec(v.ravel()).reshape(n, n)[:, perm]
+        rhs = op.matvec(v.ravel()).reshape(n // 2, n)[:, perm]
         np.testing.assert_allclose(lhs, rhs.ravel(), rtol=0, atol=1e-12 * q.E_J)
-
-    @pytest.mark.parametrize("n", [24, 80])
-    def test_even_sector_projector_commutes_with_reflection(self, n):
-        op = build_hamiltonian_2d(reference_qubit_2d(), 0.49, GridSpec(n))
-        perm = reflect_phi_m(n)
-        psi = np.random.default_rng(7).standard_normal((n, n, 3))
-        np.testing.assert_array_equal(op.sector_projector(psi[:, perm]),
-                                      op.sector_projector(psi)[:, perm])
 
     @pytest.mark.parametrize("f", [0.49, 0.495])
     def test_mirror_solves_share_eigenvalues(self, f):
@@ -593,6 +633,6 @@ class TestEigenvectorParity2D:
         op = build_hamiltonian_2d(q, 0.5, grid)
         result = lowest_eigenpairs(op, k=2)
         phi = grid.phi()
-        odd_operator = np.tile(np.sin(phi), (grid.n, 1)).ravel()
+        odd_operator = np.tile(np.sin(phi), (grid.n // 2, 1)).ravel()
         ground = result.eigenvectors[:, 0]
         assert abs(ground @ (odd_operator * ground)) < 1e-8
