@@ -226,7 +226,7 @@ class RunConfig:
 
     def envelope_settings(self) -> dict:
         return {
-            "t1_s": self._get("envelope", "t1_s", float),
+            "t1_s": self._positive("envelope", "t1_s"),
             "shape": self._choice("envelope", "shape", ("gaussian", "exponential"),
                                   default="gaussian"),
         }
@@ -438,6 +438,7 @@ def cmd_coherence(config: RunConfig, args) -> int:
     noise = config.flux_noise()
     cqed_in = config.cqed_inputs()
     base_temperature = config.base_temperature_k()
+    chain = config.attenuation_chain()
     fmt = config.output_format()
     workers = max(1, args.workers)
     outdir = Path(args.out)
@@ -474,7 +475,6 @@ def cmd_coherence(config: RunConfig, args) -> int:
                    "ramsey_echo_ratio"]
     flux_table = _write_table(outdir / "dephasing_vs_flux", flux_header, flux_rows, fmt)
 
-    chain = config.attenuation_chain()
     t_eff = effective_temperature(chain, cavity.omega_c0)
     nbar = thermal_photon_population(config.dressed_cavity_ghz(), t_eff)
     thermal_rate = thermal_dephasing_rate(cavity.kappa, cqed_in["chi_mhz"], nbar)
@@ -584,7 +584,12 @@ def cmd_fit(config: RunConfig, args) -> int:
     data_hash = hashlib.sha256(Path(args.data).read_bytes()).hexdigest()
     _write_manifest(outdir, f"fit {args.target}", config, [out_path],
                     {"data_sha256": data_hash})
-    return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+    if not result.converged:
+        values = ", ".join(f"{name} = {value:.6g}" for name, value in
+                           [*result.parameters.items(), ("residual_norm", result.residual_norm)])
+        print(f"error: fit {args.target} did not converge ({values})", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

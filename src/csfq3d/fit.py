@@ -127,7 +127,8 @@ def _levenberg_marquardt(residual_fn, x0, *, clip=None, max_iter=200,
     Steps solve (J^T J + lam diag(J^T J)) delta = -J^T r and are accepted
     only when the cost does not increase, so the recorded cost history is
     monotone.  Convergence: relative step below step_tol, or max |gradient|
-    below grad_tol, or no acceptable step at maximum damping.
+    below grad_tol, or no acceptable step at maximum damping.  A non-finite
+    gradient (an overflowing model) ends the fit unconverged.
     """
     x = np.asarray(x0, dtype=float).copy()
     if clip is not None:
@@ -147,6 +148,8 @@ def _levenberg_marquardt(residual_fn, x0, *, clip=None, max_iter=200,
     jac = _central_jacobian(residual_fn, x, floor, rel_step)
     for iterations in range(1, max_iter + 1):
         grad = jac.T @ r
+        if not np.all(np.isfinite(grad)):
+            break
         if np.max(np.abs(grad)) < grad_tol:
             converged = True
             break
@@ -211,13 +214,14 @@ def _lm_result(outcome: _LMOutcome, parameters: dict[str, float], scale,
     scale = np.asarray(scale)
     cov = scale[:, None] * cov_u * scale if cov_u is not None else None
     sigma = np.sqrt(np.diag(cov)) if cov is not None else np.full(n_params, np.nan)
+    residual_norm = float(np.linalg.norm(outcome.residual))
     return FitResult(
         parameters=parameters,
         uncertainties=dict(zip(parameters, sigma)),
         covariance=cov,
-        residual_norm=float(np.linalg.norm(outcome.residual)),
+        residual_norm=residual_norm,
         iterations=outcome.iterations,
-        converged=outcome.converged and converged,
+        converged=outcome.converged and converged and _finite(parameters, residual_norm),
         cost_history=outcome.cost_history,
         flags=(() if well_posed else ("degenerate_jacobian",)) + flags,
     )
@@ -241,11 +245,18 @@ def _through_origin(regressor: np.ndarray, target: np.ndarray, name: str,
 
 def _regression_result(parameters, uncertainties, sigma_slope, residual, flags=()):
     """FitResult of a through-origin regression: one step, slope covariance."""
+    residual_norm = float(np.linalg.norm(residual))
     return FitResult(parameters=parameters, uncertainties=uncertainties,
                      covariance=np.array([[sigma_slope**2]]),
-                     residual_norm=float(np.linalg.norm(residual)), iterations=1,
-                     converged=True, cost_history=(float(residual @ residual),),
-                     flags=flags)
+                     residual_norm=residual_norm, iterations=1,
+                     converged=_finite(parameters, residual_norm),
+                     cost_history=(float(residual @ residual),), flags=flags)
+
+
+def _finite(parameters: dict[str, float], residual_norm: float) -> bool:
+    """Whether every parameter and the residual norm are finite: a fit that
+    overflowed to inf or nan has not converged, whatever its iteration did."""
+    return all(math.isfinite(value) for value in (*parameters.values(), residual_norm))
 
 
 def _logit_half(alpha: float) -> float:

@@ -202,14 +202,27 @@ COMMAND_SECTIONS = {
     "coherence": ("qubit", "cavity", "cqed", "noise", "attenuation", "flux_sweep",
                   "temperature_sweep", "output"),
     "filter": ("filter", "output"),
+    "fit spectrum": ("qubit", "fit"),
+    "fit t1": ("qubit", "cqed", "noise", "fit"),
+    "fit envelope": ("envelope", "fit"),
+    "fit fluxnoise": ("qubit", "fit"),
 }
 MUTATIONS = ("nan", "inf", "0", "-1", "1e300")
+
+
+def command_argv(command: str) -> list[str]:
+    """The arguments of one command; a fit reads its bundled fixture."""
+    argv = command.split()
+    if argv[0] == "fit":
+        argv.append(str(DATA_DIR / f"{argv[1]}_synthetic.csv"))
+    return argv
 
 
 class TestMutatedConfig:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
     @pytest.mark.parametrize("value", MUTATIONS)
-    @pytest.mark.parametrize("command", sorted(COMMAND_SECTIONS))
+    @pytest.mark.parametrize("command", sorted(COMMAND_SECTIONS),
+                             ids=lambda command: command.replace(" ", "-"))
     def test_one_key_mutation_ends_in_exit_code(self, tmp_path, capsys, command, value):
         # each key the command reads, set to one bad value at a time: the run
         # ends in a documented exit code, and exit 1 or 2 prints one error line
@@ -227,7 +240,8 @@ class TestMutatedConfig:
                 label = f"[{section}] {key} = {value}"
                 try:
                     code = cli.main(["--config", str(path), "--out",
-                                     str(tmp_path / f"{section}.{key}"), command])
+                                     str(tmp_path / f"{section}.{key}"),
+                                     *command_argv(command)])
                 except Exception as err:  # noqa: BLE001 - the escape is the finding
                     escapes.append(f"{label}: {err.__class__.__name__}: {err}")
                     continue
@@ -575,6 +589,17 @@ class TestCoherenceCommand:
         assert len(err.strip().splitlines()) == 1
         assert not list(out.glob("*.csv"))  # rejected before any table is written
 
+    def test_all_zero_attenuation_weights_rejected(self, tmp_path, capsys):
+        path = tmp_path / "c.ini"
+        path.write_text(BASE_CONFIG.replace("stages = 300:1e-7, 4.0:9.9e-6, 0.1:9.99e-3, 0.01:0.99",
+                                            "stages = 0.01:0"))
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), "coherence"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid [attenuation] section")
+        assert len(err.strip().splitlines()) == 1
+        assert not list(out.glob("*"))  # rejected before any table is written
+
     def test_inconsistent_cavity_pull_rejected(self, tmp_path, capsys):
         # a bare cavity below the dressed one gives negative coupling radicands
         path = tmp_path / "c.ini"
@@ -708,7 +733,7 @@ class TestFitCommand:
         result = json.loads((out / "fit_fluxnoise.json").read_text())
         assert result["sqrt_A_Phi_uPhi0"] == pytest.approx(1.8, rel=1e-6)
 
-    def test_nonconvergence_maps_to_exit_2(self, tmp_path, config_path, monkeypatch):
+    def test_nonconvergence_maps_to_exit_2(self, tmp_path, config_path, monkeypatch, capsys):
         stub = FitResult(parameters={"x_qp": 0.0}, uncertainties={"x_qp": 0.0},
                          covariance=None, residual_norm=1.0, iterations=200,
                          converged=False, cost_history=(1.0,))
@@ -717,6 +742,33 @@ class TestFitCommand:
         code = cli.main(["--config", str(config_path), "--out", str(out),
                          "fit", "t1", str(DATA_DIR / "t1_synthetic.csv")])
         assert code == cli.EXIT_NOT_CONVERGED
+        err = capsys.readouterr().err
+        assert err.startswith("error: fit t1 did not converge")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+    @pytest.mark.parametrize("line, value, target", [
+        ("e_j_ghz = 136.75", "e_j_ghz = 1e300", "t1"),
+        ("e_j_ghz = 136.75", "e_j_ghz = 1e300", "fluxnoise"),
+        ("anharmonicity_ghz = 0.7863981990780409", "anharmonicity_ghz = 1e300", "spectrum"),
+    ], ids=["t1-e_j", "fluxnoise-e_j", "spectrum-anharmonicity"])
+    def test_non_finite_fit_is_not_converged(self, tmp_path, capsys, line, value, target):
+        # an overflowing input leaves a null parameter or residual norm: that
+        # fit has not converged, though its output is still written
+        path = tmp_path / "c.ini"
+        path.write_text(BASE_CONFIG.replace(line, value))
+        out = tmp_path / "out"
+        code = cli.main(["--config", str(path), "--out", str(out),
+                         "fit", target, str(DATA_DIR / f"{target}_synthetic.csv")])
+        assert code == cli.EXIT_NOT_CONVERGED
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: fit {target} did not converge")
+        assert len(err.strip().splitlines()) == 1
+        result = json.loads((out / f"fit_{target}.json").read_text())
+        assert result["converged"] is False
+        assert None in [*result["parameters"].values(), result["residual_norm"]]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == [f"fit_{target}.json"]
 
     def test_fit_reruns_bit_identical(self, tmp_path, config_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
