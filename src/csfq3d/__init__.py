@@ -20,7 +20,6 @@ from .analytic import (
 from .core import (
     CONSTANTS,
     CavityParams,
-    FluxBias,
     NegativeAnharmonicityWarning,
     PhysicalConstants,
     QubitParams,
@@ -36,7 +35,6 @@ from .cqed import (
     DispersiveSet,
     chi_partial,
     dispersive_set,
-    extract_couplings,
     purcell_t1,
     total_pull,
 )

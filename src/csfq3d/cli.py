@@ -1,5 +1,5 @@
-"""Command-line frontend: config-driven forward models and fits with CSV/JSON
-output.
+"""Command-line frontend: config-driven forward models and fits; tables are
+CSV, summaries and fit results JSON.
 
 Subcommands: spectrum, coherence, filter, fit {spectrum|t1|envelope|fluxnoise}.
 The configuration is an INI file with one section per module (see
@@ -81,12 +81,12 @@ class DataFileError(Exception):
 _REQUIRED = object()
 
 
-def _build(section: str, factory, **values):
-    """factory(**values), with its ValueError reported as an invalid section."""
+def _checked(label: str, factory, *args, **values):
+    """factory(*args, **values), with its ValueError reported as invalid `label`."""
     try:
-        return factory(**values)
+        return factory(*args, **values)
     except ValueError as err:
-        raise ConfigError(f"invalid [{section}] section: {err}") from err
+        raise ConfigError(f"invalid {label}: {err}") from err
 
 
 class RunConfig:
@@ -107,7 +107,10 @@ class RunConfig:
             parser.read_string(text)
         except configparser.Error as err:
             raise ConfigError(f"cannot parse config: {err}") from err
-        return cls(parser, text)
+        config = cls(parser, text)
+        # tables are CSV only; a config that asks for another format is refused
+        config._choice("output", "format", ("csv",), default="csv")
+        return config
 
     def _get(self, section, key, cast, default=_REQUIRED):
         if not self._parser.has_option(section, key):
@@ -137,23 +140,23 @@ class RunConfig:
         return value
 
     def qubit(self) -> QubitParams:
-        return _build("qubit", QubitParams,
-                      alpha=self._get("qubit", "alpha", float),
-                      E_J=self._get("qubit", "e_j_ghz", float),
-                      E_C=self._get("qubit", "e_c_ghz", float),
-                      C_S=self._get("qubit", "c_s_ff", float))
+        return _checked("[qubit] section", QubitParams,
+                        alpha=self._get("qubit", "alpha", float),
+                        E_J=self._get("qubit", "e_j_ghz", float),
+                        E_C=self._get("qubit", "e_c_ghz", float),
+                        C_S=self._get("qubit", "c_s_ff", float))
 
     def cavity(self) -> CavityParams:
-        return _build("cavity", CavityParams,
-                      omega_c0=self._get("cavity", "omega_c0_ghz", float),
-                      kappa_c=self._get("cavity", "kappa_c_mhz", float),
-                      kappa_i=self._get("cavity", "kappa_i_mhz", float))
+        return _checked("[cavity] section", CavityParams,
+                        omega_c0=self._get("cavity", "omega_c0_ghz", float),
+                        kappa_c=self._get("cavity", "kappa_c_mhz", float),
+                        kappa_i=self._get("cavity", "kappa_i_mhz", float))
 
     def dressed_cavity_ghz(self) -> float:
         return self._get("cavity", "omega_c_ghz", float)
 
     def grid(self) -> GridSpec:
-        return _build("grid", GridSpec, n=self._get("grid", "n", int, default=80))
+        return _checked("[grid] section", GridSpec, n=self._get("grid", "n", int, default=80))
 
     def cqed_inputs(self) -> dict:
         return {
@@ -163,15 +166,15 @@ class RunConfig:
         }
 
     def quasiparticle_env(self) -> QuasiparticleEnv:
-        return _build("noise", QuasiparticleEnv,
-                      x_qp=self._get("noise", "x_qp", float),
-                      Delta0=self._get("noise", "delta0_uev", float, default=DEFAULT_GAP_UEV),
-                      n_cp=self._get("noise", "n_cp_per_um3", float, default=DEFAULT_N_CP))
+        return _checked("[noise] section", QuasiparticleEnv,
+                        x_qp=self._get("noise", "x_qp", float),
+                        Delta0=self._get("noise", "delta0_uev", float, default=DEFAULT_GAP_UEV),
+                        n_cp=self._get("noise", "n_cp_per_um3", float, default=DEFAULT_N_CP))
 
     def flux_noise(self) -> FluxNoise:
-        return _build("noise", FluxNoise,
-                      A_Phi=self._get("noise", "a_phi_phi0sq", float),
-                      omega_ir=self._get("noise", "omega_ir_rad_s", float,
+        return _checked("[noise] section", FluxNoise,
+                        A_Phi=self._get("noise", "a_phi_phi0sq", float),
+                        omega_ir=self._get("noise", "omega_ir_rad_s", float,
                                          default=DEFAULT_OMEGA_IR))
 
     def ramsey_time_s(self) -> float:
@@ -199,7 +202,7 @@ class RunConfig:
                 raise ConfigError(
                     f"bad [attenuation] stage {item!r}; expected T_K:weight"
                 ) from err
-        return _build("attenuation", AttenuationChain, stages=tuple(stages))
+        return _checked("[attenuation] section", AttenuationChain, stages=tuple(stages))
 
     def sweep(self, section: str, start_key: str, stop_key: str) -> np.ndarray:
         start = self._get(section, start_key, float)
@@ -215,6 +218,8 @@ class RunConfig:
             counts = tuple(int(part) for part in raw.split(",") if part.strip())
         except ValueError as err:
             raise ConfigError(f"bad [filter] pulse_counts: {raw!r}") from err
+        if len(set(counts)) != len(counts):
+            raise ConfigError(f"[filter] pulse_counts repeats a count: {raw!r}")
         return {
             "pulse_counts": counts,
             "tau_s": self._get("filter", "tau_s", float, default=100e-6),
@@ -239,9 +244,6 @@ class RunConfig:
             "anharmonicity_ghz": self._get("fit", "anharmonicity_ghz", float, default=None),
             "exclude_halfwidth": window,
         }
-
-    def output_format(self) -> str:
-        return self._choice("output", "format", ("csv", "json"), default="csv")
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +275,8 @@ def _write_json(path: Path, payload) -> None:
                     encoding="utf-8", newline="\n")
 
 
-def _write_table(path_base: Path, header: list[str], rows: list[list], fmt: str) -> Path:
-    """Write rows as CSV (comma, LF, '.' decimals) or as a JSON record list."""
-    if fmt == "json":
-        path = path_base.with_suffix(".json")
-        records = [dict(zip(header, row)) for row in rows]
-        _write_json(path, records)
-        return path
-    path = path_base.with_suffix(".csv")
+def _write_table(path: Path, header: list[str], rows: list[list]) -> Path:
+    """Write rows as CSV: comma, LF, '.' decimals."""
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
@@ -383,7 +379,6 @@ def cmd_spectrum(config: RunConfig, args) -> int:
     q = config.qubit()
     grid = config.grid()
     flux = config.sweep("flux_sweep", "start", "stop")
-    fmt = config.output_format()
     workers = max(1, args.workers)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -403,9 +398,9 @@ def cmd_spectrum(config: RunConfig, args) -> int:
         else:
             rows.append([f, w_analytic, "", "", f"error:{err.__class__.__name__}"])
     failures = sum(row[4] != "ok" for row in rows)
-    table = _write_table(outdir / "spectrum",
+    table = _write_table(outdir / "spectrum.csv",
                          ["flux_phi0", "omega01_analytic_GHz", "omega01_numeric_GHz",
-                          "omega12_numeric_GHz", "status"], rows, fmt)
+                          "omega12_numeric_GHz", "status"], rows)
 
     optimal, optimal_error = solved[0.5]
     spectrum = analytic.perturbative_spectrum(q)
@@ -439,7 +434,6 @@ def cmd_coherence(config: RunConfig, args) -> int:
     cqed_in = config.cqed_inputs()
     base_temperature = config.base_temperature_k()
     chain = config.attenuation_chain()
-    fmt = config.output_format()
     workers = max(1, args.workers)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -448,22 +442,21 @@ def cmd_coherence(config: RunConfig, args) -> int:
     temperatures = config.sweep("temperature_sweep", "start_k", "stop_k")
     flux = config.sweep("flux_sweep", "start", "stop")
     ramsey_time = config.ramsey_time_s()
-    try:
-        dispersive = dispersive_set(cqed_in["omega01_ghz"], cqed_in["omega12_ghz"],
-                                    cavity.omega_c0, config.dressed_cavity_ghz(),
-                                    cqed_in["chi_mhz"])
-    except ValueError as err:
-        raise ConfigError(f"invalid [cqed]/[cavity] values: {err}") from err
+    dispersive = _checked("[cqed]/[cavity] values", dispersive_set, cqed_in["omega01_ghz"],
+                          cqed_in["omega12_ghz"], cavity.omega_c0, config.dressed_cavity_ghz(),
+                          cqed_in["chi_mhz"])
 
     def t1_point(temperature: float) -> float:
         rate = qp_relaxation_rate(q, cqed_in["omega01_ghz"], env, temperature, matrix_elements)
         return 1.0 / rate if rate > 0.0 else math.inf
 
+    # the budget point is not a sweep point: a value it rejects is a config error
+    t1_base = _checked("[cqed]/[noise] values", t1_point, base_temperature)
     t1_rows = [[t, value, "ok"] if err is None else [t, "", f"error:{err.__class__.__name__}"]
                for t, value, err in _map_indexed(t1_point, list(temperatures), workers)]
     failures = sum(row[2] != "ok" for row in t1_rows)
-    t1_table = _write_table(outdir / "t1_vs_temperature",
-                            ["temp_K", "t1_qp_s", "status"], t1_rows, fmt)
+    t1_table = _write_table(outdir / "t1_vs_temperature.csv",
+                            ["temp_K", "t1_qp_s", "status"], t1_rows)
 
     flux_rows = []
     for f in flux:
@@ -473,13 +466,13 @@ def cmd_coherence(config: RunConfig, args) -> int:
         flux_rows.append([f, gamma_e, gamma_r, ratio])
     flux_header = ["flux_phi0", "gamma_phi_echo_per_s", "gamma_phi_ramsey_per_s",
                    "ramsey_echo_ratio"]
-    flux_table = _write_table(outdir / "dephasing_vs_flux", flux_header, flux_rows, fmt)
+    flux_table = _write_table(outdir / "dephasing_vs_flux.csv", flux_header, flux_rows)
 
     t_eff = effective_temperature(chain, cavity.omega_c0)
     nbar = thermal_photon_population(config.dressed_cavity_ghz(), t_eff)
     thermal_rate = thermal_dephasing_rate(cavity.kappa, cqed_in["chi_mhz"], nbar)
     budget = {
-        "t1_qp_s": t1_point(base_temperature),
+        "t1_qp_s": t1_base,
         "t1_purcell_s": purcell_t1(cavity.kappa, dispersive.g01, cqed_in["omega01_ghz"],
                                    config.dressed_cavity_ghz()),
         "t_phi_thermal_s": None if thermal_rate == 0.0 else 1.0 / thermal_rate,
@@ -515,19 +508,17 @@ def cmd_filter(config: RunConfig, args) -> int:
         omega = np.logspace(math.log10(settings["omega_min_rad_s"]),
                             math.log10(settings["omega_max_rad_s"]),
                             settings["omega_points"])
-        specs = [FilterSpec.ramsey(settings["tau_s"]) if n_pulses == 0
-                 else FilterSpec.cpmg(n_pulses, settings["tau_s"], settings["tau_pi_s"])
+        specs = [FilterSpec(n_pulses, settings["tau_s"], settings["tau_pi_s"])
                  for n_pulses in settings["pulse_counts"]]
     except ValueError as err:
         raise ConfigError(f"invalid [filter] section: {err}") from err
-    fmt = config.output_format()
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = []
     for spec in specs:
         rows = [[w, g] for w, g in filter_curve(spec, omega)]
-        outputs.append(_write_table(outdir / f"filter_N{spec.N}",
-                                    ["omega_rad_s", "filter_value"], rows, fmt))
+        outputs.append(_write_table(outdir / f"filter_N{spec.N}.csv",
+                                    ["omega_rad_s", "filter_value"], rows))
     _write_manifest(outdir, "filter", config, outputs,
                     {"tau_s": settings["tau_s"], "tau_pi_s": settings["tau_pi_s"]})
     return EXIT_OK
@@ -563,7 +554,8 @@ def cmd_fit(config: RunConfig, args) -> int:
         env = config.quasiparticle_env()
         omega01 = config.cqed_inputs()["omega01_ghz"]
         matrix_elements = analytic.junction_matrix_elements(q)
-        result = fit_xqp(data, q, omega01, env.Delta0, matrix_elements, n_cp=env.n_cp)
+        result = _checked("[cqed]/[noise] values", fit_xqp, data, q, omega01, env.Delta0,
+                          matrix_elements, n_cp=env.n_cp)
         extra = {"model": "quasiparticle T1(T)",
                  "matrix_elements": list(matrix_elements)}
     elif args.target == "envelope":

@@ -8,6 +8,7 @@ Unit conventions used throughout the package:
 - cavity loss rates, dispersive shifts and couplings are cyclic MHz
 - relaxation/dephasing rates are plain s^-1, times are seconds
 - temperatures are Kelvin, capacitances fF, superconducting gaps micro-eV
+- flux biases are plain numbers, the normalized flux f = Phi/Phi0
 """
 
 from __future__ import annotations
@@ -136,6 +137,12 @@ def _check_qubit_params(q: QubitParams) -> None:
                               ("C_S", q.C_S, "fF")):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {value} {unit}")
+    # tiny positive values that zero a divisor of the models: the stiffness
+    # E_J(1 - 2 alpha) and the shunt capacitance in farad
+    if q.E_J * (1.0 - 2.0 * q.alpha) == 0.0:
+        raise ValueError(f"E_J = {q.E_J} GHz underflows the stiffness E_J(1 - 2 alpha) to 0")
+    if 2.0 * q.C_S * 1e-15 == 0.0:
+        raise ValueError(f"C_S = {q.C_S} fF underflows to 0 F")
     if q.alpha <= 0.125:
         warnings.warn(
             f"alpha = {q.alpha} <= 1/8: quartic coefficient (8 alpha - 1) is not "
@@ -171,35 +178,8 @@ class CavityParams:
         return self.omega_c0 * 1e3 / self.kappa
 
 
-@dataclass(frozen=True)
-class FluxBias:
-    """Normalized magnetic flux f = Phi/Phi0 threading the qubit loop."""
-
-    f: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.f):
-            raise ValueError(f"flux bias must be finite, got {self.f}")
-
-    @property
-    def detuning(self) -> float:
-        """Distance from the optimal point, f - 0.5."""
-        return self.f - 0.5
-
-    @property
-    def flux_wb(self) -> float:
-        """Absolute flux f * Phi0, Wb."""
-        return self.f * CONSTANTS.Phi0
-
-    @classmethod
-    def optimal(cls) -> "FluxBias":
-        return cls(0.5)
-
-
 def normalized_flux(f) -> float:
-    """Accept a FluxBias or a plain number and return the normalized flux value."""
-    if isinstance(f, FluxBias):
-        return f.f
+    """The normalized flux f = Phi/Phi0 as a finite float."""
     value = float(f)
     if not math.isfinite(value):
         raise ValueError(f"flux bias must be finite, got {value}")

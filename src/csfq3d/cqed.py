@@ -59,14 +59,6 @@ def total_pull(chi01_mhz: float, chi12_mhz: float) -> float:
     return chi01_mhz - chi12_mhz / 2.0
 
 
-def extract_couplings(omega01_ghz: float, omega12_ghz: float, omega_c0_ghz: float,
-                      omega_c_ghz: float, chi_mhz: float) -> tuple[float, float]:
-    """(g01, g12) in MHz from measured frequencies and the cavity pull; the
-    couplings of dispersive_set."""
-    ds = dispersive_set(omega01_ghz, omega12_ghz, omega_c0_ghz, omega_c_ghz, chi_mhz)
-    return ds.g01, ds.g12
-
-
 def dispersive_set(omega01_ghz: float, omega12_ghz: float, omega_c0_ghz: float,
                    omega_c_ghz: float, chi_mhz: float) -> DispersiveSet:
     """Full dispersive summary from measured frequencies and the cavity pull.

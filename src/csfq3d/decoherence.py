@@ -157,6 +157,11 @@ def qp_rate_components(q: QubitParams, omega01_ghz: float, env: QuasiparticleEnv
     gap_j = microev_to_joule(env.Delta0)
     hbar_omega = CONSTANTS.hbar * 2.0 * math.pi * omega01_ghz * 1e9
     kt = CONSTANTS.k_B * temperature_k
+    # a tiny positive input can underflow either energy to 0, which both divide
+    if kt == 0.0:
+        raise ValueError(f"temperature {temperature_k} K underflows k_B T to 0")
+    if hbar_omega == 0.0:
+        raise ValueError(f"omega01 = {omega01_ghz} GHz underflows hbar omega01 to 0")
     if hbar_omega > 0.25 * gap_j or kt > 0.25 * gap_j:
         warnings.warn(
             "quasiparticle model assumes hbar*omega01 and k_B*T << Delta0; "

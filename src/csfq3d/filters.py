@@ -1,12 +1,13 @@
-"""Frequency-domain filter functions of Ramsey, Hahn-echo and CPMG sequences.
+"""Frequency-domain filter functions of CPMG sequences of N pi pulses.
 
 g_N(omega, tau) = |1 + (-1)^(N+1) e^{i omega tau}
                    + 2 sum_j (-1)^j e^{i omega delta_j tau} cos(omega tau_pi/2)|^2
                   / (omega tau)^2
 
-with delta_j the normalized center of the j-th pi pulse.  N = 0 (empty sum)
-is the Ramsey free-induction filter; omega = 0 is handled by its analytic
-limit (1 for Ramsey, 0 for any refocusing sequence).
+with delta_j = (2j - 1)/(2N) the normalized center of the j-th pi pulse.
+N = 0 (empty sum) is the Ramsey free-induction filter and N = 1 the Hahn
+echo; omega = 0 is handled by its analytic limit (1 for Ramsey, 0 for any
+refocusing sequence).
 """
 
 from __future__ import annotations
@@ -19,52 +20,29 @@ import numpy as np
 def cpmg_positions(n_pulses: int) -> np.ndarray:
     """Normalized CPMG pulse centers delta_j = (2j - 1)/(2N), j = 1..N."""
     if n_pulses < 1:
-        raise ValueError("CPMG needs at least one pi pulse; use FilterSpec.ramsey for N=0")
+        raise ValueError(f"CPMG needs at least one pi pulse, got N = {n_pulses}")
     j = np.arange(1, n_pulses + 1)
     return (2.0 * j - 1.0) / (2.0 * n_pulses)
 
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Pulse sequence: N pi pulses of duration tau_pi within total length tau
-    (seconds), centered at normalized positions delta (strictly increasing,
-    inside (0, 1))."""
+    """CPMG sequence: N pi pulses of duration tau_pi within total length tau
+    (seconds), centered at the positions of :func:`cpmg_positions`."""
 
     N: int
     tau: float
-    tau_pi: float
-    delta: tuple[float, ...]
+    tau_pi: float = 0.0
 
     def __post_init__(self) -> None:
         if self.N < 0:
             raise ValueError(f"pulse count must be non-negative, got {self.N}")
-        if len(self.delta) != self.N:
-            raise ValueError(f"expected {self.N} pulse positions, got {len(self.delta)}")
         if self.tau <= 0.0:
             raise ValueError(f"sequence length must be positive, got {self.tau}")
         if self.tau_pi < 0.0:
             raise ValueError(f"pulse duration must be non-negative, got {self.tau_pi}")
         if self.N * self.tau_pi >= self.tau and self.N > 0:
             raise ValueError("pi pulses do not fit into the sequence length")
-        positions = np.asarray(self.delta)
-        if self.N > 0:
-            if np.any(positions <= 0.0) or np.any(positions >= 1.0):
-                raise ValueError("pulse positions must lie strictly inside (0, 1)")
-            if np.any(np.diff(positions) <= 0.0):
-                raise ValueError("pulse positions must be strictly increasing")
-
-    @classmethod
-    def ramsey(cls, tau: float) -> "FilterSpec":
-        return cls(N=0, tau=tau, tau_pi=0.0, delta=())
-
-    @classmethod
-    def cpmg(cls, n_pulses: int, tau: float, tau_pi: float = 0.0) -> "FilterSpec":
-        return cls(N=n_pulses, tau=tau, tau_pi=tau_pi,
-                   delta=tuple(cpmg_positions(n_pulses)))
-
-    @classmethod
-    def hahn_echo(cls, tau: float, tau_pi: float = 0.0) -> "FilterSpec":
-        return cls.cpmg(1, tau, tau_pi)
 
 
 def filter_function(spec: FilterSpec, omega):
@@ -86,7 +64,7 @@ def filter_function(spec: FilterSpec, omega):
         wt = w * spec.tau
         total = 1.0 + (-1.0) ** (spec.N + 1) * np.exp(1j * wt)
         if spec.N > 0:
-            positions = np.asarray(spec.delta)
+            positions = cpmg_positions(spec.N)
             signs = (-1.0) ** np.arange(1, spec.N + 1)
             phases = np.exp(1j * np.outer(w, positions) * spec.tau)
             total = total + 2.0 * (phases @ signs) * np.cos(w * spec.tau_pi / 2.0)

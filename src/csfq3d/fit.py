@@ -200,6 +200,8 @@ def _lm_result(outcome: _LMOutcome, parameters: dict[str, float], scale,
     The covariance is the linearized s^2 (J^T J)^-1 at the optimum (the
     pseudo-inverse, flagged ``degenerate_jacobian``, when J^T J is singular
     or ill-conditioned), mapped through the diagonal scale = d(physical)/d(fitted).
+    A parameter with an all-zero Jacobian column, one no difference step
+    moves (alpha at a subnormal start), was not fitted: not converged.
     """
     m, n_params = outcome.jacobian.shape
     s2 = float(outcome.residual @ outcome.residual) / max(m - n_params, 1)
@@ -221,7 +223,8 @@ def _lm_result(outcome: _LMOutcome, parameters: dict[str, float], scale,
         covariance=cov,
         residual_norm=residual_norm,
         iterations=outcome.iterations,
-        converged=outcome.converged and converged and _finite(parameters, residual_norm),
+        converged=(outcome.converged and converged and _finite(parameters, residual_norm)
+                   and bool(np.all(np.any(outcome.jacobian != 0.0, axis=0)))),
         cost_history=outcome.cost_history,
         flags=(() if well_posed else ("degenerate_jacobian",)) + flags,
     )
@@ -266,7 +269,10 @@ def _logit_half(alpha: float) -> float:
 
 
 def _expit_half(u: float) -> float:
-    return 0.5 / (1.0 + math.exp(-u))
+    try:
+        return 0.5 / (1.0 + math.exp(-u))
+    except OverflowError:  # u below about -709, where 0.5 e^u is the same to double precision
+        return 0.5 * math.exp(u)
 
 
 def _trial_params(alpha: float, c_s: float, e_j: float, e_c: float) -> QubitParams:
@@ -315,7 +321,10 @@ def fit_spectrum(data: DataSeries, init: QubitParams,
 
     def residual(u):
         alpha, c_s, e_j = unpack(u)
-        q = _trial_params(alpha, c_s, e_j, init.E_C)
+        try:
+            q = _trial_params(alpha, c_s, e_j, init.E_C)
+        except ValueError:  # a trial step out of range, e.g. alpha rounding to 0.5
+            return np.full(len(f) + (anharmonicity_ghz is not None), np.inf)
         delta = analytic.gap(q)
         slope = analytic.epsilon_slope(q)
         model = delta + 2.0 * (slope * (f - 0.5)) ** 2 / delta

@@ -13,7 +13,7 @@ import pytest
 
 from csfq3d import analytic, cli
 from csfq3d.core import QubitParams
-from csfq3d.cqed import chi_partial, extract_couplings, purcell_t1, total_pull
+from csfq3d.cqed import chi_partial, dispersive_set, purcell_t1, total_pull
 from csfq3d.decoherence import (
     FluxNoise,
     QuasiparticleEnv,
@@ -69,7 +69,8 @@ def test_criterion_02_full_2d_diagonalization():
 
 
 def test_criterion_03_dispersive_self_consistency():
-    g01, g12 = extract_couplings(4.68, 5.46, 8.2175, 8.219, 0.892)
+    couplings = dispersive_set(4.68, 5.46, 8.2175, 8.219, 0.892)
+    g01, g12 = couplings.g01, couplings.g12
     assert abs(g01 - 73.0) <= 1.0, g01
     assert abs(g12 - 115.0) <= 1.0, g12
     chi01 = chi_partial(g01, 4.68, 8.2175)
@@ -161,18 +162,18 @@ def test_criterion_09_flux_noise_amplitude_round_trip():
 
 
 def test_criterion_10_filter_functions():
-    hahn = FilterSpec.hahn_echo(1.0)
+    hahn = FilterSpec(1, 1.0)
     wt = np.linspace(0.1, 100.0, 8001)
     closed_form = 16.0 * np.sin(wt / 4.0) ** 4 / wt**2
     max_dev = np.max(np.abs(filter_function(hahn, wt) - closed_form))
     assert max_dev < 1e-10, max_dev
 
-    for spec in (FilterSpec.ramsey(1.0), hahn, FilterSpec.cpmg(20, 1.0),
-                 FilterSpec.cpmg(20, 1.0, tau_pi=0.001)):
+    for spec in (FilterSpec(0, 1.0), hahn, FilterSpec(20, 1.0),
+                 FilterSpec(20, 1.0, tau_pi=0.001)):
         omega = np.logspace(-2, 3, 2000)
         assert np.all(filter_function(spec, omega) >= 0.0)
 
-    cpmg = FilterSpec.cpmg(20, 1.0)
+    cpmg = FilterSpec(20, 1.0)
     omega = np.linspace(0.5 * math.pi * 20, 1.5 * math.pi * 20, 40001)
     values = filter_function(cpmg, omega)
     peak = omega[np.argmax(values)]

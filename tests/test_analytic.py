@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from csfq3d import analytic
-from csfq3d.core import FluxBias, NegativeAnharmonicityWarning, QubitParams, capacitance_from_charging_energy
+from csfq3d.core import NegativeAnharmonicityWarning, QubitParams, capacitance_from_charging_energy
 
 
 def reference_qubit(e_cs=0.25):
@@ -50,7 +50,7 @@ class TestAnharmonicity:
 
 class TestEpsilon:
     def test_zero_at_optimal_point(self):
-        assert analytic.epsilon(reference_qubit(), FluxBias.optimal()) == 0.0
+        assert analytic.epsilon(reference_qubit(), 0.5) == 0.0
 
     def test_slope_value(self):
         assert analytic.epsilon_slope(reference_qubit()) == pytest.approx(110.71584859233687, rel=1e-12)

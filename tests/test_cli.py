@@ -70,9 +70,6 @@ shape = gaussian
 [fit]
 anharmonicity_ghz = 0.7863981990780409
 exclude_halfwidth = 0.002
-
-[output]
-format = csv
 """
 
 
@@ -150,7 +147,7 @@ class TestConfig:
         section, key = {"format": ("output", "format"), "shape": ("envelope", "shape"),
                         "exclude_halfwidth": ("fit", "exclude_halfwidth")}[line.split(" = ")[0]]
         path = tmp_path / "c.ini"
-        path.write_text(BASE_CONFIG.replace(line, value))
+        path.write_text((BASE_CONFIG + "\n[output]\nformat = csv\n").replace(line, value))
         out = tmp_path / "o"
         command = [str(DATA_DIR / a) if a.endswith(".csv") else a for a in command]
         assert cli.main(["--config", str(path), "--out", str(out), *command]) == cli.EXIT_CONFIG
@@ -186,6 +183,16 @@ class TestConfig:
         fit_parser = parser._subparsers._group_actions[0].choices["fit"]
         assert [a.dest for a in fit_parser._actions] == ["help", "target", "data"]
 
+    def test_legacy_csv_format_key_is_accepted(self, tmp_path, config_path):
+        # tables are CSV only; an older config that says so writes the same tables
+        path = tmp_path / "legacy.ini"
+        path.write_text(BASE_CONFIG + "\n[output]\nformat = csv\n")
+        out_new, out_old = tmp_path / "new", tmp_path / "old"
+        assert cli.main(["--config", str(config_path), "--out", str(out_new), "filter"]) == 0
+        assert cli.main(["--config", str(path), "--out", str(out_old), "filter"]) == 0
+        for name in ("filter_N1.csv", "filter_N20.csv"):
+            assert (out_new / name).read_bytes() == (out_old / name).read_bytes()
+
     def test_legacy_states_key_is_ignored(self, tmp_path, config_path):
         path = tmp_path / "legacy.ini"
         path.write_text(BASE_CONFIG.replace("n = 20\n", "n = 20\nstates = 99\n"))
@@ -198,16 +205,16 @@ class TestConfig:
 
 # the sections each command reads, and the values a one-key mutation tries
 COMMAND_SECTIONS = {
-    "spectrum": ("qubit", "grid", "flux_sweep", "output"),
+    "spectrum": ("qubit", "grid", "flux_sweep"),
     "coherence": ("qubit", "cavity", "cqed", "noise", "attenuation", "flux_sweep",
-                  "temperature_sweep", "output"),
-    "filter": ("filter", "output"),
+                  "temperature_sweep"),
+    "filter": ("filter",),
     "fit spectrum": ("qubit", "fit"),
     "fit t1": ("qubit", "cqed", "noise", "fit"),
     "fit envelope": ("envelope", "fit"),
     "fit fluxnoise": ("qubit", "fit"),
 }
-MUTATIONS = ("nan", "inf", "0", "-1", "1e300")
+MUTATIONS = ("nan", "inf", "0", "-1", "1e300", "5e-324")
 
 
 def command_argv(command: str) -> list[str]:
@@ -252,6 +259,35 @@ class TestMutatedConfig:
                 elif code in (1, 2) and len(errors) != 1:
                     escapes.append(f"{label}: exit {code} printed {errors}")
         assert not escapes, "\n".join(escapes)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("command, section, key, code, message", [
+        ("spectrum", "qubit", "e_j_ghz", 1, "E_J = 5e-324 GHz underflows"),
+        ("coherence", "qubit", "e_j_ghz", 1, "E_J = 5e-324 GHz underflows"),
+        ("spectrum", "qubit", "c_s_ff", 1, "C_S = 5e-324 fF underflows"),
+        ("coherence", "cqed", "omega01_ghz", 1, "omega01 = 5e-324 GHz underflows"),
+        ("fit t1", "cqed", "omega01_ghz", 1, "omega01 = 5e-324 GHz underflows"),
+        ("coherence", "noise", "base_temperature_k", 1, "temperature 5e-324 K underflows"),
+        ("fit spectrum", "qubit", "alpha", 2, "alpha = 4.94066e-324"),
+    ], ids=["spectrum-e_j", "coherence-e_j", "spectrum-c_s", "coherence-omega01",
+            "fit-t1-omega01", "coherence-base-temperature", "fit-spectrum-alpha"])
+    def test_tiny_positive_value_names_the_quantity(self, tmp_path, capsys, command,
+                                                     section, key, code, message):
+        # the smallest positive double underflows a scale the models divide by,
+        # or pins a fit parameter where no difference step can move it
+        parser = configparser.ConfigParser()
+        parser.read_string(BASE_CONFIG)
+        parser[section][key] = "5e-324"
+        path = tmp_path / "c.ini"
+        with open(path, "w") as handle:
+            parser.write(handle)
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out),
+                         *command_argv(command)]) == code
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and message in err
+        if code == cli.EXIT_CONFIG:
+            assert not list(out.glob("*"))  # rejected before any output is written
 
 
 class TestBundledConfigs:
@@ -355,16 +391,17 @@ class TestSpectrumCommand:
                          "--workers", "4", "spectrum"]) == 0
         assert (out_a / "spectrum.csv").read_bytes() == (out_b / "spectrum.csv").read_bytes()
 
-    def test_json_format(self, tmp_path):
+    def test_json_format(self, tmp_path, capsys):
+        # tables are CSV only: a config asking for JSON tables is refused,
+        # never answered with CSV
         path = tmp_path / "c.ini"
-        path.write_text(BASE_CONFIG.replace("format = csv", "format = json"))
+        path.write_text(BASE_CONFIG + "\n[output]\nformat = json\n")
         out = tmp_path / "json_out"
         code = cli.main(["--config", str(path), "--out", str(out), "spectrum"])
-        assert code == cli.EXIT_OK
-        records = json.loads((out / "spectrum.json").read_text())
-        assert len(records) == 5
-        assert set(records[0]) == {"flux_phi0", "omega01_analytic_GHz",
-                                   "omega01_numeric_GHz", "omega12_numeric_GHz", "status"}
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: [output] format must be one of csv, got 'json'\n")
+        assert not out.exists()
 
     # a warning raised in a sweep thread would fail that row, and the counts below
     @pytest.mark.filterwarnings("error::UserWarning")
@@ -407,8 +444,7 @@ class TestSpectrumCommand:
         # row f > 0.5 reusing its mirror 1 - f and the summary the 0.5 row;
         # linspace(0.49, 0.499, 5) has no mirror pairs and lacks 0.5
         path = tmp_path / "c.ini"
-        path.write_text(BASE_CONFIG.replace("stop = 0.51", f"stop = {stop}")
-                        .replace("format = csv", "format = json"))
+        path.write_text(BASE_CONFIG.replace("stop = 0.51", f"stop = {stop}"))
         calls = []
         original = cli.lowest_eigenpairs
 
@@ -420,12 +456,12 @@ class TestSpectrumCommand:
         out = tmp_path / "out"
         assert cli.main(["--config", str(path), "--out", str(out), "spectrum"]) == cli.EXIT_OK
         assert calls == [3] * solves  # the three levels behind omega01 and omega12
-        records = json.loads((out / "spectrum.json").read_text())
+        header, rows = read_csv(out / "spectrum.csv")
         summary = json.loads((out / "spectrum_summary.json").read_text())
-        at_optimum = [r for r in records if r["flux_phi0"] == 0.5]
-        for record in at_optimum:
-            assert summary["omega01_numeric_GHz"] == record["omega01_numeric_GHz"]
-            assert summary["omega12_numeric_GHz"] == record["omega12_numeric_GHz"]
+        at_optimum = [dict(zip(header, row)) for row in rows if float(row[0]) == 0.5]
+        for record in at_optimum:  # the row is the summary value to 12 digits
+            for key in ("omega01_numeric_GHz", "omega12_numeric_GHz"):
+                assert record[key] == cli._fmt(summary[key])
         assert len(at_optimum) == (1 if stop == 0.51 else 0)
 
     @pytest.mark.parametrize("steps,solves", [(5, 3), (9, 7)])
@@ -667,16 +703,18 @@ class TestFilterCommand:
             assert float(row[1]) == pytest.approx(expected, abs=1e-10)
 
     @pytest.mark.parametrize("line, value", [("pulse_counts = 1, 20", "pulse_counts = 1, -1"),
+                                             ("pulse_counts = 1, 20", "pulse_counts = 1, 20, 1"),
                                              ("tau_s = 100e-6", "tau_s = 0"),
                                              ("omega_min_rad_s = 1e3", "omega_min_rad_s = 0")],
-                             ids=["pulse_counts", "tau_s", "omega_min_rad_s"])
+                             ids=["pulse_counts", "pulse_counts-repeated", "tau_s",
+                                  "omega_min_rad_s"])
     def test_invalid_sequence_or_grid_rejected(self, tmp_path, capsys, line, value):
         path = tmp_path / "c.ini"
         path.write_text(BASE_CONFIG.replace(line, value))
         out = tmp_path / "out"
         assert cli.main(["--config", str(path), "--out", str(out), "filter"]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "[filter]" in err
+        assert "[filter]" in err and "FilterSpec" not in err  # names the key, not an API
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert not list(out.glob("*.csv"))  # rejected before any table, even a valid N = 1
 

@@ -54,19 +54,20 @@ class TestTotalPull:
 
 class TestExtractCouplings:
     def test_reference_values(self):
-        g01, g12 = cqed.extract_couplings(OMEGA01, OMEGA12, OMEGA_C0, OMEGA_C, CHI)
+        couplings = cqed.dispersive_set(OMEGA01, OMEGA12, OMEGA_C0, OMEGA_C, CHI)
+        g01, g12 = couplings.g01, couplings.g12
         assert g01 == pytest.approx(72.8440114216687, rel=1e-12)
         assert g12 == pytest.approx(114.85590973041096, rel=1e-12)
 
     def test_chi12_zero_gives_zero_g12(self):
         chi01 = (OMEGA_C0 - OMEGA_C) * 1e3
-        _, g12 = cqed.extract_couplings(OMEGA01, OMEGA12, OMEGA_C0, OMEGA_C, chi01)
+        g12 = cqed.dispersive_set(OMEGA01, OMEGA12, OMEGA_C0, OMEGA_C, chi01).g12
         assert g12 == 0.0
 
     def test_inconsistent_inputs_rejected(self):
         # dressed cavity below bare for a qubit below the cavity: negative radicand
         with pytest.raises(ValueError, match="inconsistent"):
-            cqed.extract_couplings(OMEGA01, OMEGA12, OMEGA_C0, 8.216, CHI)
+            cqed.dispersive_set(OMEGA01, OMEGA12, OMEGA_C0, 8.216, CHI)
 
     @given(
         st.floats(min_value=20.0, max_value=150.0),
@@ -89,12 +90,13 @@ class TestExtractCouplings:
             ratio > cqed.DISPERSIVE_RATIO_CEILING for ratio in ratios)
         chi = cqed.total_pull(chi01, chi12)
         omega_c = omega_c0 - chi01 * 1e-3
-        g01_back, g12_back = cqed.extract_couplings(omega01, omega12, omega_c0, omega_c, chi)
-        assert g01_back == pytest.approx(g01, rel=1e-9)
-        assert g12_back == pytest.approx(g12, rel=1e-9)
+        back = cqed.dispersive_set(omega01, omega12, omega_c0, omega_c, chi)
+        assert back.g01 == pytest.approx(g01, rel=1e-9)
+        assert back.g12 == pytest.approx(g12, rel=1e-9)
 
     def test_forward_recomputation_consistency(self):
-        g01, g12 = cqed.extract_couplings(OMEGA01, OMEGA12, OMEGA_C0, OMEGA_C, CHI)
+        couplings = cqed.dispersive_set(OMEGA01, OMEGA12, OMEGA_C0, OMEGA_C, CHI)
+        g01, g12 = couplings.g01, couplings.g12
         chi01 = cqed.chi_partial(g01, OMEGA01, OMEGA_C0)
         chi12 = cqed.chi_partial(g12, OMEGA12, OMEGA_C0)
         assert cqed.total_pull(chi01, chi12) == pytest.approx(CHI, rel=1e-9)

@@ -173,6 +173,16 @@ class TestQpRelaxation:
         with pytest.raises(ValueError):
             qp_relaxation_rate(reference_qubit(), 4.68, env, 0.0, REFERENCE_MATRIX_ELEMENTS)
 
+    @pytest.mark.parametrize("omega01, temperature, message", [
+        (4.68, 5e-324, "temperature 5e-324 K underflows k_B T"),
+        (1e-300, 0.01, "omega01 = 1e-300 GHz underflows hbar omega01"),
+    ])
+    def test_rejects_underflowing_energy(self, omega01, temperature, message):
+        env = QuasiparticleEnv(x_qp=6e-8)
+        with pytest.raises(ValueError, match=message):
+            qp_relaxation_rate(reference_qubit(), omega01, env, temperature,
+                               REFERENCE_MATRIX_ELEMENTS)
+
 
 class TestEffectiveTemperature:
     def test_single_stage_identity(self):

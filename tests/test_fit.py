@@ -78,6 +78,26 @@ class TestFitSpectrum:
                              E_C=3.2, C_S=result.parameters["C_S_fF"])
         assert analytic.gap(fitted) == pytest.approx(analytic.gap(TRUTH), rel=1e-9)
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_low_start_alpha_converges(self):
+        # from alpha = 0.01 a trial step rounds alpha to 0.5, which QubitParams
+        # rejects; the step is refused, and the fit still finds the generator
+        start = QubitParams(alpha=0.01, E_J=INIT.E_J, E_C=INIT.E_C, C_S=INIT.C_S)
+        result = fit_spectrum(synthetic_spectrum(), start,
+                              anharmonicity_ghz=analytic.anharmonicity(TRUTH))
+        assert result.converged
+        assert result.parameters["alpha"] == pytest.approx(0.41, rel=1e-3)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_subnormal_start_alpha_is_not_converged(self):
+        # alpha = 5e-324 sits where no difference step changes it: the fit
+        # ends, but has not determined alpha
+        start = QubitParams(alpha=5e-324, E_J=INIT.E_J, E_C=INIT.E_C, C_S=INIT.C_S)
+        result = fit_spectrum(synthetic_spectrum(), start,
+                              anharmonicity_ghz=analytic.anharmonicity(TRUTH))
+        assert not result.converged
+        assert result.parameters["alpha"] == 5e-324
+
     def test_cost_history_monotone(self):
         result = fit_spectrum(synthetic_spectrum(noise=1e-3), INIT,
                               anharmonicity_ghz=analytic.anharmonicity(TRUTH))
