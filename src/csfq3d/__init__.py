@@ -15,20 +15,14 @@ from .analytic import (
     omega01,
     perturbative_level,
     perturbative_spectrum,
-    validity_ratio,
 )
 from .core import (
     CONSTANTS,
     CavityParams,
     NegativeAnharmonicityWarning,
-    PhysicalConstants,
     QubitParams,
     capacitance_from_charging_energy,
     charging_energy_from_capacitance,
-    ghz_to_joule,
-    ghz_to_kelvin,
-    joule_to_ghz,
-    kelvin_to_ghz,
 )
 from .cqed import (
     DispersiveLimitWarning,
@@ -52,7 +46,7 @@ from .decoherence import (
     thermal_dephasing_rate,
     thermal_photon_population,
 )
-from .filters import FilterSpec, cpmg_positions, filter_curve, filter_function
+from .filters import FilterSpec, cpmg_positions, filter_function
 from .fit import (
     DataSeries,
     FitError,

@@ -28,7 +28,8 @@ class PerturbativeSpectrum:
     """Summary of the perturbative model at the optimal point.
 
     Delta is the qubit gap (GHz), dEps_df the slope of the flux-induced energy
-    shift (GHz per unit normalized flux), A the anharmonicity (GHz).
+    shift (GHz per unit normalized flux), A the anharmonicity (GHz) and
+    validity_ratio E_J(1 - 2 alpha)/E_CS, the inverse expansion parameter.
     """
 
     Delta: float
@@ -36,11 +37,6 @@ class PerturbativeSpectrum:
     A: float
     validity_ratio: float
     flags: tuple[str, ...]
-
-
-def validity_ratio(q: QubitParams) -> float:
-    """E_J(1 - 2 alpha)/E_CS; the expansion parameter of the model is its inverse."""
-    return q.E_J * (1.0 - 2.0 * q.alpha) / q.E_CS
 
 
 def gap(q: QubitParams) -> float:
@@ -114,7 +110,7 @@ def perturbative_spectrum(q: QubitParams) -> PerturbativeSpectrum:
     Warns (and flags) when E_J(1-2 alpha)/E_CS < 20, where the quartic and
     higher cosine-expansion terms are no longer small.
     """
-    ratio = validity_ratio(q)
+    ratio = q.E_J * (1.0 - 2.0 * q.alpha) / q.E_CS
     flags: tuple[str, ...] = ()
     if ratio < VALIDITY_RATIO_FLOOR:
         flags = ("perturbative_ratio_low",)

@@ -5,9 +5,9 @@ Subcommands: spectrum, coherence, filter, fit {spectrum|t1|envelope|fluxnoise}.
 The configuration is an INI file with one section per module (see
 data/example_config.ini for the full schema) and the only source of every
 setting that changes an output; the flags name the config, the output
-directory and the thread count.  Every run writes a manifest.json carrying
-the config hash, package versions and unit conventions, and reruns with an
-identical config are bit-identical.
+directory and the thread count, which no output depends on.  Every run
+writes a manifest.json carrying the config hash, package versions and unit
+conventions, and reruns with an identical config are bit-identical.
 
 Exit codes: 0 success, 1 config/parse or usage error, 2 fit or eigensolve
 non-convergence, 3 partial sweep failure.
@@ -42,7 +42,7 @@ from .decoherence import (
     thermal_dephasing_rate,
     thermal_photon_population,
 )
-from .filters import FilterSpec, filter_curve
+from .filters import FilterSpec, filter_function
 from .fit import (
     DataSeries,
     FitError,
@@ -302,15 +302,16 @@ def _write_manifest(outdir: Path, command: str, config: RunConfig, outputs: list
 
 
 def _map_indexed(fn, items, workers: int):
-    """Apply fn to each item on `workers` threads, preserving input order;
-    each result is (item, value, None) or, when fn raised, (item, None, error)."""
+    """Apply fn to each item on `workers` threads (at least one), preserving
+    input order; each result is (item, value, None) or, when fn raised,
+    (item, None, error)."""
     def point(item):
         try:
             return item, fn(item), None
         except Exception as err:  # noqa: BLE001 - reported per sweep point
             return item, None, err
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
         return list(pool.map(point, items))
 
 
@@ -366,7 +367,7 @@ def read_data_csv(path: str | Path, columns: tuple[str, str]) -> DataSeries:
     if not header_seen:
         raise DataFileError(f"{path.name}: empty data file")
     try:
-        return DataSeries(np.array(x), np.array(y), x_label=columns[0], y_label=columns[1])
+        return DataSeries(np.array(x), np.array(y))
     except FitError as err:
         raise DataFileError(f"{path.name}: {err}") from err
 
@@ -379,7 +380,6 @@ def cmd_spectrum(config: RunConfig, args) -> int:
     q = config.qubit()
     grid = config.grid()
     flux = config.sweep("flux_sweep", "start", "stop")
-    workers = max(1, args.workers)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -388,7 +388,7 @@ def cmd_spectrum(config: RunConfig, args) -> int:
 
     # H(1 - f) is H(f) with phi_m -> -phi_m, so each mirror pair is solved once
     keys = sorted({min(f, 1.0 - f) for f in flux} | {0.5})
-    solved = {f: (result, err) for f, result, err in _map_indexed(solve, keys, workers)}
+    solved = {f: (result, err) for f, result, err in _map_indexed(solve, keys, args.workers)}
     rows = []
     for f in flux:
         w_analytic = analytic.omega01(q, f)
@@ -418,8 +418,7 @@ def cmd_spectrum(config: RunConfig, args) -> int:
     }
     summary_path = outdir / "spectrum_summary.json"
     _write_json(summary_path, summary)
-    _write_manifest(outdir, "spectrum", config, [table, summary_path],
-                    {"workers": workers})
+    _write_manifest(outdir, "spectrum", config, [table, summary_path])
     if optimal_error is not None:
         print(f"error: optimal point f = 0.5: {optimal_error}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
@@ -434,7 +433,6 @@ def cmd_coherence(config: RunConfig, args) -> int:
     cqed_in = config.cqed_inputs()
     base_temperature = config.base_temperature_k()
     chain = config.attenuation_chain()
-    workers = max(1, args.workers)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     matrix_elements = analytic.junction_matrix_elements(q)
@@ -453,7 +451,7 @@ def cmd_coherence(config: RunConfig, args) -> int:
     # the budget point is not a sweep point: a value it rejects is a config error
     t1_base = _checked("[cqed]/[noise] values", t1_point, base_temperature)
     t1_rows = [[t, value, "ok"] if err is None else [t, "", f"error:{err.__class__.__name__}"]
-               for t, value, err in _map_indexed(t1_point, list(temperatures), workers)]
+               for t, value, err in _map_indexed(t1_point, list(temperatures), args.workers)]
     failures = sum(row[2] != "ok" for row in t1_rows)
     t1_table = _write_table(outdir / "t1_vs_temperature.csv",
                             ["temp_K", "t1_qp_s", "status"], t1_rows)
@@ -488,8 +486,7 @@ def cmd_coherence(config: RunConfig, args) -> int:
     }
     budget_path = outdir / "decoherence_budget.json"
     _write_json(budget_path, budget)
-    _write_manifest(outdir, "coherence", config, [t1_table, flux_table, budget_path],
-                    {"workers": workers})
+    _write_manifest(outdir, "coherence", config, [t1_table, flux_table, budget_path])
     # an overflowing input leaves a non-finite rate or a NaN time; an
     # infinite budget time (no quasiparticle rate) is a legitimate value
     invalid = [f"dephasing_vs_flux {name} = {value} at flux_phi0 = {row[0]}"
@@ -516,7 +513,7 @@ def cmd_filter(config: RunConfig, args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = []
     for spec in specs:
-        rows = [[w, g] for w, g in filter_curve(spec, omega)]
+        rows = [[w, g] for w, g in zip(omega, filter_function(spec, omega))]
         outputs.append(_write_table(outdir / f"filter_N{spec.N}.csv",
                                     ["omega_rad_s", "filter_value"], rows))
     _write_manifest(outdir, "filter", config, outputs,

@@ -1,4 +1,5 @@
-"""Physical constants, unit conversions, and validated parameter containers.
+"""Physical constants, the capacitance and micro-eV conversions the models
+use, and validated parameter containers.
 
 Unit conventions used throughout the package:
 
@@ -16,6 +17,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -37,26 +40,6 @@ class PhysicalConstants:
 
 
 CONSTANTS = PhysicalConstants()
-
-
-def ghz_to_joule(energy_ghz: float) -> float:
-    """Cyclic GHz (E/h) to Joule."""
-    return energy_ghz * 1e9 * CONSTANTS.h
-
-
-def joule_to_ghz(energy_j: float) -> float:
-    """Joule to cyclic GHz (E/h)."""
-    return energy_j / CONSTANTS.h / 1e9
-
-
-def kelvin_to_ghz(temperature_k: float) -> float:
-    """Thermal energy k_B T expressed as a cyclic frequency in GHz."""
-    return temperature_k * CONSTANTS.k_B / CONSTANTS.h / 1e9
-
-
-def ghz_to_kelvin(energy_ghz: float) -> float:
-    """Inverse of :func:`kelvin_to_ghz`."""
-    return energy_ghz * 1e9 * CONSTANTS.h / CONSTANTS.k_B
 
 
 def microev_to_joule(energy_uev: float) -> float:
@@ -116,11 +99,6 @@ class QubitParams:
         return charging_energy_from_capacitance(self.C_S)
 
     @property
-    def C_J(self) -> float:
-        """Large-junction capacitance implied by E_C, fF."""
-        return capacitance_from_charging_energy(self.E_C)
-
-    @property
     def beta(self) -> float:
         """Capacitance ratio C_S/C_J (equals E_C/E_CS)."""
         return self.E_C / self.E_CS
@@ -173,14 +151,11 @@ class CavityParams:
         """Total linewidth kappa_c + kappa_i, MHz."""
         return self.kappa_c + self.kappa_i
 
-    @property
-    def quality_factor(self) -> float:
-        return self.omega_c0 * 1e3 / self.kappa
 
-
-def normalized_flux(f) -> float:
-    """The normalized flux f = Phi/Phi0 as a finite float."""
-    value = float(f)
-    if not math.isfinite(value):
-        raise ValueError(f"flux bias must be finite, got {value}")
-    return value
+def normalized_flux(f):
+    """The normalized flux f = Phi/Phi0: a float for a scalar, else a float array.
+    Every entry must be finite."""
+    value = np.asarray(f, dtype=float)
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"flux bias must be finite, got {f}")
+    return float(value) if value.ndim == 0 else value

@@ -186,17 +186,16 @@ def qp_relaxation_rate(q: QubitParams, omega01_ghz: float, env: QuasiparticleEnv
     return qp_rate_components(q, omega01_ghz, env, temperature_k, matrix_elements).total
 
 
-def thermal_voltage_psd(omega_ghz: float, temperature_k: float,
-                        resistance: float = 50.0) -> float:
-    """Quantum Johnson noise power spectral density of a resistor, V^2/Hz:
-    4 k_B T R (hbar omega/k_B T)/(exp(hbar omega/k_B T) - 1); strictly
+def thermal_voltage_psd(omega_ghz: float, temperature_k: float) -> float:
+    """Quantum Johnson noise power spectral density of an R = 50 Ohm resistor,
+    V^2/Hz: 4 k_B T R (hbar omega/k_B T)/(exp(hbar omega/k_B T) - 1); strictly
     increasing in T.  omega_ghz is a cyclic frequency."""
     if temperature_k <= 0.0:
         raise ValueError(f"temperature must be positive, got {temperature_k} K")
     x = CONSTANTS.h * omega_ghz * 1e9 / (CONSTANTS.k_B * temperature_k)
     if x > 700.0:  # noise power underflows double precision
         return 0.0
-    return 4.0 * CONSTANTS.k_B * temperature_k * resistance * x / math.expm1(x)
+    return 4.0 * CONSTANTS.k_B * temperature_k * 50.0 * x / math.expm1(x)
 
 
 def effective_temperature(chain: AttenuationChain, omega_c_ghz: float) -> float:

@@ -7,7 +7,8 @@ g_N(omega, tau) = |1 + (-1)^(N+1) e^{i omega tau}
 with delta_j = (2j - 1)/(2N) the normalized center of the j-th pi pulse.
 N = 0 (empty sum) is the Ramsey free-induction filter and N = 1 the Hahn
 echo; omega = 0 is handled by its analytic limit (1 for Ramsey, 0 for any
-refocusing sequence).
+refocusing sequence).  :func:`filter_function` takes a scalar or an array of
+omega; ``csfq3d filter`` tabulates it on a log-spaced grid.
 """
 
 from __future__ import annotations
@@ -72,10 +73,3 @@ def filter_function(spec: FilterSpec, omega):
 
     return float(out[0]) if scalar else out
 
-
-def filter_curve(spec: FilterSpec, omega_grid) -> np.ndarray:
-    """Tabulate (omega, g_N) rows over a positive angular-frequency grid."""
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    if np.any(omega_grid <= 0.0):
-        raise ValueError("frequency grid must be strictly positive")
-    return np.column_stack([omega_grid, filter_function(spec, omega_grid)])

@@ -7,7 +7,9 @@ domain are fitted through transforms (alpha by a logit onto (0, 0.5),
 energies and capacitances by a log) or by clipping (rates at zero), so the
 optimizer never leaves the physical region.  The quasiparticle density x_qp
 and the flux-noise amplitude A_Phi enter their models linearly, so each is a
-closed-form through-origin regression, no iteration needed.
+closed-form through-origin regression, no iteration needed.  A fit whose
+model lives in :mod:`csfq3d.analytic` or :mod:`csfq3d.decoherence` calls it
+there rather than restating it.
 """
 
 from __future__ import annotations
@@ -48,8 +50,6 @@ class DataSeries:
     x: np.ndarray
     y: np.ndarray
     y_err: np.ndarray | None = None
-    x_label: str = ""
-    y_label: str = ""
 
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=float)
@@ -120,15 +120,20 @@ class _LMOutcome:
     converged: bool
 
 
-def _levenberg_marquardt(residual_fn, x0, *, clip=None, max_iter=200,
-                         step_tol=1e-10, grad_tol=1e-12, rel_step=1e-6) -> _LMOutcome:
+_LM_MAX_ITER = 200
+_LM_STEP_TOL = 1e-10
+_LM_GRAD_TOL = 1e-12
+
+
+def _levenberg_marquardt(residual_fn, x0, *, clip=None) -> _LMOutcome:
     """Minimize ||residual_fn(x)||^2 with Marquardt-scaled damping.
 
     Steps solve (J^T J + lam diag(J^T J)) delta = -J^T r and are accepted
     only when the cost does not increase, so the recorded cost history is
-    monotone.  Convergence: relative step below step_tol, or max |gradient|
-    below grad_tol, or no acceptable step at maximum damping.  A non-finite
-    gradient (an overflowing model) ends the fit unconverged.
+    monotone.  Convergence within _LM_MAX_ITER steps: relative step below
+    _LM_STEP_TOL, or max |gradient| below _LM_GRAD_TOL, or no acceptable step
+    at maximum damping.  A non-finite gradient (an overflowing model) ends
+    the fit unconverged.  Jacobians take _central_jacobian's default step.
     """
     x = np.asarray(x0, dtype=float).copy()
     if clip is not None:
@@ -145,12 +150,12 @@ def _levenberg_marquardt(residual_fn, x0, *, clip=None, max_iter=200,
     converged = False
     iterations = 0
 
-    jac = _central_jacobian(residual_fn, x, floor, rel_step)
-    for iterations in range(1, max_iter + 1):
+    jac = _central_jacobian(residual_fn, x, floor)
+    for iterations in range(1, _LM_MAX_ITER + 1):
         grad = jac.T @ r
         if not np.all(np.isfinite(grad)):
             break
-        if np.max(np.abs(grad)) < grad_tol:
+        if np.max(np.abs(grad)) < _LM_GRAD_TOL:
             converged = True
             break
         normal = jac.T @ jac
@@ -171,12 +176,12 @@ def _levenberg_marquardt(residual_fn, x0, *, clip=None, max_iter=200,
             cost_trial = float(r_trial @ r_trial)
             if np.isfinite(cost_trial) and cost_trial <= cost:
                 step = np.linalg.norm(trial - x)
-                rel = step / max(np.linalg.norm(x), step_tol)
+                rel = step / max(np.linalg.norm(x), _LM_STEP_TOL)
                 x, r, cost = trial, r_trial, cost_trial
                 history.append(cost)
                 lam = max(lam / 3.0, 1e-14)
                 accepted = True
-                if rel < step_tol:
+                if rel < _LM_STEP_TOL:
                     converged = True
                 break
             lam *= 10.0
@@ -185,7 +190,7 @@ def _levenberg_marquardt(residual_fn, x0, *, clip=None, max_iter=200,
             # no direction improves the cost at maximum damping: stationary
             converged = True
             break
-        jac = _central_jacobian(residual_fn, x, floor, rel_step)
+        jac = _central_jacobian(residual_fn, x, floor)
         if converged:
             break
 
@@ -286,19 +291,19 @@ def _trial_params(alpha: float, c_s: float, e_j: float, e_c: float) -> QubitPara
 
 
 def fit_spectrum(data: DataSeries, init: QubitParams,
-                 anharmonicity_ghz: float | None = None,
-                 anharmonicity_err: float = 0.01) -> FitResult:
+                 anharmonicity_ghz: float | None = None) -> FitResult:
     """Extract (alpha, C_S, E_J) from an omega01(f) spectrum, GHz vs Phi/Phi0.
 
-    Uses the perturbative forward model Delta + 2 eps^2/Delta; needs at least
-    four points with flux biases on both sides of the optimal point.
+    Uses the perturbative forward model :func:`csfq3d.analytic.omega01`,
+    Delta + 2 eps^2/Delta; needs at least four points with flux biases on
+    both sides of the optimal point.
 
     The omega01(f) curve alone is a parabola and pins only two combinations
     of the three parameters (the gap and the curvature), so the fit has an
     exactly flat direction.  Passing the separately measured anharmonicity
-    (the two-tone omega12 - omega01 value, with its standard deviation) adds
-    the constraint that removes it; without it the fit still converges to a
-    valid point on the degenerate curve and reports the flat direction
+    (the two-tone omega12 - omega01 value, weighted as a standard deviation
+    of 0.01 GHz) adds the constraint that removes it; without it the fit
+    still converges to a valid point on the degenerate curve and reports the flat direction
     through the ``degenerate_jacobian`` flag (the pseudo-inverse covariance
     then spans only the constrained directions).
     """
@@ -314,7 +319,7 @@ def fit_spectrum(data: DataSeries, init: QubitParams,
         raise FitError("spectrum data must span both sides of f = 0.5")
 
     weight = 1.0 / data.y_err if data.y_err is not None else np.ones_like(y)
-    constraint_weight = 1.0 / anharmonicity_err
+    constraint_weight = 1.0 / 0.01  # the anharmonicity's standard deviation, GHz
 
     def unpack(u):
         return _expit_half(u[0]), math.exp(u[1]), math.exp(u[2])
@@ -325,10 +330,7 @@ def fit_spectrum(data: DataSeries, init: QubitParams,
             q = _trial_params(alpha, c_s, e_j, init.E_C)
         except ValueError:  # a trial step out of range, e.g. alpha rounding to 0.5
             return np.full(len(f) + (anharmonicity_ghz is not None), np.inf)
-        delta = analytic.gap(q)
-        slope = analytic.epsilon_slope(q)
-        model = delta + 2.0 * (slope * (f - 0.5)) ** 2 / delta
-        out = (model - y) * weight
+        out = (analytic.omega01(q, f) - y) * weight
         if anharmonicity_ghz is not None:
             extra = (analytic.anharmonicity(q) - anharmonicity_ghz) * constraint_weight
             out = np.append(out, extra)
@@ -379,8 +381,8 @@ def fit_xqp(data: DataSeries, q: QubitParams, omega01_ghz: float, delta0_uev: fl
     # leaves x_qp with a wide relative uncertainty
     weak = sigma != 0.0 and (not np.isfinite(sigma) or sigma > 0.5 * x_qp)
 
-    return _regression_result({"x_qp": x_qp, "n_qp_per_um3": x_qp * 2.0 * n_cp},
-                              {"x_qp": sigma, "n_qp_per_um3": sigma * 2.0 * n_cp},
+    return _regression_result({"x_qp": x_qp, "n_qp_per_um3": x_qp * unit.n_qp},
+                              {"x_qp": sigma, "n_qp_per_um3": sigma * unit.n_qp},
                               sigma, residual, ("x_qp_weakly_constrained",) if weak else ())
 
 
@@ -475,9 +477,7 @@ def fit_flux_noise(data: DataSeries, q: QubitParams,
         )
     f = data.x[mask]
     rates = data.y[mask]
-    derivative = np.array([
-        abs(analytic.domega01_df(q, fi)) * 2.0 * math.pi * 1e9 for fi in f
-    ])
+    derivative = np.abs(analytic.domega01_df(q, f)) * 2.0 * math.pi * 1e9
     slope, sigma_slope, residual = _through_origin(derivative, rates, "flux derivative")
     a_phi = slope * slope / math.log(2.0)
     sigma_a = 2.0 * abs(slope) * sigma_slope / math.log(2.0)

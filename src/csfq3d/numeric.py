@@ -27,13 +27,13 @@ a hierarchical start (Kerman, arXiv:2010.14929; Groszkowski & Koch, Quantum 5,
 phi_p mode times the low levels of the soft phi_m mode, keeping the phi_m
 levels within two phi_p gaps of the lowest (never fewer than k), folded onto
 the half grid.  A block Davidson iteration on the half grid refines it until
-every true residual is within 1e-8 E_J, so the basis sizes set the speed, never
-the answer.  The kinetic term is applied as one matrix product per axis with
-the dense 1D kinetic matrices, and the refinement's preconditioner through
-their eigenpairs.  Both depend only on (coefficient, n), not on the flux, so
-they are built once and shared by every operator of a sweep, the start and the
-1D solve.  Nothing is random, and the solver uses numpy alone: a solve imports
-no scipy.
+every true residual is within 1e-8 max(E_J, E_p), so the basis sizes set the
+speed, never the answer.  The kinetic term is applied as one matrix product
+per axis with the dense 1D kinetic matrices, and the refinement's
+preconditioner through their eigenpairs.  Both depend only on (coefficient,
+n), not on the flux, so they are built once and shared by every operator of a
+sweep, the start and the 1D solve.  Nothing is random, and the solver uses
+numpy alone: a solve imports no scipy.
 
 H(1 - f) is H(f) under phi_m -> -phi_m (grid index j -> (n - j) mod n, which
 keeps the kinetic term and the even sector), so ``csfq3d spectrum`` solves
@@ -122,8 +122,9 @@ class HamiltonianOperator:
     grid:
         the GridSpec both axes share
     energy_scale:
-        characteristic energy (GHz), usually E_J; sets the residual tolerance
-        and the shift of the 2D preconditioner
+        characteristic energy (GHz); sets the residual tolerance and the shift
+        of the 2D preconditioner.  The builders pass max(E_J, E_p) (2D) or
+        max(E_J, E_CS) (1D), so a vanishing E_J keeps a reachable tolerance
     """
 
     def __init__(self, kinetic, potential, grid: GridSpec, energy_scale: float = 1.0):
@@ -196,13 +197,13 @@ def build_hamiltonian_2d(q: QubitParams, f, grid: GridSpec | None = None) -> Ham
     see the module docstring.
     """
     grid = grid or GridSpec()
-    fval = normalized_flux(f)
+    fval = float(normalized_flux(f))  # one flux bias per operator
     e_p, e_m = kinetic_coefficients(q)
     phi = grid.phi()
     phi_p, phi_m = np.meshgrid(phi, phi, indexing="ij")
     potential = 2.0 * q.E_J * (1.0 - np.cos(phi_p) * np.cos(phi_m)) \
         + q.alpha * q.E_J * (1.0 - np.cos(2.0 * math.pi * fval + 2.0 * phi_m))
-    return HamiltonianOperator((e_p, e_m), potential, grid, energy_scale=q.E_J)
+    return HamiltonianOperator((e_p, e_m), potential, grid, energy_scale=max(q.E_J, e_p))
 
 
 def build_hamiltonian_1d(q: QubitParams, grid: GridSpec | None = None) -> HamiltonianOperator:
@@ -214,7 +215,7 @@ def build_hamiltonian_1d(q: QubitParams, grid: GridSpec | None = None) -> Hamilt
     grid = grid or GridSpec()
     phi = grid.phi()
     potential = 2.0 * q.E_J * (1.0 - np.cos(phi)) + q.alpha * q.E_J * (1.0 + np.cos(2.0 * phi))
-    return HamiltonianOperator((q.E_CS,), potential, grid, energy_scale=q.E_J)
+    return HamiltonianOperator((q.E_CS,), potential, grid, energy_scale=max(q.E_J, q.E_CS))
 
 
 @dataclass(frozen=True)
@@ -245,9 +246,10 @@ class EigenResult:
 def lowest_eigenpairs(op: HamiltonianOperator, k: int = 4,
                       max_iter: int = 5000) -> EigenResult:
     """Lowest k eigenpairs of a grid Hamiltonian (method: module docstring),
-    each with true residual ||H v - E v|| <= 1e-8 * op.energy_scale (i.e.
-    1e-8 E_J) within max_iter Davidson growth steps; otherwise raises
-    ConvergenceError carrying the true residual norms.
+    each with true residual ||H v - E v|| <= 1e-8 * op.energy_scale (1e-8
+    max(E_J, E_p) from build_hamiltonian_2d, 1e-8 max(E_J, E_CS) from
+    build_hamiltonian_1d) within max_iter Davidson growth steps; otherwise
+    raises ConvergenceError carrying the true residual norms.
 
     Limitation (2D): the residual test cannot tell that a level is missing.
     If a symmetry of H makes the product-basis start orthogonal to a low

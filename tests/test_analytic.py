@@ -97,6 +97,15 @@ class TestFluxDerivative:
         assert analytic.domega01_df(q, f) == pytest.approx(numeric, rel=1e-6)
 
 
+@pytest.mark.parametrize("model", [analytic.epsilon, analytic.omega01, analytic.domega01_df])
+def test_flux_array_matches_pointwise(model):
+    # the fits evaluate a whole flux column at once; the arithmetic per point
+    # is the same, so the values are equal, not just close
+    q = reference_qubit()
+    flux = np.linspace(0.47, 0.53, 13)
+    np.testing.assert_array_equal(model(q, flux), [model(q, f) for f in flux])
+
+
 class TestMatrixElements:
     def test_reference_values(self):
         m_large, m_small = analytic.junction_matrix_elements(reference_qubit())

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from csfq3d import cli
+from csfq3d.analytic import PerturbativeValidityWarning
 from csfq3d.fit import FitResult
 
 DATA_DIR = resources.files("csfq3d") / "data"
@@ -326,7 +327,6 @@ class TestDataFiles:
         series = cli.read_data_csv(str(DATA_DIR / "spectrum_synthetic.csv"),
                                    cli.DATA_SCHEMAS["spectrum"])
         assert len(series) == 31
-        assert series.x_label == "flux_phi0"
 
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -389,7 +389,18 @@ class TestSpectrumCommand:
                          "--workers", "1", "spectrum"]) == 0
         assert cli.main(["--config", str(config_path), "--out", str(out_b),
                          "--workers", "4", "spectrum"]) == 0
-        assert (out_a / "spectrum.csv").read_bytes() == (out_b / "spectrum.csv").read_bytes()
+        for name in ("spectrum.csv", "spectrum_summary.json", "manifest.json"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_charging_dominated_device_converges(self, tmp_path, config_path):
+        # a vanishing E_J must not set an unreachable residual tolerance
+        config_path.write_text(BASE_CONFIG.replace("e_j_ghz = 136.75", "e_j_ghz = 1e-300"))
+        out = tmp_path / "out"
+        with pytest.warns(PerturbativeValidityWarning):
+            code = cli.main(["--config", str(config_path), "--out", str(out), "spectrum"])
+        assert code == cli.EXIT_OK
+        _, rows = read_csv(out / "spectrum.csv")
+        assert [row[4] for row in rows] == ["ok"] * 5
 
     def test_json_format(self, tmp_path, capsys):
         # tables are CSV only: a config asking for JSON tables is refused,

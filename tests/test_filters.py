@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from csfq3d.filters import FilterSpec, cpmg_positions, filter_curve, filter_function
+from csfq3d.filters import FilterSpec, cpmg_positions, filter_function
 
 
 def hahn_closed_form(wt):
@@ -113,26 +113,3 @@ class TestFilterFunction:
         hahn_weight = np.trapezoid(hahn / omega, omega)
         cpmg_weight = np.trapezoid(cpmg / omega, omega)
         assert cpmg_weight < 0.2 * hahn_weight
-
-
-class TestFilterCurve:
-    def test_tabulation_shape_and_positivity(self):
-        spec = FilterSpec(20, 1.0)
-        omega = np.logspace(0, 3, 200)
-        curve = filter_curve(spec, omega)
-        assert curve.shape == (200, 2)
-        np.testing.assert_array_equal(curve[:, 0], omega)
-        assert np.all(curve[:, 1] >= 0.0)
-
-    def test_matches_pointwise_evaluation(self):
-        spec = FilterSpec(1, 3e-4)
-        omega = np.logspace(3, 6, 50)
-        curve = filter_curve(spec, omega)
-        for w, g in curve[::7]:
-            assert filter_function(spec, w) == g
-
-    def test_rejects_nonpositive_grid(self):
-        with pytest.raises(ValueError):
-            filter_curve(FilterSpec(0, 1.0), np.array([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            filter_curve(FilterSpec(0, 1.0), np.array([-1.0, 1.0]))

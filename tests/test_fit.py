@@ -29,7 +29,7 @@ def synthetic_spectrum(noise=0.0, seed=42, n=31):
     y = np.array([analytic.omega01(TRUTH, fi) for fi in f])
     if noise:
         y = y + np.random.default_rng(seed).normal(0.0, noise, size=n)
-    return DataSeries(f, y, x_label="flux_phi0", y_label="freq_GHz")
+    return DataSeries(f, y)
 
 
 class TestDataSeries:

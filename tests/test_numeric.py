@@ -344,6 +344,21 @@ class TestLanczos:
             lowest_eigenpairs(op, k=3)
         assert not np.all(np.isfinite(err.value.residual_norms))
 
+    def test_charging_dominated_tolerance_is_reachable(self):
+        # at E_J = 1e-300 GHz a 1e-8 E_J tolerance is below any rounding
+        # error; the scale is max(E_J, E_p) (2D) or max(E_J, E_CS) (1D)
+        q = QubitParams(**{**FULL_2D, "E_J": 1e-300})
+        op = build_hamiltonian_2d(q, 0.5, GridSpec(16))
+        assert op.energy_scale == 2.0 * q.E_C
+        result = lowest_eigenpairs(op, k=3)
+        assert np.all(result.residual_norms <= 1e-8 * op.energy_scale)
+        # the ground level is 0 (a free rotor), so the check is absolute
+        np.testing.assert_allclose(result.eigenvalues, even_sector_levels(op, 3), rtol=0.0,
+                                   atol=1e-9 * op.energy_scale)
+        op_1d = build_hamiltonian_1d(q, GridSpec(16))
+        assert op_1d.energy_scale == q.E_CS
+        assert lowest_eigenpairs(op_1d, k=3).iterations == 0
+
     @pytest.mark.parametrize("params,n", [
         pytest.param(FULL_2D, 16, id="16"),
         pytest.param(FULL_2D, 24, id="24"),
