@@ -4,10 +4,11 @@ CSV, summaries and fit results JSON.
 Subcommands: spectrum, coherence, filter, fit {spectrum|t1|envelope|fluxnoise}.
 The configuration is an INI file with one section per module (see
 data/example_config.ini for the full schema) and the only source of every
-setting that changes an output; the flags name the config, the output
-directory and the thread count, which no output depends on.  Every run
-writes a manifest.json carrying the config hash, package versions and unit
-conventions, and reruns with an identical config are bit-identical.
+setting that changes an output; each command reads only the keys it uses.
+The flags name the config and the output directory (--workers is accepted
+and ignored).  Every run writes a manifest.json carrying the config hash,
+package versions and unit conventions, and reruns with an identical config
+are bit-identical.
 
 Exit codes: 0 success, 1 config/parse or usage error, 2 fit or eigensolve
 non-convergence, 3 partial sweep failure.
@@ -16,7 +17,6 @@ non-convergence, 3 partial sweep failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import configparser
 import hashlib
 import json
@@ -46,7 +46,6 @@ from .filters import FilterSpec, filter_function
 from .fit import (
     DataSeries,
     FitError,
-    FitResult,
     fit_envelope,
     fit_flux_noise,
     fit_spectrum,
@@ -152,22 +151,15 @@ class RunConfig:
                         kappa_c=self._get("cavity", "kappa_c_mhz", float),
                         kappa_i=self._get("cavity", "kappa_i_mhz", float))
 
-    def dressed_cavity_ghz(self) -> float:
-        return self._get("cavity", "omega_c_ghz", float)
-
     def grid(self) -> GridSpec:
         return _checked("[grid] section", GridSpec, n=self._get("grid", "n", int, default=80))
 
-    def cqed_inputs(self) -> dict:
-        return {
-            "omega01_ghz": self._positive("cqed", "omega01_ghz"),
-            "omega12_ghz": self._positive("cqed", "omega12_ghz"),
-            "chi_mhz": self._get("cqed", "chi_mhz", float),
-        }
-
-    def quasiparticle_env(self) -> QuasiparticleEnv:
-        return _checked("[noise] section", QuasiparticleEnv,
-                        x_qp=self._get("noise", "x_qp", float),
+    def quasiparticle_env(self, x_qp: float | None = None) -> QuasiparticleEnv:
+        """The [noise] quasiparticle environment; a caller that fits x_qp passes
+        a stand-in and [noise] x_qp is not read."""
+        if x_qp is None:
+            x_qp = self._get("noise", "x_qp", float)
+        return _checked("[noise] section", QuasiparticleEnv, x_qp=x_qp,
                         Delta0=self._get("noise", "delta0_uev", float, default=DEFAULT_GAP_UEV),
                         n_cp=self._get("noise", "n_cp_per_um3", float, default=DEFAULT_N_CP))
 
@@ -176,17 +168,6 @@ class RunConfig:
                         A_Phi=self._get("noise", "a_phi_phi0sq", float),
                         omega_ir=self._get("noise", "omega_ir_rad_s", float,
                                          default=DEFAULT_OMEGA_IR))
-
-    def ramsey_time_s(self) -> float:
-        value = self._get("noise", "ramsey_time_s", float, default=1e-6)
-        omega_ir = self.flux_noise().omega_ir
-        if not 0.0 < omega_ir * value < 1.0:
-            raise ConfigError(f"[noise] ramsey_time_s must satisfy 0 < omega_ir * t < 1 "
-                              f"(omega_ir = {omega_ir:.3g} rad/s), got {value!r}")
-        return value
-
-    def base_temperature_k(self) -> float:
-        return self._positive("noise", "base_temperature_k", default=0.010)
 
     def attenuation_chain(self) -> AttenuationChain:
         raw = self._get("attenuation", "stages", str)
@@ -210,40 +191,22 @@ class RunConfig:
         steps = self._get(section, "steps", int)
         if steps < 2:
             raise ConfigError(f"[{section}] steps must be >= 2, got {steps}")
-        return np.linspace(start, stop, steps)
+        try:
+            return np.linspace(start, stop, steps)
+        except MemoryError as err:
+            raise ConfigError(f"[{section}] steps = {steps}: {err}") from err
 
-    def filter_settings(self) -> dict:
+    def pulse_counts(self) -> tuple[int, ...]:
         raw = self._get("filter", "pulse_counts", str, default="1, 20")
         try:
             counts = tuple(int(part) for part in raw.split(",") if part.strip())
         except ValueError as err:
             raise ConfigError(f"bad [filter] pulse_counts: {raw!r}") from err
+        if not counts:
+            raise ConfigError(f"[filter] pulse_counts names no sequence: {raw!r}")
         if len(set(counts)) != len(counts):
             raise ConfigError(f"[filter] pulse_counts repeats a count: {raw!r}")
-        return {
-            "pulse_counts": counts,
-            "tau_s": self._get("filter", "tau_s", float, default=100e-6),
-            "tau_pi_s": self._get("filter", "tau_pi_s", float, default=0.0),
-            "omega_min_rad_s": self._get("filter", "omega_min_rad_s", float, default=1e2),
-            "omega_max_rad_s": self._get("filter", "omega_max_rad_s", float, default=1e7),
-            "omega_points": self._get("filter", "omega_points", int, default=400),
-        }
-
-    def envelope_settings(self) -> dict:
-        return {
-            "t1_s": self._positive("envelope", "t1_s"),
-            "shape": self._choice("envelope", "shape", ("gaussian", "exponential"),
-                                  default="gaussian"),
-        }
-
-    def fit_settings(self) -> dict:
-        window = self._get("fit", "exclude_halfwidth", float, default=0.002)
-        if not window >= 0.0:
-            raise ConfigError(f"[fit] exclude_halfwidth must be >= 0, got {window!r}")
-        return {
-            "anharmonicity_ghz": self._get("fit", "anharmonicity_ghz", float, default=None),
-            "exclude_halfwidth": window,
-        }
+        return counts
 
 
 # ---------------------------------------------------------------------------
@@ -301,18 +264,16 @@ def _write_manifest(outdir: Path, command: str, config: RunConfig, outputs: list
     _write_json(outdir / "manifest.json", payload)
 
 
-def _map_indexed(fn, items, workers: int):
-    """Apply fn to each item on `workers` threads (at least one), preserving
-    input order; each result is (item, value, None) or, when fn raised,
-    (item, None, error)."""
-    def point(item):
+def _map_indexed(fn, items):
+    """Apply fn to each item in order; each result is (item, value, None) or,
+    when fn raised, (item, None, error)."""
+    results = []
+    for item in items:
         try:
-            return item, fn(item), None
+            results.append((item, fn(item), None))
         except Exception as err:  # noqa: BLE001 - reported per sweep point
-            return item, None, err
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        return list(pool.map(point, items))
+            results.append((item, None, err))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +349,7 @@ def cmd_spectrum(config: RunConfig, args) -> int:
 
     # H(1 - f) is H(f) with phi_m -> -phi_m, so each mirror pair is solved once
     keys = sorted({min(f, 1.0 - f) for f in flux} | {0.5})
-    solved = {f: (result, err) for f, result, err in _map_indexed(solve, keys, args.workers)}
+    solved = {f: (result, err) for f, result, err in _map_indexed(solve, keys)}
     rows = []
     for f in flux:
         w_analytic = analytic.omega01(q, f)
@@ -430,28 +391,32 @@ def cmd_coherence(config: RunConfig, args) -> int:
     cavity = config.cavity()
     env = config.quasiparticle_env()
     noise = config.flux_noise()
-    cqed_in = config.cqed_inputs()
-    base_temperature = config.base_temperature_k()
+    omega01 = config._positive("cqed", "omega01_ghz")
+    omega12 = config._positive("cqed", "omega12_ghz")
+    chi = config._get("cqed", "chi_mhz", float)
+    base_temperature = config._positive("noise", "base_temperature_k", default=0.010)
     chain = config.attenuation_chain()
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    matrix_elements = analytic.junction_matrix_elements(q)
-
     temperatures = config.sweep("temperature_sweep", "start_k", "stop_k")
     flux = config.sweep("flux_sweep", "start", "stop")
-    ramsey_time = config.ramsey_time_s()
-    dispersive = _checked("[cqed]/[cavity] values", dispersive_set, cqed_in["omega01_ghz"],
-                          cqed_in["omega12_ghz"], cavity.omega_c0, config.dressed_cavity_ghz(),
-                          cqed_in["chi_mhz"])
+    ramsey_time = config._get("noise", "ramsey_time_s", float, default=1e-6)
+    if not 0.0 < noise.omega_ir * ramsey_time < 1.0:
+        raise ConfigError(f"[noise] ramsey_time_s must satisfy 0 < omega_ir * t < 1 "
+                          f"(omega_ir = {noise.omega_ir:.3g} rad/s), got {ramsey_time!r}")
+    omega_c = config._get("cavity", "omega_c_ghz", float)
+    dispersive = _checked("[cqed]/[cavity] values", dispersive_set, omega01, omega12,
+                          cavity.omega_c0, omega_c, chi)
+    matrix_elements = analytic.junction_matrix_elements(q)
 
     def t1_point(temperature: float) -> float:
-        rate = qp_relaxation_rate(q, cqed_in["omega01_ghz"], env, temperature, matrix_elements)
+        rate = qp_relaxation_rate(q, omega01, env, temperature, matrix_elements)
         return 1.0 / rate if rate > 0.0 else math.inf
 
     # the budget point is not a sweep point: a value it rejects is a config error
     t1_base = _checked("[cqed]/[noise] values", t1_point, base_temperature)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     t1_rows = [[t, value, "ok"] if err is None else [t, "", f"error:{err.__class__.__name__}"]
-               for t, value, err in _map_indexed(t1_point, list(temperatures), args.workers)]
+               for t, value, err in _map_indexed(t1_point, temperatures)]
     failures = sum(row[2] != "ok" for row in t1_rows)
     t1_table = _write_table(outdir / "t1_vs_temperature.csv",
                             ["temp_K", "t1_qp_s", "status"], t1_rows)
@@ -467,12 +432,11 @@ def cmd_coherence(config: RunConfig, args) -> int:
     flux_table = _write_table(outdir / "dephasing_vs_flux.csv", flux_header, flux_rows)
 
     t_eff = effective_temperature(chain, cavity.omega_c0)
-    nbar = thermal_photon_population(config.dressed_cavity_ghz(), t_eff)
-    thermal_rate = thermal_dephasing_rate(cavity.kappa, cqed_in["chi_mhz"], nbar)
+    nbar = thermal_photon_population(omega_c, t_eff)
+    thermal_rate = thermal_dephasing_rate(cavity.kappa, chi, nbar)
     budget = {
         "t1_qp_s": t1_base,
-        "t1_purcell_s": purcell_t1(cavity.kappa, dispersive.g01, cqed_in["omega01_ghz"],
-                                   config.dressed_cavity_ghz()),
+        "t1_purcell_s": purcell_t1(cavity.kappa, dispersive.g01, omega01, omega_c),
         "t_phi_thermal_s": None if thermal_rate == 0.0 else 1.0 / thermal_rate,
         "t_eff_K": t_eff,
         "nbar": nbar,
@@ -500,76 +464,70 @@ def cmd_coherence(config: RunConfig, args) -> int:
 
 
 def cmd_filter(config: RunConfig, args) -> int:
-    settings = config.filter_settings()
-    try:  # every sequence and the frequency grid are checked before any table is written
-        omega = np.logspace(math.log10(settings["omega_min_rad_s"]),
-                            math.log10(settings["omega_max_rad_s"]),
-                            settings["omega_points"])
-        specs = [FilterSpec(n_pulses, settings["tau_s"], settings["tau_pi_s"])
-                 for n_pulses in settings["pulse_counts"]]
+    counts = config.pulse_counts()
+    tau = config._get("filter", "tau_s", float, default=100e-6)
+    tau_pi = config._get("filter", "tau_pi_s", float, default=0.0)
+    omega_min = config._get("filter", "omega_min_rad_s", float, default=1e2)
+    omega_max = config._get("filter", "omega_max_rad_s", float, default=1e7)
+    points = config._get("filter", "omega_points", int, default=400)
+    if points < 1:
+        raise ConfigError(f"[filter] omega_points must be >= 1, got {points}")
+    try:  # every table is computed before the first is written
+        omega = np.logspace(math.log10(omega_min), math.log10(omega_max), points)
+        tables = [(n, filter_function(FilterSpec(n, tau, tau_pi), omega)) for n in counts]
     except ValueError as err:
         raise ConfigError(f"invalid [filter] section: {err}") from err
+    except MemoryError as err:
+        raise ConfigError(f"[filter] omega_points or pulse_counts too large: {err}") from err
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for spec in specs:
-        rows = [[w, g] for w, g in zip(omega, filter_function(spec, omega))]
-        outputs.append(_write_table(outdir / f"filter_N{spec.N}.csv",
-                                    ["omega_rad_s", "filter_value"], rows))
-    _write_manifest(outdir, "filter", config, outputs,
-                    {"tau_s": settings["tau_s"], "tau_pi_s": settings["tau_pi_s"]})
+    outputs = [_write_table(outdir / f"filter_N{n}.csv", ["omega_rad_s", "filter_value"],
+                            [[w, g] for w, g in zip(omega, values)])
+               for n, values in tables]
+    _write_manifest(outdir, "filter", config, outputs, {"tau_s": tau, "tau_pi_s": tau_pi})
     return EXIT_OK
-
-
-def _result_payload(result: FitResult, extra: dict | None = None) -> dict:
-    payload = {
-        "parameters": result.parameters,
-        "uncertainties": result.uncertainties,
-        "residual_norm": result.residual_norm,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "flags": list(result.flags),
-    }
-    if extra:
-        payload.update(extra)
-    return payload
 
 
 def cmd_fit(config: RunConfig, args) -> int:
     data = read_data_csv(args.data, DATA_SCHEMAS[args.target])
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    settings = config.fit_settings()
-
     if args.target == "spectrum":
-        result = fit_spectrum(data, config.qubit(),
-                              anharmonicity_ghz=settings["anharmonicity_ghz"])
+        anharmonicity = config._get("fit", "anharmonicity_ghz", float, default=None)
+        result = fit_spectrum(data, config.qubit(), anharmonicity_ghz=anharmonicity)
         extra = {"model": "perturbative omega01(f)",
-                 "anharmonicity_constraint_GHz": settings["anharmonicity_ghz"]}
+                 "anharmonicity_constraint_GHz": anharmonicity}
     elif args.target == "t1":
         q = config.qubit()
-        env = config.quasiparticle_env()
-        omega01 = config.cqed_inputs()["omega01_ghz"]
+        omega01 = config._positive("cqed", "omega01_ghz")
+        env = config.quasiparticle_env(x_qp=1.0)  # x_qp is the fitted value
         matrix_elements = analytic.junction_matrix_elements(q)
         result = _checked("[cqed]/[noise] values", fit_xqp, data, q, omega01, env.Delta0,
                           matrix_elements, n_cp=env.n_cp)
         extra = {"model": "quasiparticle T1(T)",
                  "matrix_elements": list(matrix_elements)}
     elif args.target == "envelope":
-        envelope = config.envelope_settings()
-        result = fit_envelope(data, envelope["t1_s"], envelope["shape"])
-        extra = {"model": f"{envelope['shape']} decay envelope", "t1_s": envelope["t1_s"]}
-    elif args.target == "fluxnoise":
-        window = settings["exclude_halfwidth"]
+        t1 = config._positive("envelope", "t1_s")
+        shape = config._choice("envelope", "shape", ("gaussian", "exponential"),
+                               default="gaussian")
+        result = fit_envelope(data, t1, shape)
+        extra = {"model": f"{shape} decay envelope", "t1_s": t1}
+    else:  # fluxnoise; argparse restricts the targets
+        window = config._get("fit", "exclude_halfwidth", float, default=0.002)
+        if not window >= 0.0:
+            raise ConfigError(f"[fit] exclude_halfwidth must be >= 0, got {window!r}")
         result = fit_flux_noise(data, config.qubit(), exclude_halfwidth=window)
         extra = {"model": "linear Gamma_E vs |domega01/df|",
                  "exclude_halfwidth": window,
                  "sqrt_A_Phi_uPhi0": math.sqrt(result.parameters["A_Phi_Phi0sq"]) * 1e6}
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown fit target {args.target}")
 
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     out_path = outdir / f"fit_{args.target}.json"
-    _write_json(out_path, _result_payload(result, extra))
+    _write_json(out_path, {"parameters": result.parameters,
+                           "uncertainties": result.uncertainties,
+                           "residual_norm": result.residual_norm,
+                           "iterations": result.iterations,
+                           "converged": result.converged,
+                           "flags": list(result.flags), **extra})
     data_hash = hashlib.sha256(Path(args.data).read_bytes()).hexdigest()
     _write_manifest(outdir, f"fit {args.target}", config, [out_path],
                     {"data_sha256": data_hash})
@@ -600,8 +558,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", required=True, help="INI configuration file")
     parser.add_argument("--out", default="out", help="output directory (default: out)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="threads for sweep points; outputs do not depend on it (default: 1)")
+    parser.add_argument("--workers", type=int,
+                        help="accepted and ignored: sweep points run in order")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("spectrum", help="flux sweep of analytic and numeric omega01/omega12")

@@ -325,10 +325,9 @@ def fit_spectrum(data: DataSeries, init: QubitParams,
         return _expit_half(u[0]), math.exp(u[1]), math.exp(u[2])
 
     def residual(u):
-        alpha, c_s, e_j = unpack(u)
         try:
-            q = _trial_params(alpha, c_s, e_j, init.E_C)
-        except ValueError:  # a trial step out of range, e.g. alpha rounding to 0.5
+            q = _trial_params(*unpack(u), init.E_C)
+        except (ValueError, OverflowError):  # a trial step out of range, e.g. alpha rounding to 0.5
             return np.full(len(f) + (anharmonicity_ghz is not None), np.inf)
         out = (analytic.omega01(q, f) - y) * weight
         if anharmonicity_ghz is not None:

@@ -204,7 +204,8 @@ class TestConfig:
             assert (out_new / name).read_bytes() == (out_old / name).read_bytes()
 
 
-# the sections each command reads, and the values a one-key mutation tries
+# the sections whose keys a one-key mutation tries for each command (every
+# section the command reads), and the values it tries
 COMMAND_SECTIONS = {
     "spectrum": ("qubit", "grid", "flux_sweep"),
     "coherence": ("qubit", "cavity", "cqed", "noise", "attenuation", "flux_sweep",
@@ -215,7 +216,8 @@ COMMAND_SECTIONS = {
     "fit envelope": ("envelope", "fit"),
     "fit fluxnoise": ("qubit", "fit"),
 }
-MUTATIONS = ("nan", "inf", "0", "-1", "1e300", "5e-324")
+# 1e15 elements are past the address space: the allocation fails at once
+MUTATIONS = ("nan", "inf", "0", "-1", "1e300", "5e-324", "1000000000000000")
 
 
 def command_argv(command: str) -> list[str]:
@@ -291,6 +293,22 @@ class TestMutatedConfig:
             assert not list(out.glob("*"))  # rejected before any output is written
 
 
+def record_reads(monkeypatch) -> set:
+    """The (section, key) pairs that RunConfig._get is asked for from now on."""
+    read = set()
+    original = cli.RunConfig._get
+
+    def recording(self, section, key, *args, **kwargs):
+        read.add((section, key))
+        return original(self, section, key, *args, **kwargs)
+
+    monkeypatch.setattr(cli.RunConfig, "_get", recording)
+    return read
+
+
+QUBIT_KEYS = {("qubit", key) for key in ("alpha", "e_j_ghz", "e_c_ghz", "c_s_ff")}
+
+
 class TestBundledConfigs:
     @pytest.mark.parametrize("name", ["example_config.ini", "example_config_perturbative.ini"])
     def test_every_key_is_read(self, tmp_path, monkeypatch, name):
@@ -304,14 +322,7 @@ class TestBundledConfigs:
         path.write_text(text.replace("n = 80", "n = 24").replace("steps = 21", "steps = 5")
                         .replace("steps = 16", "steps = 5")
                         .replace("omega_points = 400", "omega_points = 40"))
-        read = set()
-        original = cli.RunConfig._get
-
-        def recording(self, section, key, *args, **kwargs):
-            read.add((section, key))
-            return original(self, section, key, *args, **kwargs)
-
-        monkeypatch.setattr(cli.RunConfig, "_get", recording)
+        read = record_reads(monkeypatch)
         commands = [["spectrum"], ["coherence"], ["filter"],
                     *(["fit", target, str(DATA_DIR / f"{target}_synthetic.csv")]
                       for target in sorted(cli.DATA_SCHEMAS))]
@@ -320,6 +331,21 @@ class TestBundledConfigs:
                              *command])
             assert code in (cli.EXIT_OK, cli.EXIT_NOT_CONVERGED), command
         assert set_keys - read == set()
+
+    @pytest.mark.parametrize("name", ["example_config.ini", "example_config_perturbative.ini"])
+    @pytest.mark.parametrize("target, keys", [
+        ("spectrum", {*QUBIT_KEYS, ("fit", "anharmonicity_ghz")}),
+        ("t1", {*QUBIT_KEYS, ("cqed", "omega01_ghz"), ("noise", "delta0_uev"),
+                ("noise", "n_cp_per_um3")}),
+        ("envelope", {("envelope", "t1_s"), ("envelope", "shape")}),
+        ("fluxnoise", {*QUBIT_KEYS, ("fit", "exclude_halfwidth")}),
+    ], ids=["spectrum", "t1", "envelope", "fluxnoise"])
+    def test_each_fit_reads_only_its_keys(self, tmp_path, monkeypatch, name, target, keys):
+        # a fit fails only on a key it uses; [output] format is checked at load
+        read = record_reads(monkeypatch)
+        assert cli.main(["--config", str(DATA_DIR / name), "--out", str(tmp_path / "o"),
+                         *command_argv(f"fit {target}")]) == cli.EXIT_OK
+        assert read == {("output", "format"), *keys}
 
 
 class TestDataFiles:
@@ -414,7 +440,7 @@ class TestSpectrumCommand:
             "error: [output] format must be one of csv, got 'json'\n")
         assert not out.exists()
 
-    # a warning raised in a sweep thread would fail that row, and the counts below
+    # a warning raised at a sweep point would fail that row, and the counts below
     @pytest.mark.filterwarnings("error::UserWarning")
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_partial_sweep_failure_marks_row_and_exits_3(self, tmp_path, config_path,
@@ -546,12 +572,13 @@ class TestSpectrumCommand:
             "fit-fluxnoise"])
     def test_sweep_imports_no_scipy_solver_modules(self, tmp_path, config_path, command):
         # scipy is not a runtime dependency: no command loads scipy or any
-        # scipy.* module
+        # scipy.* module; sweep points run in one loop, so no command loads
+        # concurrent or concurrent.*, not even with --workers 2
         driver = ("import sys; from csfq3d import cli; "
                   f"code = cli.main(['--config', {str(config_path)!r}, "
-                  f"'--out', {str(tmp_path / 'out')!r}, *{command!r}]); "
+                  f"'--out', {str(tmp_path / 'out')!r}, '--workers', '2', *{command!r}]); "
                   "print(code, sorted(m for m in sys.modules "
-                  "if m == 'scipy' or m.startswith('scipy.')))")
+                  "if m.split('.')[0] in ('scipy', 'concurrent')))")
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
         run = subprocess.run([sys.executable, "-c", driver], env=env, capture_output=True,
                              text=True, timeout=120)
@@ -715,10 +742,14 @@ class TestFilterCommand:
 
     @pytest.mark.parametrize("line, value", [("pulse_counts = 1, 20", "pulse_counts = 1, -1"),
                                              ("pulse_counts = 1, 20", "pulse_counts = 1, 20, 1"),
+                                             ("pulse_counts = 1, 20", "pulse_counts = ,"),
+                                             ("pulse_counts = 1, 20", "pulse_counts ="),
                                              ("tau_s = 100e-6", "tau_s = 0"),
-                                             ("omega_min_rad_s = 1e3", "omega_min_rad_s = 0")],
-                             ids=["pulse_counts", "pulse_counts-repeated", "tau_s",
-                                  "omega_min_rad_s"])
+                                             ("omega_min_rad_s = 1e3", "omega_min_rad_s = 0"),
+                                             ("omega_points = 50", "omega_points = 0")],
+                             ids=["pulse_counts", "pulse_counts-repeated", "pulse_counts-comma",
+                                  "pulse_counts-empty", "tau_s", "omega_min_rad_s",
+                                  "omega_points-zero"])
     def test_invalid_sequence_or_grid_rejected(self, tmp_path, capsys, line, value):
         path = tmp_path / "c.ini"
         path.write_text(BASE_CONFIG.replace(line, value))

@@ -98,6 +98,16 @@ class TestFitSpectrum:
         assert not result.converged
         assert result.parameters["alpha"] == 5e-324
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+    @pytest.mark.parametrize("e_j", [1e12, 1e15])
+    def test_overflowing_trial_step_is_refused(self, e_j):
+        # from a huge E_J a trial step takes exp(u) past the float range; the
+        # step is refused like any out-of-range step and the fit ends unconverged
+        start = QubitParams(alpha=INIT.alpha, E_J=e_j, E_C=INIT.E_C, C_S=INIT.C_S)
+        result = fit_spectrum(synthetic_spectrum(), start,
+                              anharmonicity_ghz=analytic.anharmonicity(TRUTH))
+        assert not result.converged
+
     def test_cost_history_monotone(self):
         result = fit_spectrum(synthetic_spectrum(noise=1e-3), INIT,
                               anharmonicity_ghz=analytic.anharmonicity(TRUTH))
