@@ -21,19 +21,24 @@ vector obeys psi(i + n/2, j + n/2) = psi(i, j), so it is stored as its half
 grid of rows i < n/2, with n^2/2 entries; :meth:`HamiltonianOperator.expand`
 rebuilds the full grid.
 
-:func:`lowest_eigenpairs` diagonalizes 1D operators densely.  For 2D it takes
-a hierarchical start (Kerman, arXiv:2010.14929; Groszkowski & Koch, Quantum 5,
-583 (2021)): a dense solve in a product basis of the bound levels of the stiff
-phi_p mode times the low levels of the soft phi_m mode, keeping the phi_m
-levels within two phi_p gaps of the lowest (never fewer than k), folded onto
-the half grid.  A block Davidson iteration on the half grid refines it until
-every true residual is within 1e-8 max(E_J, E_p), so the basis sizes set the
-speed, never the answer.  The kinetic term is applied as one matrix product
-per axis with the dense 1D kinetic matrices, and the refinement's
-preconditioner through their eigenpairs.  Both depend only on (coefficient,
-n), not on the flux, so they are built once and shared by every operator of a
-sweep, the start and the 1D solve.  Nothing is random, and the solver uses
-numpy alone: a solve imports no scipy.
+:func:`lowest_eigenpairs` diagonalizes 1D operators densely.  In 2D, U is even
+in phi_p, and phi_p -> -phi_p commutes with the half-cell translation, so the
+even sector splits into two phi_p-parity sectors, solved one at a time (Bunker
+& Jensen, *Molecular Symmetry and Spectroscopy*).  A sector vector holds rows
+i = 0..n/2 (even) or 1..n/2-1 (odd) of a phi_p parity basis by columns j < n/2,
+about n^2/4 entries, with U diagonal.  Its start (Kerman, arXiv:2010.14929;
+Groszkowski & Koch, Quantum 5, 583 (2021)) is a dense solve in the folded
+product basis of the sector's phi_p slice levels through the potential
+minimum below the slice top (at least two, never part of a degenerate
+cluster) times the soft phi_m levels in the potential the lowest of them
+sees, up to one slice gap above the k-th lowest.  Block Davidson
+refines it until every true residual is within 1e-8 max(E_J, E_p).  The odd
+sector is solved only when a Weyl lower bound on its levels
+(:func:`_odd_sector_floor`) fails to clear the even sector's k-th level by the
+tolerance; the k lowest of both are returned.  At f = 0.5, phi_m -> -phi_m is
+a symmetry too, which is not split; the tests check those levels against a
+dense oracle.  The kinetic matrices and their blocks are built once per
+(coefficient, n).  Nothing is random, and a solve imports no scipy.
 
 H(1 - f) is H(f) under phi_m -> -phi_m (grid index j -> (n - j) mod n, which
 keeps the kinetic term and the even sector), so ``csfq3d spectrum`` solves
@@ -78,26 +83,40 @@ class GridSpec:
         return -math.pi + self.spacing * np.arange(self.n)
 
 
+# a symmetric matrix, its eigenvalues (ascending) and orthonormal eigenvectors
+_Block = NamedTuple("_Block", [("matrix", np.ndarray), ("levels", np.ndarray),
+                               ("modes", np.ndarray)])
+
+
 class _KineticFactors(NamedTuple):
-    """Read-only dense kinetic term coeff * n^2 along one axis of an n-point
-    grid, with its eigenvalues (ascending) and orthonormal eigenvectors."""
+    """Read-only kinetic matrix of one axis and its blocks: ``parity`` on
+    functions even and odd under phi -> -phi, in the bases (delta_i +-
+    delta_{n-i})/sqrt 2, 0 < i < n/2, plus delta_0 and delta_{n/2} if even;
+    ``period`` on n/2 points of functions (anti)periodic under phi -> phi + pi."""
 
     matrix: np.ndarray
-    levels: np.ndarray
-    modes: np.ndarray
+    parity: tuple[_Block, _Block]
+    period: tuple[_Block, _Block]
 
 
 @functools.lru_cache(maxsize=16)
 def _kinetic_factors(coeff: float, n: int) -> _KineticFactors:
-    """The kinetic factors for one axis, built once per (coeff, n): the matrix
-    multiplies the plane wave e^{i m phi} by coeff m^2 for the integer
-    wavenumbers m of np.fft.fftfreq (m = -n/2 for the Nyquist wave)."""
-    k2 = np.fft.fftfreq(n, d=1.0 / n) ** 2
-    matrix = coeff * np.fft.ifft(k2[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0).real
-    factors = _KineticFactors(matrix, *np.linalg.eigh(matrix))
-    for array in factors:
+    """The kinetic factors for one axis, built once per (coeff, n).  The
+    matrix multiplies the plane wave e^{i m phi} by coeff m^2, |m| <= n/2, so
+    entry (i, j) is (coeff/n) sum_m m^2 cos(2 pi m d/n), d the ring distance."""
+    index = np.arange(n)
+    distance = np.minimum(index, n - index)  # also |m| of the wave at each index
+    t = coeff / n * (np.cos(2.0 * math.pi / n * (np.outer(distance, index) % n)) @ distance ** 2)
+    matrix, half = t[distance[(index[:, None] - index) % n]], n // 2
+    reflect = np.eye(n)[(-index) % n]
+    bases = [basis / np.linalg.norm(basis, axis=0)
+             for basis in ((np.eye(n) + reflect)[:, :half + 1], (np.eye(n) - reflect)[:, 1:half])]
+    blocks = [basis.T @ matrix @ basis for basis in bases] + [
+        matrix[:half, :half] + sign * matrix[half:, :half] for sign in (1.0, -1.0)]
+    blocks = [_Block(block, *np.linalg.eigh(block)) for block in blocks]
+    for array in (matrix, *(array for block in blocks for array in block)):
         array.flags.writeable = False
-    return factors
+    return _KineticFactors(matrix, tuple(blocks[:2]), tuple(blocks[2:]))
 
 
 class HamiltonianOperator:
@@ -118,7 +137,8 @@ class HamiltonianOperator:
     potential:
         diagonal potential on the grid, GHz; shape (n,) or (n, n).  A 2D
         potential must be invariant under the half-cell translation
-        (i, j) -> (i + n/2, j + n/2) to 1e-12 of its largest magnitude.
+        (i, j) -> (i + n/2, j + n/2) and under phi_p -> -phi_p
+        (i -> (n - i) mod n), each to 1e-12 of its largest magnitude.
     grid:
         the GridSpec both axes share
     energy_scale:
@@ -138,9 +158,12 @@ class HamiltonianOperator:
         if len(kinetic) != potential.ndim:
             raise ValueError("need one kinetic coefficient per potential axis")
         half = grid.n // 2
-        if potential.ndim == 2 and np.max(np.abs(potential - np.roll(
-                potential, (half, half), axis=(0, 1)))) > 1e-12 * np.max(np.abs(potential)):
-            raise ValueError("2D potential is not invariant under the half-cell translation")
+        if potential.ndim == 2:
+            for name, image in (
+                    ("the half-cell translation", np.roll(potential, (half, half), axis=(0, 1))),
+                    ("phi_p -> -phi_p", potential[(-np.arange(grid.n)) % grid.n])):
+                if np.max(np.abs(potential - image)) > 1e-12 * np.max(np.abs(potential)):
+                    raise ValueError(f"2D potential is not invariant under {name}")
         self.kinetic = tuple(float(c) for c in kinetic)
         self.potential = potential
         self.grid = grid
@@ -200,9 +223,9 @@ def build_hamiltonian_2d(q: QubitParams, f, grid: GridSpec | None = None) -> Ham
     fval = float(normalized_flux(f))  # one flux bias per operator
     e_p, e_m = kinetic_coefficients(q)
     phi = grid.phi()
-    phi_p, phi_m = np.meshgrid(phi, phi, indexing="ij")
-    potential = 2.0 * q.E_J * (1.0 - np.cos(phi_p) * np.cos(phi_m)) \
-        + q.alpha * q.E_J * (1.0 - np.cos(2.0 * math.pi * fval + 2.0 * phi_m))
+    cos_phi = np.cos(phi)
+    potential = 2.0 * q.E_J * (1.0 - np.outer(cos_phi, cos_phi)) \
+        + q.alpha * q.E_J * (1.0 - np.cos(2.0 * math.pi * fval + 2.0 * phi))
     return HamiltonianOperator((e_p, e_m), potential, grid, energy_scale=max(q.E_J, e_p))
 
 
@@ -223,7 +246,7 @@ class EigenResult:
     """Lowest eigenpairs: energies (GHz, ascending), unit column eigenvectors
     in the operator's layout (2D: half grids, see :class:`HamiltonianOperator`),
     true residual norms ||H v - E v|| and the number of block-Davidson growth
-    steps (0 for a dense 1D solve)."""
+    steps of both phi_p-parity sectors (0 for a dense 1D solve)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -248,28 +271,29 @@ def lowest_eigenpairs(op: HamiltonianOperator, k: int = 4,
     """Lowest k eigenpairs of a grid Hamiltonian (method: module docstring),
     each with true residual ||H v - E v|| <= 1e-8 * op.energy_scale (1e-8
     max(E_J, E_p) from build_hamiltonian_2d, 1e-8 max(E_J, E_CS) from
-    build_hamiltonian_1d) within max_iter Davidson growth steps; otherwise
-    raises ConvergenceError carrying the true residual norms.
-
-    Limitation (2D): the residual test cannot tell that a level is missing.
-    If a symmetry of H makes the product-basis start orthogonal to a low
-    state, the Davidson refinement and its preconditioner keep that symmetry
-    and never reach it, so a higher level is returned in its place.  The
-    qubit's own phi_p -> -phi_p symmetry does this when the k lowest
-    product-basis states are all even in phi_p: on a weak shunt (alpha =
-    0.437, E_J = 10 GHz, E_C = 3.2 GHz, C_S = 5 fF, f = 0.5, k = 4) the fourth
-    level reads 34.3306 GHz instead of 29.3708 GHz.  The reference device's
-    energies match the dense even-sector oracle."""
+    build_hamiltonian_1d) within max_iter Davidson growth steps per
+    phi_p-parity sector (2D ``iterations`` sums both); otherwise raises
+    ConvergenceError carrying the true residual norms."""
     if k < 1 or k > 10:
         raise ValueError(f"k must be in 1..10, got {k}")
     tol = 1e-8 * op.energy_scale
     if op.ndim == 1:
         evals, vectors = np.linalg.eigh(op._factors[0].matrix + np.diag(op.potential))
-        evals, vectors = evals[:k], vectors[:, :k]
-        residuals, iterations = _residual_norms(op, evals, vectors), 0
-    else:
-        evals, vectors, residuals, iterations = _refine(
-            op, _product_basis_start(op, k), tol, max_iter)
+        evals, vectors, iterations = evals[:k], vectors[:, :k], 0
+    else:  # the odd sector is skipped if its bound clears the even one's k-th level
+        results, iterations = [], 0
+        for parity in (1, -1):
+            sector = _Sector(op, parity)
+            evals, vectors, norms, steps = _refine(sector, *_product_basis_start(sector, k),
+                                                   tol, max_iter)
+            results.append((evals, sector.expand(vectors).reshape(k, op.dim)))
+            iterations += steps
+            if parity < 0 or not np.all(norms <= tol) or _odd_sector_floor(op) > evals[-1] + tol:
+                break
+        evals, vectors = (np.concatenate(parts) for parts in zip(*results))
+        order = np.argsort(evals, kind="stable")[:k]
+        evals, vectors = evals[order], vectors[order].T
+    residuals = np.linalg.norm(op.matvec(vectors) - vectors * evals, axis=0)
     if not np.all(residuals <= tol):
         raise ConvergenceError(f"solve did not converge within {iterations} refinement "
                                f"steps (worst residual {residuals.max():.3e}, "
@@ -277,47 +301,98 @@ def lowest_eigenpairs(op: HamiltonianOperator, k: int = 4,
     return EigenResult(evals, vectors, residuals, iterations)
 
 
-def _residual_norms(op: HamiltonianOperator, evals, vectors) -> np.ndarray:
-    return np.linalg.norm(op.matvec(vectors) - vectors * evals, axis=0)
+class _Sector:
+    """The phi_p-parity sector (parity +1 or -1) of a 2D operator: a vector
+    is a flat row of the rows 0..n/2 (even) or 1..n/2-1 (odd) of the parity
+    basis of :class:`_KineticFactors` by the columns j < n/2 (module docstring)."""
+
+    def __init__(self, op: HamiltonianOperator, parity: int):
+        self.op, self.parity, self.half = op, parity, op.grid.n // 2
+        self.rows = slice(0, self.half + 1) if parity > 0 else slice(1, self.half)
+        self.kinetic = op._factors[0].parity[parity < 0]
+        self.diagonal = op.potential[self.rows, :self.half]
+        self.shape, self.dim = self.diagonal.shape, self.diagonal.size
+        # a phi_p mode that flip keeps (negates) meets the phi_m modes (anti)periodic in pi
+        keeps = parity * np.sum(self.kinetic.modes * self.kinetic.modes[::-1], axis=0) > 0
+        self._inverse = [(part, block.modes, 1.0 / (self.kinetic.levels[part, None]
+                                                     + block.levels + op.energy_scale))
+                         for part, block in zip((keeps, ~keeps), op._factors[1].period)]
+
+    def flip(self, rows: np.ndarray) -> np.ndarray:
+        return self.parity * rows[..., ::-1, :]
+
+    def matvec(self, block: np.ndarray) -> np.ndarray:
+        """H applied to each row of a (m, dim) block."""
+        rows = block.reshape((-1,) + self.shape)
+        image = rows @ self.op._factors[1].matrix[:self.half]
+        out = image[..., :self.half] + self.flip(image[..., self.half:])
+        out += self.kinetic.matrix @ rows
+        out += self.diagonal * rows
+        return out.reshape(block.shape)
+
+    def precondition(self, block: np.ndarray) -> np.ndarray:
+        """(T + energy_scale)^-1 applied to each row of a (m, dim) block."""
+        coeffs = self.kinetic.modes.T @ block.reshape((-1,) + self.shape)
+        for part, modes, inverse in self._inverse:
+            coeffs[:, part] = ((coeffs[:, part] @ modes) * inverse) @ modes.T
+        return (self.kinetic.modes @ coeffs).reshape(block.shape)
+
+    def expand(self, block: np.ndarray) -> np.ndarray:
+        """The (m, n/2, n) half grids of HamiltonianOperator, of the same norms."""
+        rows = np.zeros((len(block), self.half + 1, self.half))
+        rows[:, self.rows] = block.reshape((-1,) + self.shape)
+        rows[:, 1:self.half] *= math.sqrt(0.5)
+        return np.concatenate((rows[:, :self.half], self.flip(rows[:, 1:])), axis=-1)
 
 
-def _product_basis_start(op: HamiltonianOperator, k: int) -> np.ndarray:
-    """The k lowest eigenvectors of H in the product basis {chi_j x xi_a},
-    mapped to the full grid and folded onto the sector's half grid.
+def _odd_sector_floor(op: HamiltonianOperator) -> float:
+    """A lower bound on the phi_p-odd sector: T_m >= 0 and U >= L(phi_p),
+    its minimum over phi_m, so H >= (T_p + diag L) x 1 (Weyl)."""
+    floor = op.potential[1:op.grid.n // 2].min(axis=1)
+    return float(np.linalg.eigvalsh(op._factors[0].parity[1].matrix + np.diag(floor))[0])
 
-    chi_j are the levels of the stiff phi_p slice through the potential
-    minimum below its barrier top (at least two, and never part of a
-    degenerate cluster): bound in one well, they hold one copy of each
-    double-covered level, so the fold does not collapse two start vectors
-    onto one.  xi_a are the soft phi_m levels of
-    T_m + V_00(phi_m), the potential that chi_0 sees; M of them are kept, those
-    within two phi_p gaps (chi_1 - chi_0) of the lowest, and never fewer than
-    k.  So the dense solve has size K M instead of K n."""
-    n = op.grid.n
-    column = np.unravel_index(np.argmin(op.potential), op.potential.shape)[1]
-    slice_ = op.potential[:, column]
-    t_p, t_m = (factors.matrix for factors in op._factors)
-    levels, chi = np.linalg.eigh(t_p + np.diag(slice_))
+
+def _product_basis_start(sector: _Sector, k: int):
+    """The k lowest Ritz pairs (vectors, H vectors) in the sector's folded
+    product basis chi_j x xi_a (module docstring).  A product state folds to
+    chi x xi_lo + flip(chi) x xi_hi (xi_lo, xi_hi: j < n/2, j >= n/2), of
+    squared norm 1 + f g, f = <chi|flip chi>, g = 2 <xi_lo|xi_hi>.  Rotating
+    chi and xi to diagonalize f and g makes the folds orthogonal; one that
+    the double cover collapses (1 + f g <= 1e-6) is dropped."""
+    op, half, u = sector.op, sector.half, sector.op.potential[sector.rows]
+    t_p, t_m = sector.kinetic.matrix, op._factors[1].matrix
+    slice_ = op.potential[:, np.argmin(op.potential) % op.grid.n]
+    levels, chi = np.linalg.eigh(t_p + np.diag(slice_[sector.rows]))
     # a well too shallow to bind two levels keeps the lowest two
     count = max(2, int(np.count_nonzero(levels <= slice_.max())))
     # and a degenerate cluster of slice levels is kept whole, never cut in half
-    while count < n and levels[count] - levels[count - 1] <= 1e-9 * op.energy_scale:
+    while count < len(levels) and levels[count] - levels[count - 1] <= 1e-9 * op.energy_scale:
         count += 1
     levels, chi = levels[:count], chi[:, :count]
-    # V_jl(m) = (chi^T (T_p + U[:, m]) chi)_jl, the phi_p-projected potential
-    v = np.einsum("pj,pm,pl->mjl", chi, op.potential, chi, optimize=True) + chi.T @ t_p @ chi
-    soft, xi = np.linalg.eigh(t_m + np.diag(v[:, 0, 0]))
-    size = max(k, int(np.count_nonzero(soft < soft[0] + 2.0 * (levels[1] - levels[0]))))
-    xi = xi[:, :size]
-    # <chi_j xi_a|H|chi_l xi_b> = delta_jl (xi^T T_m xi)_ab + sum_m xi_ma V_jl(m) xi_mb
-    galerkin = np.einsum("ma,mjl,mb->jalb", xi, v, xi, optimize=True)
-    j = np.arange(count)
-    galerkin[j, :, j, :] += xi.T @ t_m @ xi
-    coeffs = np.linalg.eigh(galerkin.reshape(count * size, count * size))[1][:, :k]
-    start = np.einsum("pj,ma,jak->pmk", chi, xi, coeffs.reshape(count, size, k), optimize=True)
-    # the even part of each start vector, on the half grid (up to a factor 2)
-    half = n // 2
-    return (start[:half] + np.roll(start[half:], half, axis=1)).reshape(op.dim, k)
+    soft, xi = np.linalg.eigh(t_m + np.diag(chi[:, 0] ** 2 @ u))
+    size = int(np.count_nonzero(soft < soft[k - 1] + levels[1] - levels[0]))
+    f, turn = np.linalg.eigh(chi.T @ sector.flip(chi))
+    chi = chi @ turn
+    overlap = xi[:half, :size].T @ xi[half:, :size]
+    g, turn = np.linalg.eigh(overlap + overlap.T)
+    xi, norm2 = xi[:, :size] @ turn, 1.0 + np.outer(f, g).ravel()
+    # <p|H(1 + R)|p'> for p = chi_j x xi_a, p' = chi_l x xi_b, indexed (a, b, j, l):
+    # the half-cell translation R maps p' to flip(chi_l) x xi_b shifted by pi
+    galerkin = 0.0
+    for right, shifted in ((chi, xi), (sector.flip(chi), np.roll(xi, half, axis=0))):
+        v = u.T @ (chi[:, :, None] * right[:, None, :]).reshape(len(chi), -1)
+        galerkin = galerkin + ((xi[:, :, None] * shifted[:, None, :]).reshape(len(xi), -1).T
+                               @ v).reshape(size, size, count, count)
+        galerkin += ((xi.T @ shifted)[:, :, None, None] * (chi.T @ t_p @ right)
+                     + (xi.T @ t_m @ shifted)[:, :, None, None] * (chi.T @ right))
+    keep = np.flatnonzero(norm2 > 1e-6)
+    scale = 1.0 / np.sqrt(norm2[keep])
+    galerkin = galerkin.transpose(2, 0, 3, 1).reshape(count * size, -1)[np.ix_(keep, keep)]
+    coeffs = np.zeros((count * size, k))
+    coeffs[keep] = scale[:, None] * np.linalg.eigh(scale[:, None] * galerkin * scale)[1][:, :k]
+    coeffs = coeffs.reshape(count, size, k).transpose(2, 0, 1)
+    start = (chi @ coeffs @ xi[:half].T + sector.flip(chi) @ coeffs @ xi[half:].T).reshape(k, -1)
+    return start, sector.matvec(start)
 
 
 # the Davidson basis restarts from its Ritz vectors rather than hold more than this many times k rows
@@ -328,28 +403,17 @@ def _settled(norms: np.ndarray, tol: float, steps: int, max_iter: int) -> bool:
     return bool(np.all(norms <= tol) or steps >= max_iter or not np.all(np.isfinite(norms)))
 
 
-def _refine(op: HamiltonianOperator, start: np.ndarray, tol: float, max_iter: int):
-    """Block Davidson on the half grid from the start block: Rayleigh-Ritz on
-    an orthonormal basis, grown each step by the residuals of the Ritz vectors
-    above tol, preconditioned by (T + energy_scale)^-1 in the eigenbasis of
-    the kinetic matrices, which keeps the sector.  Returns (evals, vectors,
-    residuals, steps) once every residual is <= tol, after max_iter steps, or
-    at the first non-finite residual; a half-grid residual norm equals that of
-    the unit full-grid vector expand(v)/sqrt(2).
-
-    Blocks are row-major (m, dim) arrays in two preallocated buffers, the
-    basis and its H-image.  Each step applies H once, to the new rows, and
-    takes the Ritz residuals from the H-image; H is applied to the Ritz
-    vectors only to confirm an exit, so the residuals returned are true ones,
-    and a failed confirmation continues the iteration from them."""
-    k = start.shape[1]
-    t_p, t_m = op._factors
-    inverse = 1.0 / (t_p.levels[:, None] + t_m.levels + op.energy_scale)
-    half = op.grid.n // 2
-    basis = np.empty((_RESTART_BLOCKS * k, op.dim))
+def _refine(sector: _Sector, start: np.ndarray, h_start: np.ndarray, tol: float, max_iter: int):
+    """Block Davidson in a sector from an orthonormal (k, dim) start and its
+    H-image, in row-major (m, dim) buffers grown by the preconditioned
+    residuals above tol.  Each step applies H once, to the new rows; H is
+    applied to the Ritz vectors only to confirm an exit at all residuals <= tol,
+    max_iter steps or a non-finite residual, so the residuals returned with
+    (evals, (k, dim) vectors, residuals, steps) are true ones."""
+    k = len(start)
+    basis = np.empty((min(_RESTART_BLOCKS * k, sector.dim), sector.dim))
     h_basis = np.empty_like(basis)
-    basis[:k] = np.linalg.qr(start)[0].T
-    h_basis[:k] = op.matvec(basis[:k].T).T
+    basis[:k], h_basis[:k] = start, h_start
     size, steps = k, 0
     while True:
         evals, coeffs = np.linalg.eigh(basis[:size] @ h_basis[:size].T)
@@ -358,16 +422,12 @@ def _refine(op: HamiltonianOperator, start: np.ndarray, tol: float, max_iter: in
         residuals = h_vectors - evals[:, None] * vectors
         norms = np.linalg.norm(residuals, axis=1)
         if _settled(norms, tol, steps, max_iter):
-            h_vectors = op.matvec(vectors.T).T
+            h_vectors = sector.matvec(vectors)
             residuals = h_vectors - evals[:, None] * vectors
             norms = np.linalg.norm(residuals, axis=1)
             if _settled(norms, tol, steps, max_iter):
-                return evals, vectors.T, norms, steps
-        # (T + energy_scale)^-1 on the full grid: into the kinetic eigenbasis,
-        # scale, and back to the stored rows
-        rows = op.expand(residuals[norms > tol].reshape((-1, half, op.grid.n)))
-        scaled = np.matmul(t_p.modes.T, rows @ t_m.modes) * inverse
-        block = (np.matmul(t_p.modes[:half], scaled) @ t_m.modes.T).reshape(-1, op.dim)
+                return evals, vectors, norms, steps
+        block = sector.precondition(residuals[norms > tol])
         if size + len(block) > len(basis):
             basis[:k], h_basis[:k], size = vectors, h_vectors, k
         for _ in range(2):  # the second pass removes what rounding left in the basis span
@@ -375,7 +435,7 @@ def _refine(op: HamiltonianOperator, start: np.ndarray, tol: float, max_iter: in
             block = np.linalg.qr(block.T)[0].T
         new = slice(size, size + len(block))
         basis[new] = block
-        h_basis[new] = op.matvec(basis[new].T).T
+        h_basis[new] = sector.matvec(basis[new])
         size, steps = new.stop, steps + 1
 
 

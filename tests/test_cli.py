@@ -428,6 +428,26 @@ class TestSpectrumCommand:
         _, rows = read_csv(out / "spectrum.csv")
         assert [row[4] for row in rows] == ["ok"] * 5
 
+    def test_small_alpha_device_omega12_matches_dense_oracle(self, tmp_path, config_path):
+        # the third level at f = 0.45 is even in phi_p and lies just below the
+        # lowest odd one (53.0712 GHz); a solve that returned the odd level
+        # wrote omega12 = 12.1086 GHz here and still exited 0
+        config_path.write_text(
+            BASE_CONFIG.replace("alpha = 0.437", "alpha = 0.15")
+            .replace("e_j_ghz = 136.75", "e_j_ghz = 30.0").replace("c_s_ff = 60.0", "c_s_ff = 5.0")
+            .replace("n = 20", "n = 24")
+            .replace("start = 0.49\nstop = 0.51\nsteps = 5", "start = 0.45\nstop = 0.5\nsteps = 2"))
+        out = tmp_path / "out"
+        with pytest.warns(PerturbativeValidityWarning):
+            code = cli.main(["--config", str(config_path), "--out", str(out), "spectrum"])
+        assert code == cli.EXIT_OK
+        _, rows = read_csv(out / "spectrum.csv")
+        assert float(rows[0][0]) == 0.45
+        # levels 28.411876, 40.962581, 52.742610 GHz of the dense even-sector
+        # oracle of tests/test_numeric.py at n = 24
+        assert float(rows[0][2]) == pytest.approx(12.550704304385057, rel=1e-9)
+        assert float(rows[0][3]) == pytest.approx(11.780029652781863, rel=1e-9)
+
     def test_json_format(self, tmp_path, capsys):
         # tables are CSV only: a config asking for JSON tables is refused,
         # never answered with CSV

@@ -18,8 +18,11 @@ from csfq3d.numeric import (
 )
 
 FULL_2D = dict(alpha=0.437, E_J=136.75, E_C=3.2, C_S=60.0)
-# a weak shunt (beta ~ 0.83) whose fourth level the 2D solve misses
+# a weak shunt (beta ~ 0.83) whose fourth level at f = 0.5 is odd in phi_p
 WEAK_SHUNT_2D = dict(alpha=0.437, E_J=10.0, E_C=3.2, C_S=5.0)
+# a small alpha whose third level at f = 0.45 is even in phi_p, with the
+# lowest odd level (53.0712 GHz) just above it
+SMALL_ALPHA_2D = dict(alpha=0.15, E_J=30.0, E_C=3.2, C_S=5.0)
 
 
 def reference_qubit_2d():
@@ -67,11 +70,15 @@ def half_cell_expand(v, n):
     return np.concatenate((rows, np.roll(rows, n // 2, axis=1))).ravel()
 
 
-def even_sector_levels(op, count=4):
+def even_sector_levels(op, count=4, phi_p_parity=0):
     """Independent oracle: the dense full-grid H restricted to the range of
-    the half-cell projector (1 + R)/2, R the roll by (n/2, n/2)."""
+    the half-cell projector (1 + R)/2, R the roll by (n/2, n/2), and with a
+    phi_p_parity of +-1 also to that of (1 + phi_p_parity P)/2, P the
+    reflection phi_p -> -phi_p."""
     n = op.grid.n
     units = np.eye(n * n).reshape(n * n, n, n)
+    if phi_p_parity:
+        units = 0.5 * (units + phi_p_parity * units[:, (-np.arange(n)) % n])
     projector = np.column_stack([
         (0.5 * (unit + np.roll(unit, (n // 2, n // 2), axis=(0, 1)))).ravel() for unit in units])
     weights, vectors = np.linalg.eigh(projector)
@@ -80,12 +87,13 @@ def even_sector_levels(op, count=4):
 
 
 def generic_potential(grid, scale=5.0):
-    """A potential with no symmetry but the half-cell translation: cos phi_p
-    and sin(phi_m + 0.4) both change sign under it, cos(2 phi_p + 0.5) and
-    cos 2 phi_m keep it."""
+    """A potential with no symmetry but the two a 2D operator requires, the
+    half-cell translation and phi_p -> -phi_p: cos phi_p and
+    sin(phi_m + 0.4) both change sign under the first, cos 2 phi_p and
+    cos 2 phi_m keep it, and every phi_p factor is even."""
     phi_p, phi_m = np.meshgrid(grid.phi(), grid.phi(), indexing="ij")
     bumps = (np.cos(phi_p) * np.sin(phi_m + 0.4)
-             + 0.3 * np.cos(2 * phi_p + 0.5) * np.cos(2 * phi_m))
+             + 0.3 * np.cos(2 * phi_p) * np.cos(2 * phi_m))
     return scale * (bumps - bumps.min())
 
 
@@ -173,17 +181,35 @@ class TestOperators:
         with pytest.raises(ValueError):
             HamiltonianOperator((1.0,), np.zeros((16, 16)), grid)
 
-    @pytest.mark.parametrize("shift", [(12, 0), (0, 12), (1, 1)])
+    @pytest.mark.parametrize("shift", [(12, 0), (0, 12), (1, 1), (5, 3)])
     def test_rejects_potential_outside_the_even_sector(self, shift):
         # a potential that the half-cell translation changes mixes the two
-        # sectors; the half grid cannot hold its solution
+        # sectors; the half grid cannot hold its solution.  One that
+        # phi_p -> -phi_p changes mixes the two phi_p-parity sectors the
+        # solver keeps apart
         grid = GridSpec(24)
         potential = generic_potential(grid)
-        potential[shift] += 1e-9 * potential.max()
+        i, j = shift
+        potential[i, j] += 1e-9 * potential.max()
         with pytest.raises(ValueError, match="half-cell"):
             HamiltonianOperator((1.3, 0.7), potential, grid)
-        potential[shift[0] - 12, shift[1] - 12] = potential[shift]
+        potential[i - 12, j - 12] = potential[i, j]
+        if i % 12:  # off the two rows that phi_p -> -phi_p fixes
+            with pytest.raises(ValueError, match="phi_p -> -phi_p"):
+                HamiltonianOperator((1.3, 0.7), potential, grid)
+            potential[-i, j] = potential[12 - i, j - 12] = potential[i, j]
         HamiltonianOperator((1.3, 0.7), potential, grid)
+
+    @pytest.mark.parametrize("f", [0.5, 0.49, 0.45])
+    def test_potential_matches_the_closed_form(self, f):
+        # the outer-product form of 2 E_J (1 - cos phi_p cos phi_m)
+        q = reference_qubit_2d()
+        grid = GridSpec(80)
+        phi_p, phi_m = np.meshgrid(grid.phi(), grid.phi(), indexing="ij")
+        expected = 2.0 * q.E_J * (1.0 - np.cos(phi_p) * np.cos(phi_m)) \
+            + q.alpha * q.E_J * (1.0 - np.cos(2.0 * math.pi * f + 2.0 * phi_m))
+        np.testing.assert_allclose(build_hamiltonian_2d(q, f, grid).potential, expected,
+                                   rtol=1e-15, atol=0)
 
     def test_matvec_matches_dense_operator(self):
         # a 2D operator is the full-grid H applied to the expanded half grid,
@@ -211,6 +237,19 @@ class TestOperators:
             assert np.linalg.norm(result - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
+def record_sector_applications(monkeypatch):
+    """The parity of the sector of every block H application, in order."""
+    applied = []
+    original = numeric._Sector.matvec
+
+    def counting(self, block):
+        applied.append(self.parity)
+        return original(self, block)
+
+    monkeypatch.setattr(numeric._Sector, "matvec", counting)
+    return applied
+
+
 class TestSolverStructure:
     """The cached kinetic factors and the work and residuals of a 2D solve."""
 
@@ -221,7 +260,8 @@ class TestSolverStructure:
         assert first._factors[0] is not first._factors[1]  # E_p != E_m
         for mine, theirs in zip(first._factors, second._factors):
             assert mine is theirs
-            for array in mine:
+            blocks = (*mine.parity, *mine.period)
+            for array in (mine.matrix, *(array for block in blocks for array in block)):
                 assert not array.flags.writeable
         with pytest.raises(ValueError):
             first._factors[0].matrix[0, 0] = 0.0
@@ -251,35 +291,42 @@ class TestSolverStructure:
         returned = []
         original = numeric._refine
 
-        def capturing(*args):
-            returned.append(original(*args))
-            return returned[-1]
+        def capturing(sector, *args):
+            returned.append((sector, original(sector, *args)))
+            return returned[-1][1]
 
         monkeypatch.setattr(numeric, "_refine", capturing)
         with pytest.raises(ConvergenceError) as err:
             lowest_eigenpairs(op, k=3, max_iter=1)
-        evals, vectors, norms, steps = returned[0]
+        # a failed even sector is not followed by the odd one
+        [(sector, (evals, vectors, norms, steps))] = returned
+        assert sector.parity == 1
         assert steps == 1 and np.any(norms > 1e-8 * op.energy_scale)
-        np.testing.assert_allclose(err.value.residual_norms, true_norms(evals, vectors),
+        np.testing.assert_allclose(
+            norms, np.linalg.norm(sector.matvec(vectors) - evals[:, None] * vectors, axis=1),
+            rtol=1e-12)
+        np.testing.assert_allclose(err.value.residual_norms,
+                                   true_norms(evals, sector.expand(vectors).reshape(3, -1).T),
                                    rtol=1e-12)
 
     def test_one_block_application_per_step_on_the_bundled_sweep(self, monkeypatch):
-        # the sweep of example_config.ini: n = 80, k = 3, 21 fluxes; H is applied
-        # to the start, to each step's new rows and once to confirm the exit
-        applied = []
-        original = HamiltonianOperator.matvec
-
-        def counting(self, v):
-            applied.append(np.shape(v))
-            return original(self, v)
-
-        monkeypatch.setattr(HamiltonianOperator, "matvec", counting)
+        # the sweep of example_config.ini: n = 80, k = 3, 21 fluxes; in the
+        # phi_p-even sector H is applied to the start, to each step's new rows
+        # and once to confirm the exit, and the odd sector is never solved
+        applied = record_sector_applications(monkeypatch)
         q = reference_qubit_2d()
         for f in np.linspace(0.49, 0.51, 21):
             applied.clear()
             result = lowest_eigenpairs(build_hamiltonian_2d(q, f, GridSpec(80)), k=3)
-            assert len(applied) == result.iterations + 2, f
+            assert applied == [1] * (result.iterations + 2), f
             assert result.iterations <= 5, f
+
+    def test_weak_shunt_solves_both_sectors(self, monkeypatch):
+        applied = record_sector_applications(monkeypatch)
+        op = build_hamiltonian_2d(QubitParams(**WEAK_SHUNT_2D), 0.5, GridSpec(16))
+        result = lowest_eigenpairs(op, k=4)
+        assert set(applied) == {1, -1}
+        assert len(applied) == result.iterations + 4  # each sector's start and confirmation
 
 
 class TestLanczos:
@@ -359,19 +406,30 @@ class TestLanczos:
         assert op_1d.energy_scale == q.E_CS
         assert lowest_eigenpairs(op_1d, k=3).iterations == 0
 
-    @pytest.mark.parametrize("params,n", [
-        pytest.param(FULL_2D, 16, id="16"),
-        pytest.param(FULL_2D, 24, id="24"),
-        pytest.param(WEAK_SHUNT_2D, 16, id="weak_shunt-16", marks=pytest.mark.xfail(
-            strict=True, reason="known defect: every product-basis start vector is even "
-            "in phi_p, and H and the preconditioner keep that parity, so the fourth "
-            "level (29.3708 GHz, odd in phi_p) is missed and 34.3306 GHz returned in "
-            "its place with every residual <= 1e-8 E_J")),
+    @pytest.mark.parametrize("params,n,f,k", [
+        pytest.param(FULL_2D, 16, 0.5, 4, id="16"),
+        pytest.param(FULL_2D, 24, 0.5, 4, id="24"),
+        # the fourth level, 29.3708 GHz, is odd in phi_p
+        pytest.param(WEAK_SHUNT_2D, 16, 0.5, 4, id="weak_shunt-16"),
+        pytest.param(WEAK_SHUNT_2D, 24, 0.5, 4, id="weak_shunt-24"),
+        # the third level, 52.7426 GHz, is even in phi_p; the lowest odd one is 53.0712
+        pytest.param(SMALL_ALPHA_2D, 16, 0.45, 3, id="small_alpha-16"),
+        pytest.param(SMALL_ALPHA_2D, 24, 0.45, 3, id="small_alpha-24"),
+        # at f = 0.5 phi_m -> -phi_m is a symmetry too, which the sectors do not split
+        pytest.param(SMALL_ALPHA_2D, 16, 0.5, 6, id="small_alpha-f0.5-16"),
+        pytest.param(WEAK_SHUNT_2D, 16, 0.5, 6, id="weak_shunt-k6-16"),
     ])
-    def test_matches_dense_even_sector_oracle_2d(self, params, n):
-        op = build_hamiltonian_2d(QubitParams(**params), 0.5, GridSpec(n))
-        result = lowest_eigenpairs(op, k=4)
-        np.testing.assert_allclose(result.eigenvalues, even_sector_levels(op), rtol=1e-9)
+    def test_matches_dense_even_sector_oracle_2d(self, params, n, f, k):
+        op = build_hamiltonian_2d(QubitParams(**params), f, GridSpec(n))
+        result = lowest_eigenpairs(op, k=k)
+        np.testing.assert_allclose(result.eigenvalues, even_sector_levels(op, k), rtol=1e-9)
+
+    @pytest.mark.parametrize("params,f", [(FULL_2D, 0.5), (FULL_2D, 0.49), (WEAK_SHUNT_2D, 0.5),
+                                          (SMALL_ALPHA_2D, 0.45), (SMALL_ALPHA_2D, 0.5)])
+    def test_odd_sector_bound_is_below_its_lowest_level(self, params, f):
+        op = build_hamiltonian_2d(QubitParams(**params), f, GridSpec(16))
+        lowest_odd = even_sector_levels(op, 1, phi_p_parity=-1)[0]
+        assert numeric._odd_sector_floor(op) <= lowest_odd
 
     def test_fine_grid_off_optimal_residuals(self):
         q = reference_qubit_2d()
@@ -391,12 +449,15 @@ class TestLanczos:
         assert 1 <= result.iterations <= 10
 
     def test_contracted_start_keeps_at_least_k_soft_levels(self):
-        # a stiff soft axis leaves 3 phi_m levels within two phi_p gaps and 3
-        # phi_p levels below the barrier: 9 product states, fewer than k = 10
+        # a stiff soft axis and at most 2 slice levels below the barrier per
+        # phi_p-parity sector: the soft window, which reaches one slice gap
+        # above the k-th soft level, must still give k independent start vectors
         grid = GridSpec(16)
         op = HamiltonianOperator((1.3, 3.0), generic_potential(grid), grid, energy_scale=5.0)
-        start = numeric._product_basis_start(op, 10)
-        assert start.shape == (op.dim, 10) and np.linalg.matrix_rank(start) == 10
+        for parity in (1, -1):
+            sector = numeric._Sector(op, parity)
+            start, _ = numeric._product_basis_start(sector, 10)
+            assert start.shape == (10, sector.dim) and np.linalg.matrix_rank(start) == 10
         result = lowest_eigenpairs(op, k=10)
         np.testing.assert_allclose(result.eigenvalues, even_sector_levels(op, 10), rtol=1e-9)
 
@@ -420,12 +481,18 @@ class TestLanczos:
         # U = 3 (1 - cos 2 phi_m) on every phi_p row: the levels are e_a + 1.3 n_p^2
         # for the phi_m levels e_a, with n_p even for the phi_m levels even under
         # phi_m -> phi_m + pi and odd for the odd ones, so 3.191 (n_p = +-1 on
-        # the first odd phi_m level) is doubly degenerate
+        # the first odd phi_m level) is doubly degenerate.  Folded after the
+        # Galerkin solve, start vectors odd under the half-cell translation
+        # became rounding noise; folded before it, every one is a unit vector
         grid = GridSpec(16)
         potential = np.tile(3.0 * (1.0 - np.cos(2.0 * grid.phi())), (16, 1))
         op = HamiltonianOperator((1.3, 0.7), potential, grid, energy_scale=3.0)
         result = lowest_eigenpairs(op, k=3)
         np.testing.assert_allclose(result.eigenvalues, even_sector_levels(op, 3), rtol=1e-9)
+        assert result.iterations <= 5
+        for parity in (1, -1):
+            start, _ = numeric._product_basis_start(numeric._Sector(op, parity), 3)
+            assert np.all(np.linalg.norm(start, axis=1) >= 0.5)
 
     def test_degenerate_slice_cluster_is_kept_whole(self):
         # U = 0.3 (1 - cos 3 phi_p cos phi_m): the slice at phi_m = -pi binds one
