@@ -344,8 +344,9 @@ def cmd_spectrum(config: RunConfig, args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    def solve(f: float):  # the three levels behind omega01 and omega12
-        return lowest_eigenpairs(build_hamiltonian_2d(q, f, grid), k=3)
+    def solve(f: float):  # (omega01, omega12) of the three lowest levels
+        result = lowest_eigenpairs(build_hamiltonian_2d(q, f, grid), k=3)
+        return result.omega01, result.transition(1, 2)
 
     # H(1 - f) is H(f) with phi_m -> -phi_m, so each mirror pair is solved once
     keys = sorted({min(f, 1.0 - f) for f in flux} | {0.5})
@@ -353,9 +354,9 @@ def cmd_spectrum(config: RunConfig, args) -> int:
     rows = []
     for f in flux:
         w_analytic = analytic.omega01(q, f)
-        result, err = solved[min(f, 1.0 - f)]
+        omegas, err = solved[min(f, 1.0 - f)]
         if err is None:
-            rows.append([f, w_analytic, result.omega01, result.transition(1, 2), "ok"])
+            rows.append([f, w_analytic, *omegas, "ok"])
         else:
             rows.append([f, w_analytic, "", "", f"error:{err.__class__.__name__}"])
     failures = sum(row[4] != "ok" for row in rows)
@@ -364,11 +365,12 @@ def cmd_spectrum(config: RunConfig, args) -> int:
                           "omega12_numeric_GHz", "status"], rows)
 
     optimal, optimal_error = solved[0.5]
+    omega01, omega12 = optimal or (None, None)
     spectrum = analytic.perturbative_spectrum(q)
     summary = {  # a failed optimal-point solve leaves its numeric fields null
-        "omega01_numeric_GHz": optimal and optimal.omega01,
-        "omega12_numeric_GHz": optimal and optimal.transition(1, 2),
-        "anharmonicity_numeric_GHz": optimal and optimal.anharmonicity,
+        "omega01_numeric_GHz": omega01,
+        "omega12_numeric_GHz": omega12,
+        "anharmonicity_numeric_GHz": optimal and omega12 - omega01,
         "omega01_analytic_GHz": spectrum.Delta,
         "anharmonicity_analytic_GHz": spectrum.A,
         "epsilon_slope_GHz_per_flux": spectrum.dEps_df,

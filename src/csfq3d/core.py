@@ -115,12 +115,14 @@ def _check_qubit_params(q: QubitParams) -> None:
                               ("C_S", q.C_S, "fF")):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {value} {unit}")
-    # tiny positive values that zero a divisor of the models: the stiffness
-    # E_J(1 - 2 alpha) and the shunt capacitance in farad
+    # values that zero a divisor of the models (the stiffness E_J(1 - 2 alpha),
+    # C_S in farad, e^2/2C_S) or overflow the potential depth (4 + 2 alpha) E_J
     if q.E_J * (1.0 - 2.0 * q.alpha) == 0.0:
         raise ValueError(f"E_J = {q.E_J} GHz underflows the stiffness E_J(1 - 2 alpha) to 0")
-    if 2.0 * q.C_S * 1e-15 == 0.0:
-        raise ValueError(f"C_S = {q.C_S} fF underflows to 0 F")
+    if not math.isfinite((4.0 + 2.0 * q.alpha) * q.E_J):
+        raise ValueError(f"E_J = {q.E_J} GHz overflows the potential depth (4 + 2 alpha) E_J")
+    if 2.0 * q.C_S * 1e-15 == 0.0 or q.E_CS == 0.0:
+        raise ValueError(f"C_S = {q.C_S} fF underflows to 0 F or to a charging energy of 0")
     if q.alpha <= 0.125:
         warnings.warn(
             f"alpha = {q.alpha} <= 1/8: quartic coefficient (8 alpha - 1) is not "

@@ -16,10 +16,8 @@ The (phi_p, phi_m) square [-pi, pi)^2 double-covers the physical junction
 phase torus: shifting one junction phase by 2 pi maps (phi_p, phi_m) to
 (phi_p + pi, phi_m + pi), so every physical level appears twice, paired with
 an unphysical partner that is odd under that half-cell translation.  A 2D
-operator therefore acts on the even (single-valued) sector alone.  An even
-vector obeys psi(i + n/2, j + n/2) = psi(i, j), so it is stored as its half
-grid of rows i < n/2, with n^2/2 entries; :meth:`HamiltonianOperator.expand`
-rebuilds the full grid.
+solve therefore returns the even (single-valued) sector alone, the states
+with psi(i + n/2, j + n/2) = psi(i, j).
 
 :func:`lowest_eigenpairs` diagonalizes 1D operators densely.  In 2D, U is even
 in phi_p, and phi_p -> -phi_p commutes with the half-cell translation, so the
@@ -32,7 +30,8 @@ product basis of the sector's phi_p slice levels through the potential
 minimum below the slice top (at least two, never part of a degenerate
 cluster) times the soft phi_m levels in the potential the lowest of them
 sees, up to one slice gap above the k-th lowest.  Block Davidson
-refines it until every true residual is within 1e-8 max(E_J, E_p).  The odd
+refines it until every true residual, recomputed on the full grid with no
+folding, is within 1e-8 max(E_J, E_p).  The odd
 sector is solved only when a Weyl lower bound on its levels
 (:func:`_odd_sector_floor`) fails to clear the even sector's k-th level by the
 tolerance; the k lowest of both are returned.  At f = 0.5, phi_m -> -phi_m is
@@ -123,11 +122,8 @@ class HamiltonianOperator:
     """Real-symmetric Hamiltonian on a periodic grid: spectral kinetic term
     plus a diagonal potential.  The kinetic term is one dense matrix product
     per axis, with factors shared by every operator with the same
-    coefficient and grid (see :class:`_KineticFactors`).
-
-    A 2D operator acts on the even sector (module docstring): a vector v is
-    a flat half grid of shape (n/2, n), dim = n^2/2, and stands for the
-    full-grid vector expand(v)/sqrt(2), of the same norm and residual norm.
+    coefficient and grid (see :class:`_KineticFactors`).  A vector is the
+    flat grid, dim = n (1D) or n^2 (2D, row-major in (phi_p, phi_m)).
 
     Parameters
     ----------
@@ -135,7 +131,7 @@ class HamiltonianOperator:
         kinetic coefficients in GHz, one per axis: (E_m,) for a 1D operator
         or (E_p, E_m) for 2D.  Axis order matches the potential array.
     potential:
-        diagonal potential on the grid, GHz; shape (n,) or (n, n).  A 2D
+        finite diagonal potential on the grid, GHz; shape (n,) or (n, n).  A 2D
         potential must be invariant under the half-cell translation
         (i, j) -> (i + n/2, j + n/2) and under phi_p -> -phi_p
         (i -> (n - i) mod n), each to 1e-12 of its largest magnitude.
@@ -157,6 +153,8 @@ class HamiltonianOperator:
             )
         if len(kinetic) != potential.ndim:
             raise ValueError("need one kinetic coefficient per potential axis")
+        if not np.all(np.isfinite(potential)):
+            raise ValueError("potential must be finite")
         half = grid.n // 2
         if potential.ndim == 2:
             for name, image in (
@@ -169,8 +167,6 @@ class HamiltonianOperator:
         self.grid = grid
         self.energy_scale = float(energy_scale)
         self._factors = tuple(_kinetic_factors(coeff, grid.n) for coeff in self.kinetic)
-        self._shape = (half, grid.n) if potential.ndim == 2 else potential.shape
-        self._diagonal = potential[:self._shape[0]]  # the potential on the stored rows
 
     @property
     def ndim(self) -> int:
@@ -178,26 +174,19 @@ class HamiltonianOperator:
 
     @property
     def dim(self) -> int:
-        return math.prod(self._shape)
-
-    def expand(self, rows: np.ndarray) -> np.ndarray:
-        """The full (..., n, n) grid of 2D half-grid rows (..., n/2, n): row
-        i + n/2 is row i shifted by n/2 along phi_m."""
-        return np.concatenate((rows, np.roll(rows, self.grid.n // 2, axis=-1)), axis=-2)
+        return self.potential.size
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Apply H to a flat vector or to a (dim, m) block of them.
 
-        The block is worked on as its transpose, m rows of the stored shape,
-        so the transpose of a C-ordered (m, dim) array goes in and out
-        uncopied."""
+        The block is worked on as its transpose, m grids, so the transpose of
+        a C-ordered (m, dim) array goes in and out uncopied."""
         v = np.asarray(v, dtype=float)
-        rows = v.T.reshape(v.shape[1:] + self._shape)
-        out = rows @ self._factors[-1].matrix  # the kinetic matrices are symmetric
+        grids = v.T.reshape(v.shape[1:] + self.potential.shape)
+        out = grids @ self._factors[-1].matrix  # the kinetic matrices are symmetric
         if self.ndim == 2:
-            # the stored rows of T_p applied to the full grid
-            out += np.matmul(self._factors[0].matrix[:self._shape[0]], self.expand(rows))
-        out += self._diagonal * rows
+            out += self._factors[0].matrix @ grids
+        out += self.potential * grids
         return out.reshape(v.shape[::-1]).T
 
 
@@ -244,9 +233,10 @@ def build_hamiltonian_1d(q: QubitParams, grid: GridSpec | None = None) -> Hamilt
 @dataclass(frozen=True)
 class EigenResult:
     """Lowest eigenpairs: energies (GHz, ascending), unit column eigenvectors
-    in the operator's layout (2D: half grids, see :class:`HamiltonianOperator`),
-    true residual norms ||H v - E v|| and the number of block-Davidson growth
-    steps of both phi_p-parity sectors (0 for a dense 1D solve)."""
+    in the operator's layout (2D: flat full grids, each even under the
+    half-cell translation and of one phi_p parity), true residual norms
+    ||H v - E v|| and the number of block-Davidson growth steps of both
+    phi_p-parity sectors (0 for a dense 1D solve)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -266,14 +256,14 @@ class EigenResult:
         return self.transition(1, 2) - self.transition(0, 1)
 
 
-def lowest_eigenpairs(op: HamiltonianOperator, k: int = 4,
-                      max_iter: int = 5000) -> EigenResult:
+def lowest_eigenpairs(op: HamiltonianOperator, k: int = 4) -> EigenResult:
     """Lowest k eigenpairs of a grid Hamiltonian (method: module docstring),
     each with true residual ||H v - E v|| <= 1e-8 * op.energy_scale (1e-8
     max(E_J, E_p) from build_hamiltonian_2d, 1e-8 max(E_J, E_CS) from
-    build_hamiltonian_1d) within max_iter Davidson growth steps per
+    build_hamiltonian_1d) within _MAX_STEPS Davidson growth steps per
     phi_p-parity sector (2D ``iterations`` sums both); otherwise raises
-    ConvergenceError carrying the true residual norms."""
+    ConvergenceError carrying the true residual norms, recomputed with
+    op.matvec."""
     if k < 1 or k > 10:
         raise ValueError(f"k must be in 1..10, got {k}")
     tol = 1e-8 * op.energy_scale
@@ -284,8 +274,7 @@ def lowest_eigenpairs(op: HamiltonianOperator, k: int = 4,
         results, iterations = [], 0
         for parity in (1, -1):
             sector = _Sector(op, parity)
-            evals, vectors, norms, steps = _refine(sector, *_product_basis_start(sector, k),
-                                                   tol, max_iter)
+            evals, vectors, norms, steps = _refine(sector, *_product_basis_start(sector, k), tol)
             results.append((evals, sector.expand(vectors).reshape(k, op.dim)))
             iterations += steps
             if parity < 0 or not np.all(norms <= tol) or _odd_sector_floor(op) > evals[-1] + tol:
@@ -302,9 +291,10 @@ def lowest_eigenpairs(op: HamiltonianOperator, k: int = 4,
 
 
 class _Sector:
-    """The phi_p-parity sector (parity +1 or -1) of a 2D operator: a vector
-    is a flat row of the rows 0..n/2 (even) or 1..n/2-1 (odd) of the parity
-    basis of :class:`_KineticFactors` by the columns j < n/2 (module docstring)."""
+    """The phi_p-parity sector (parity +1 or -1) of the half-cell-even states
+    of a 2D operator: a vector is a flat row of the rows 0..n/2 (even) or
+    1..n/2-1 (odd) of the parity basis of :class:`_KineticFactors` by the
+    columns j < n/2 (module docstring), which fix the rest of the grid."""
 
     def __init__(self, op: HamiltonianOperator, parity: int):
         self.op, self.parity, self.half = op, parity, op.grid.n // 2
@@ -338,11 +328,13 @@ class _Sector:
         return (self.kinetic.modes @ coeffs).reshape(block.shape)
 
     def expand(self, block: np.ndarray) -> np.ndarray:
-        """The (m, n/2, n) half grids of HamiltonianOperator, of the same norms."""
+        """The unit (m, n, n) grids of the unit rows of a (m, dim) block: the
+        columns j < n/2 in the grid basis, the rest by the half-cell translation."""
         rows = np.zeros((len(block), self.half + 1, self.half))
-        rows[:, self.rows] = block.reshape((-1,) + self.shape)
+        rows[:, self.rows] = math.sqrt(0.5) * block.reshape((-1,) + self.shape)
         rows[:, 1:self.half] *= math.sqrt(0.5)
-        return np.concatenate((rows[:, :self.half], self.flip(rows[:, 1:])), axis=-1)
+        columns = np.concatenate((rows, self.flip(rows[:, 1:self.half])), axis=-2)
+        return np.concatenate((columns, np.roll(columns, self.half, axis=-2)), axis=-1)
 
 
 def _odd_sector_floor(op: HamiltonianOperator) -> float:
@@ -397,18 +389,20 @@ def _product_basis_start(sector: _Sector, k: int):
 
 # the Davidson basis restarts from its Ritz vectors rather than hold more than this many times k rows
 _RESTART_BLOCKS = 6
+# a sector's refinement gives up after this many growth steps
+_MAX_STEPS = 5000
 
 
-def _settled(norms: np.ndarray, tol: float, steps: int, max_iter: int) -> bool:
-    return bool(np.all(norms <= tol) or steps >= max_iter or not np.all(np.isfinite(norms)))
+def _settled(norms: np.ndarray, tol: float, steps: int) -> bool:
+    return bool(np.all(norms <= tol) or steps >= _MAX_STEPS or not np.all(np.isfinite(norms)))
 
 
-def _refine(sector: _Sector, start: np.ndarray, h_start: np.ndarray, tol: float, max_iter: int):
+def _refine(sector: _Sector, start: np.ndarray, h_start: np.ndarray, tol: float):
     """Block Davidson in a sector from an orthonormal (k, dim) start and its
     H-image, in row-major (m, dim) buffers grown by the preconditioned
     residuals above tol.  Each step applies H once, to the new rows; H is
     applied to the Ritz vectors only to confirm an exit at all residuals <= tol,
-    max_iter steps or a non-finite residual, so the residuals returned with
+    _MAX_STEPS steps or a non-finite residual, so the residuals returned with
     (evals, (k, dim) vectors, residuals, steps) are true ones."""
     k = len(start)
     basis = np.empty((min(_RESTART_BLOCKS * k, sector.dim), sector.dim))
@@ -421,11 +415,11 @@ def _refine(sector: _Sector, start: np.ndarray, h_start: np.ndarray, tol: float,
         vectors, h_vectors = coeffs @ basis[:size], coeffs @ h_basis[:size]
         residuals = h_vectors - evals[:, None] * vectors
         norms = np.linalg.norm(residuals, axis=1)
-        if _settled(norms, tol, steps, max_iter):
+        if _settled(norms, tol, steps):
             h_vectors = sector.matvec(vectors)
             residuals = h_vectors - evals[:, None] * vectors
             norms = np.linalg.norm(residuals, axis=1)
-            if _settled(norms, tol, steps, max_iter):
+            if _settled(norms, tol, steps):
                 return evals, vectors, norms, steps
         block = sector.precondition(residuals[norms > tol])
         if size + len(block) > len(basis):

@@ -216,8 +216,9 @@ COMMAND_SECTIONS = {
     "fit envelope": ("envelope", "fit"),
     "fit fluxnoise": ("qubit", "fit"),
 }
+# 1.7e308 is finite, but (4 + 2 alpha) E_J overflows and e^2/2C_S underflows;
 # 1e15 elements are past the address space: the allocation fails at once
-MUTATIONS = ("nan", "inf", "0", "-1", "1e300", "5e-324", "1000000000000000")
+MUTATIONS = ("nan", "inf", "0", "-1", "1e300", "1.7e308", "5e-324", "1000000000000000")
 
 
 def command_argv(command: str) -> list[str]:
@@ -291,6 +292,18 @@ class TestMutatedConfig:
         assert len(err.strip().splitlines()) == 1 and message in err
         if code == cli.EXIT_CONFIG:
             assert not list(out.glob("*"))  # rejected before any output is written
+
+    @pytest.mark.parametrize("command", ["spectrum", "coherence"])
+    def test_overflowing_potential_depth_is_a_config_error(self, tmp_path, capsys, command):
+        # (4 + 2 alpha) E_J overflows, so the grid potential would hold inf and
+        # NaN entries: the run ends before any output with one line naming E_J
+        path = tmp_path / "c.ini"
+        path.write_text(BASE_CONFIG.replace("e_j_ghz = 136.75", "e_j_ghz = 1.7e308"))
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), command]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "E_J = 1.7e+308 GHz overflows" in err
+        assert not out.exists()
 
 
 def record_reads(monkeypatch) -> set:

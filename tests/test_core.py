@@ -69,6 +69,8 @@ class TestQubitParams:
         dict(alpha=-0.1), dict(alpha=0.0), dict(alpha=0.7),
         dict(E_J=0.0), dict(E_J=-1.0), dict(E_C=0.0), dict(C_S=-78.0),
         dict(E_J=5e-324), dict(C_S=5e-324),  # positive, but a divisor underflows to 0
+        dict(E_J=1.7e308),  # finite, but the potential depth (4 + 2 alpha) E_J overflows
+        dict(C_S=1.7e308),  # finite, but e^2/2C_S underflows to 0
     ])
     def test_invalid_fields_rejected(self, bad):
         fields = dict(alpha=0.41, E_J=85.0, E_C=3.2, C_S=78.0)

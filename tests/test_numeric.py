@@ -64,12 +64,6 @@ def dense_grid_operator(op):
         for unit in np.eye(op.potential.size)])
 
 
-def half_cell_expand(v, n):
-    """Full grid of a flat half-grid vector: psi(i + n/2, j + n/2) = psi(i, j)."""
-    rows = v.reshape(n // 2, n)
-    return np.concatenate((rows, np.roll(rows, n // 2, axis=1))).ravel()
-
-
 def even_sector_levels(op, count=4, phi_p_parity=0):
     """Independent oracle: the dense full-grid H restricted to the range of
     the half-cell projector (1 + R)/2, R the roll by (n/2, n/2), and with a
@@ -164,15 +158,21 @@ class TestOperators:
             expected = e_kin * mode**2 * wave
             np.testing.assert_allclose(op.matvec(wave), expected, atol=1e-10 * max(1, mode**2))
 
-    def test_2d_operator_stores_the_half_grid(self):
-        op = build_hamiltonian_2d(reference_qubit_2d(), 0.5, GridSpec(24))
-        assert op.potential.shape == (24, 24)
-        assert op.dim == 24 * 24 // 2
-        rows = np.random.default_rng(11).standard_normal((2, 12, 24))
-        full = op.expand(rows)
-        assert full.shape == (2, 24, 24)
-        np.testing.assert_array_equal(full[:, :12], rows)
-        np.testing.assert_array_equal(np.roll(full, (12, 12), axis=(1, 2)), full)
+    @pytest.mark.parametrize("params,k", [
+        pytest.param(FULL_2D, 3, id="reference-k3"),
+        pytest.param(WEAK_SHUNT_2D, 4, id="weak_shunt-k4"),  # solves the odd sector too
+    ])
+    def test_2d_eigenvectors_are_unit_full_grids_of_one_symmetry(self, params, k):
+        # a 2D vector is the flat full grid; each eigenvector is a unit vector
+        # even under the half-cell translation and of one phi_p parity
+        n = 24
+        op = build_hamiltonian_2d(QubitParams(**params), 0.5, GridSpec(n))
+        assert op.dim == n * n
+        grids = lowest_eigenpairs(op, k=k).eigenvectors.T.reshape(k, n, n)
+        np.testing.assert_allclose(np.linalg.norm(grids, axis=(1, 2)), 1.0, rtol=1e-12)
+        assert np.max(np.abs(np.roll(grids, (n // 2, n // 2), axis=(1, 2)) - grids)) <= 1e-12
+        parities = np.sum(grids * grids[:, (-np.arange(n)) % n], axis=(1, 2))
+        np.testing.assert_allclose(np.abs(parities), 1.0, rtol=1e-12)
 
     def test_shape_validation(self):
         grid = GridSpec(16)
@@ -181,10 +181,19 @@ class TestOperators:
         with pytest.raises(ValueError):
             HamiltonianOperator((1.0,), np.zeros((16, 16)), grid)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_potential(self, bad):
+        # a NaN would pass both invariance checks without checking anything
+        grid = GridSpec(16)
+        potential = generic_potential(grid)
+        potential[3, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            HamiltonianOperator((1.3, 0.7), potential, grid)
+
     @pytest.mark.parametrize("shift", [(12, 0), (0, 12), (1, 1), (5, 3)])
     def test_rejects_potential_outside_the_even_sector(self, shift):
         # a potential that the half-cell translation changes mixes the two
-        # sectors; the half grid cannot hold its solution.  One that
+        # sectors, so the even states a solve returns are no eigenstates.  One that
         # phi_p -> -phi_p changes mixes the two phi_p-parity sectors the
         # solver keeps apart
         grid = GridSpec(24)
@@ -212,18 +221,13 @@ class TestOperators:
                                    rtol=1e-15, atol=0)
 
     def test_matvec_matches_dense_operator(self):
-        # a 2D operator is the full-grid H applied to the expanded half grid,
-        # read back on the stored rows
         rng = np.random.default_rng(7)
         for op in (build_hamiltonian_1d(reference_qubit_1d(), GridSpec(80)),
                    build_hamiltonian_2d(reference_qubit_2d(), 0.49, GridSpec(24))):
             dense = dense_grid_operator(op)
             for _ in range(3):
                 v = rng.standard_normal(op.dim)
-                if op.ndim == 1:
-                    expected = dense @ v
-                else:
-                    expected = (dense @ half_cell_expand(v, op.grid.n))[:op.dim]
+                expected = dense @ v
                 assert np.linalg.norm(op.matvec(v) - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_block_matvec_matches_columns(self):
@@ -296,8 +300,9 @@ class TestSolverStructure:
             return returned[-1][1]
 
         monkeypatch.setattr(numeric, "_refine", capturing)
+        monkeypatch.setattr(numeric, "_MAX_STEPS", 1)
         with pytest.raises(ConvergenceError) as err:
-            lowest_eigenpairs(op, k=3, max_iter=1)
+            lowest_eigenpairs(op, k=3)
         # a failed even sector is not followed by the odd one
         [(sector, (evals, vectors, norms, steps))] = returned
         assert sector.parity == 1
@@ -375,16 +380,17 @@ class TestLanczos:
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
         assert np.array_equal(first.eigenvectors, second.eigenvectors)
 
-    def test_nonconvergence_carries_residuals(self):
+    def test_nonconvergence_carries_residuals(self, monkeypatch):
+        monkeypatch.setattr(numeric, "_MAX_STEPS", 1)
         op = build_hamiltonian_2d(reference_qubit_2d(), 0.5, GridSpec(48))
         with pytest.raises(ConvergenceError) as err:
-            lowest_eigenpairs(op, k=4, max_iter=1)
+            lowest_eigenpairs(op, k=4)
         assert err.value.residual_norms.size > 0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("energy", ["E_J", "E_C"])
     def test_overflowing_operator_stops_at_first_non_finite_residual(self, energy):
-        # at 1e300 GHz the matvec overflows; the refinement must not spin to max_iter
+        # at 1e300 GHz the matvec overflows; the refinement must not spin to _MAX_STEPS
         q = QubitParams(**{**FULL_2D, energy: 1e300})
         op = build_hamiltonian_2d(q, 0.5, GridSpec(20))
         with pytest.raises(ConvergenceError, match=r"within [01] refinement steps") as err:
@@ -658,17 +664,19 @@ class TestFluxReflection:
 
     @pytest.mark.parametrize("n", [24, 80])
     def test_operator_reflects(self, n):
-        # kinetic term included: H(1 - f) R v = R H(f) v for any half-grid
-        # vector v, with R the same column permutation on the half and the
-        # full grid, so it keeps the even sector
+        # kinetic term included: H(1 - f) R v = R H(f) v for any grid vector
+        # v, with R the column permutation phi_m -> -phi_m, which commutes
+        # with the half-cell translation and so keeps the even sector
         q = reference_qubit_2d()
         grid = GridSpec(n)
         perm = reflect_phi_m(n)
-        v = np.random.default_rng(5).standard_normal((n // 2, n))
+        v = np.random.default_rng(5).standard_normal((n, n))
+        half_cell = (n // 2, n // 2)
+        np.testing.assert_array_equal(np.roll(v[:, perm], half_cell, axis=(0, 1)),
+                                      np.roll(v, half_cell, axis=(0, 1))[:, perm])
         op = build_hamiltonian_2d(q, 0.49, grid)
-        np.testing.assert_array_equal(op.expand(v[:, perm]), op.expand(v)[:, perm])
         lhs = build_hamiltonian_2d(q, 0.51, grid).matvec(v[:, perm].ravel())
-        rhs = op.matvec(v.ravel()).reshape(n // 2, n)[:, perm]
+        rhs = op.matvec(v.ravel()).reshape(n, n)[:, perm]
         np.testing.assert_allclose(lhs, rhs.ravel(), rtol=0, atol=1e-12 * q.E_J)
 
     @pytest.mark.parametrize("f", [0.49, 0.495])
@@ -715,6 +723,6 @@ class TestEigenvectorParity2D:
         op = build_hamiltonian_2d(q, 0.5, grid)
         result = lowest_eigenpairs(op, k=2)
         phi = grid.phi()
-        odd_operator = np.tile(np.sin(phi), (grid.n // 2, 1)).ravel()
+        odd_operator = np.tile(np.sin(phi), (grid.n, 1)).ravel()
         ground = result.eigenvectors[:, 0]
         assert abs(ground @ (odd_operator * ground)) < 1e-8
