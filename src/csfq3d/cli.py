@@ -51,7 +51,7 @@ from .fit import (
     fit_spectrum,
     fit_xqp,
 )
-from .numeric import ConvergenceError, GridSpec, build_hamiltonian_2d, lowest_eigenpairs
+from .numeric import GridSpec, build_hamiltonian_2d, lowest_eigenpairs
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -224,8 +224,6 @@ def _json_safe(value):
         return {key: _json_safe(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(item) for item in value]
-    if isinstance(value, np.ndarray):
-        return [_json_safe(item) for item in value.tolist()]
     if isinstance(value, (np.floating, np.integer)):
         value = value.item()
     if isinstance(value, float) and not math.isfinite(value):
@@ -348,13 +346,18 @@ def cmd_spectrum(config: RunConfig, args) -> int:
         result = lowest_eigenpairs(build_hamiltonian_2d(q, f, grid), k=3)
         return result.omega01, result.transition(1, 2)
 
-    # H(1 - f) is H(f) with phi_m -> -phi_m, so each mirror pair is solved once
-    keys = sorted({min(f, 1.0 - f) for f in flux} | {0.5})
+    # H(1 - f) is H(f) with phi_m -> -phi_m, so each mirror pair is solved once; a key
+    # within 2 ulp(1) of the next smaller one (1 - f rounded) shares its solve, unrounded
+    owner, previous = {}, -math.inf
+    for key in sorted({min(f, 1.0 - f) for f in flux} | {0.5}):
+        owner[key] = owner[previous] if key - previous <= 2.0 * np.spacing(1.0) else key
+        previous = key
+    keys = sorted(set(owner.values()))
     solved = {f: (result, err) for f, result, err in _map_indexed(solve, keys)}
     rows = []
     for f in flux:
         w_analytic = analytic.omega01(q, f)
-        omegas, err = solved[min(f, 1.0 - f)]
+        omegas, err = solved[owner[min(f, 1.0 - f)]]
         if err is None:
             rows.append([f, w_analytic, *omegas, "ok"])
         else:
@@ -364,7 +367,7 @@ def cmd_spectrum(config: RunConfig, args) -> int:
                          ["flux_phi0", "omega01_analytic_GHz", "omega01_numeric_GHz",
                           "omega12_numeric_GHz", "status"], rows)
 
-    optimal, optimal_error = solved[0.5]
+    optimal, optimal_error = solved[owner[0.5]]
     omega01, omega12 = optimal or (None, None)
     spectrum = analytic.perturbative_spectrum(q)
     summary = {  # a failed optimal-point solve leaves its numeric fields null
@@ -493,8 +496,8 @@ def cmd_filter(config: RunConfig, args) -> int:
 def cmd_fit(config: RunConfig, args) -> int:
     data = read_data_csv(args.data, DATA_SCHEMAS[args.target])
     if args.target == "spectrum":
-        anharmonicity = config._get("fit", "anharmonicity_ghz", float, default=None)
-        result = fit_spectrum(data, config.qubit(), anharmonicity_ghz=anharmonicity)
+        anharmonicity = config._positive("fit", "anharmonicity_ghz")
+        result = fit_spectrum(data, anharmonicity)
         extra = {"model": "perturbative omega01(f)",
                  "anharmonicity_constraint_GHz": anharmonicity}
     elif args.target == "t1":
@@ -588,9 +591,6 @@ def main(argv=None) -> int:
     except (ConfigError, DataFileError, FitError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except ConvergenceError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
 
 
 if __name__ == "__main__":

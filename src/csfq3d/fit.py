@@ -1,12 +1,13 @@
 """Inverse problems: extraction of qubit and noise parameters from data.
 
-The nonlinear fits (spectrum, coherence envelope, T1 trace) run through one
+The perturbative spectrum omega01(f) is a straight line in (f - 1/2)^2, so
+its fit is a weighted line fit plus a closed-form inversion of (gap,
+curvature, measured anharmonicity), with no start and no iteration.  The
+nonlinear fits (coherence envelope, T1 trace) run through one
 Levenberg-Marquardt core with numeric central-difference Jacobians and build
-their results through one helper.  Parameters with a restricted physical
-domain are fitted through transforms (alpha by a logit onto (0, 0.5),
-energies and capacitances by a log) or by clipping (rates at zero), so the
-optimizer never leaves the physical region.  The quasiparticle density x_qp
-and the flux-noise amplitude A_Phi enter their models linearly, so each is a
+their results through one helper; a rate is kept physical by clipping at
+zero and T1 is fitted through its log.  The quasiparticle density x_qp and
+the flux-noise amplitude A_Phi enter their models linearly, so each is a
 closed-form through-origin regression, no iteration needed.  A fit whose
 model lives in :mod:`csfq3d.analytic` or :mod:`csfq3d.decoherence` calls it
 there rather than restating it.
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytic
-from .core import NegativeAnharmonicityWarning, QubitParams
+from .core import QubitParams, capacitance_from_charging_energy
 from .decoherence import (
     DEFAULT_N_CP,
     QuasiparticleEnv,
@@ -206,7 +207,7 @@ def _lm_result(outcome: _LMOutcome, parameters: dict[str, float], scale,
     pseudo-inverse, flagged ``degenerate_jacobian``, when J^T J is singular
     or ill-conditioned), mapped through the diagonal scale = d(physical)/d(fitted).
     A parameter with an all-zero Jacobian column, one no difference step
-    moves (alpha at a subnormal start), was not fitted: not converged.
+    moves, was not fitted: not converged.
     """
     m, n_params = outcome.jacobian.shape
     s2 = float(outcome.residual @ outcome.residual) / max(m - n_params, 1)
@@ -267,82 +268,83 @@ def _finite(parameters: dict[str, float], residual_norm: float) -> bool:
     return all(math.isfinite(value) for value in (*parameters.values(), residual_norm))
 
 
-def _logit_half(alpha: float) -> float:
-    # maps (0, 0.5) onto the real line
-    s = 2.0 * alpha
-    return math.log(s / (1.0 - s))
-
-
-def _expit_half(u: float) -> float:
-    try:
-        return 0.5 / (1.0 + math.exp(-u))
-    except OverflowError:  # u below about -709, where 0.5 e^u is the same to double precision
-        return 0.5 * math.exp(u)
-
-
-def _trial_params(alpha: float, c_s: float, e_j: float, e_c: float) -> QubitParams:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NegativeAnharmonicityWarning)
-        return QubitParams(alpha=alpha, E_J=e_j, E_C=e_c, C_S=c_s)
+def _spectrum_parameters(point) -> np.ndarray:
+    """(alpha, C_S fF, E_J GHz) from point = (Delta, c, A): the gap, the
+    curvature 2 s^2/Delta of omega01 in (f - 1/2)^2 and the anharmonicity.
+    With Delta - A = sqrt(4 E_CS E_J (1 - 2 alpha)) and A = (8 alpha - 1) E_CS/(4 (1 - 2 alpha)),
+    alpha is the one root in (1/8, 1/2), bisected, of the rising cubic
+    alpha^2 (8 alpha - 1) - R (1 - 2 alpha)^3, R = 2 A Delta c/(pi^2 (Delta - A)^3),
+    and C_S = e^2/2 E_CS is C(4 GHz) (8 alpha - 1)/(A (1 - 2 alpha)), C(E) the
+    capacitance of charging energy E.  Python floats never warn; a point no
+    parameter set reproduces is a FitError naming the quantity."""
+    delta, curvature, anharmonicity = (float(value) for value in point)
+    if not (anharmonicity < delta and curvature > 0.0):
+        raise FitError(f"anharmonicity A = {anharmonicity:.6g} GHz, fitted gap {delta:.6g} GHz "
+                       f"and curvature {curvature:.6g} GHz: need A < gap and curvature > 0")
+    omega = delta - anharmonicity
+    ratio = 2.0 / math.pi**2 * (anharmonicity / omega) * (delta / omega) * (curvature / omega)
+    lo, hi = 0.125, 0.5
+    while lo < (alpha := 0.5 * (lo + hi)) < hi:
+        below = alpha * alpha * (8.0 * alpha - 1.0) < ratio * (1.0 - 2.0 * alpha) ** 3
+        lo, hi = (alpha, hi) if below else (lo, alpha)
+    if lo == 0.125 or hi == 0.5:  # alpha is lo or hi, and neither may be a bound
+        raise FitError(f"anharmonicity A = {anharmonicity:.6g} GHz leaves alpha unresolved "
+                       f"at {alpha:.17g}, not inside (1/8, 1/2)")
+    quartic, stiffness = 8.0 * alpha - 1.0, 1.0 - 2.0 * alpha
+    e_cs = 4.0 * anharmonicity * stiffness / quartic
+    c_s = capacitance_from_charging_energy(4.0) * quartic / anharmonicity / stiffness
+    e_j = omega / stiffness * (omega / anharmonicity) * quartic / stiffness / 16.0
+    if not all(math.isfinite(value) and value > 0.0 for value in (e_cs, c_s, e_j)):
+        raise FitError(f"anharmonicity A = {anharmonicity:.6g} GHz gives E_CS = {e_cs:.6g} GHz, "
+                       f"C_S = {c_s:.6g} fF, E_J = {e_j:.6g} GHz: not all finite and positive")
+    return np.array([alpha, c_s, e_j])
 
 
 # ---------------------------------------------------------------------------
 # Fits
 
 
-def fit_spectrum(data: DataSeries, init: QubitParams,
-                 anharmonicity_ghz: float | None = None) -> FitResult:
-    """Extract (alpha, C_S, E_J) from an omega01(f) spectrum, GHz vs Phi/Phi0.
+def fit_spectrum(data: DataSeries, anharmonicity_ghz: float) -> FitResult:
+    """Extract (alpha, C_S, E_J) in closed form from an omega01(f) spectrum,
+    GHz vs Phi/Phi0, and the separately measured (two-tone) anharmonicity A.
 
-    Uses the perturbative forward model :func:`csfq3d.analytic.omega01`,
-    Delta + 2 eps^2/Delta; needs at least four points with flux biases on
-    both sides of the optimal point.
-
-    The omega01(f) curve alone is a parabola and pins only two combinations
-    of the three parameters (the gap and the curvature), so the fit has an
-    exactly flat direction.  Passing the separately measured anharmonicity
-    (the two-tone omega12 - omega01 value, weighted as a standard deviation
-    of 0.01 GHz) adds the constraint that removes it; without it the fit
-    still converges to a valid point on the degenerate curve and reports the flat direction
-    through the ``degenerate_jacobian`` flag (the pseudo-inverse covariance
-    then spans only the constrained directions).
+    :func:`csfq3d.analytic.omega01` is the line Delta + c (f - 1/2)^2 and A
+    fixes the third parameter, so the weighted line fit minimizes the cost
+    with the row (A_model - A)/0.01 GHz at zero (variable projection).  Its
+    covariance s^2 (J^T J)^-1 is the Jacobian of :func:`_spectrum_parameters`
+    applied to cov(Delta, c) and sigma_A = 0.01 GHz, scaled by s^2 = RSS/(m - 2).
     """
-    f = data.x
-    y = data.y
+    f, y = data.x, data.y
     if len(data) < 4:
         raise FitError(f"need at least 4 spectrum points, got {len(data)}")
-    if len(np.unique(f)) == 1:
-        raise RankDeficientDataError(
-            "all points share one flux bias; alpha, C_S and E_J are not separable"
-        )
+    if np.ptp(np.abs(f - 0.5)) == 0.0:
+        raise RankDeficientDataError("all points share one |f - 0.5|: the gap and the "
+                                     "curvature are not separable")
     if f.min() >= 0.5 or f.max() <= 0.5:
         raise FitError("spectrum data must span both sides of f = 0.5")
 
-    weight = 1.0 / data.y_err if data.y_err is not None else np.ones_like(y)
-    constraint_weight = 1.0 / 0.01  # the anharmonicity's standard deviation, GHz
-
-    def unpack(u):
-        return _expit_half(u[0]), math.exp(u[1]), math.exp(u[2])
-
-    def residual(u):
-        try:
-            q = _trial_params(*unpack(u), init.E_C)
-        except (ValueError, OverflowError):  # a trial step out of range, e.g. alpha rounding to 0.5
-            return np.full(len(f) + (anharmonicity_ghz is not None), np.inf)
-        out = (analytic.omega01(q, f) - y) * weight
-        if anharmonicity_ghz is not None:
-            extra = (analytic.anharmonicity(q) - anharmonicity_ghz) * constraint_weight
-            out = np.append(out, extra)
-        return out
-
-    u0 = np.array([_logit_half(init.alpha), math.log(init.C_S), math.log(init.E_J)])
-    outcome = _levenberg_marquardt(residual, u0)
-    alpha, c_s, e_j = unpack(outcome.x)
-
-    # chain rule through the transforms: d alpha/du = alpha (1 - 2 alpha),
-    # d C_S/du = C_S, d E_J/du = E_J
-    return _lm_result(outcome, {"alpha": alpha, "C_S_fF": c_s, "E_J_GHz": e_j},
-                      [alpha * (1.0 - 2.0 * alpha), c_s, e_j])
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            x = (f - 0.5) ** 2
+            w2 = 1.0 / data.y_err**2 if data.y_err is not None else np.ones_like(y)
+            total = w2.sum()
+            x_mean, y_mean = w2 @ x / total, w2 @ y / total
+            spread = w2 @ (x - x_mean) ** 2
+            curvature = w2 @ ((x - x_mean) * (y - y_mean)) / spread
+            delta = y_mean - curvature * x_mean
+            rss = float(w2 @ (delta + curvature * x - y) ** 2)
+            point = np.array([delta, curvature, anharmonicity_ghz])
+            jac = _central_jacobian(_spectrum_parameters, point, point)
+            block = np.array([[1.0 / total + x_mean * x_mean / spread, -x_mean / spread, 0.0],
+                              [-x_mean / spread, 1.0 / spread, 0.0], [0.0, 0.0, 0.01**2]])
+            cov = rss / (len(data) - 2) * jac @ block @ jac.T
+    except FloatingPointError as err:
+        raise FitError(f"the spectrum fit overflows: {err}") from err
+    parameters = dict(zip(("alpha", "C_S_fF", "E_J_GHz"), _spectrum_parameters(point).tolist()))
+    return FitResult(parameters=parameters,
+                     uncertainties=dict(zip(parameters, np.sqrt(np.diag(cov)).tolist())),
+                     covariance=cov, residual_norm=math.sqrt(rss), iterations=1,
+                     converged=True, cost_history=(rss,))
 
 
 def fit_xqp(data: DataSeries, q: QubitParams, omega01_ghz: float, delta0_uev: float,

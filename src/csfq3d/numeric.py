@@ -27,8 +27,8 @@ i = 0..n/2 (even) or 1..n/2-1 (odd) of a phi_p parity basis by columns j < n/2,
 about n^2/4 entries, with U diagonal.  Its start (Kerman, arXiv:2010.14929;
 Groszkowski & Koch, Quantum 5, 583 (2021)) is a dense solve in the folded
 product basis of the sector's phi_p slice levels through the potential
-minimum below the slice top (at least two, never part of a degenerate
-cluster) times the soft phi_m levels in the potential the lowest of them
+minimum below the slice top (at least two; a 1D parity sector has no
+degenerate levels) times the soft phi_m levels in the potential the lowest of them
 sees, up to one slice gap above the k-th lowest.  Block Davidson
 refines it until every true residual, recomputed on the full grid with no
 folding, is within 1e-8 max(E_J, E_p).  The odd
@@ -357,9 +357,6 @@ def _product_basis_start(sector: _Sector, k: int):
     levels, chi = np.linalg.eigh(t_p + np.diag(slice_[sector.rows]))
     # a well too shallow to bind two levels keeps the lowest two
     count = max(2, int(np.count_nonzero(levels <= slice_.max())))
-    # and a degenerate cluster of slice levels is kept whole, never cut in half
-    while count < len(levels) and levels[count] - levels[count - 1] <= 1e-9 * op.energy_scale:
-        count += 1
     levels, chi = levels[:count], chi[:, :count]
     soft, xi = np.linalg.eigh(t_m + np.diag(chi[:, 0] ** 2 @ u))
     size = int(np.count_nonzero(soft < soft[k - 1] + levels[1] - levels[0]))

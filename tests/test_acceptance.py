@@ -186,14 +186,13 @@ def test_criterion_11_fit_suite():
     # fit_spectrum: noiseless <= 0.5%, noisy (1 MHz, fixed seed) within 2%
     flux = np.linspace(0.47, 0.53, 31)
     freq = np.array([analytic.omega01(PERTURBATIVE_SET, f) for f in flux])
-    init = QubitParams(alpha=0.35, E_J=70.0, E_C=3.2, C_S=90.0)
     anharm = analytic.anharmonicity(PERTURBATIVE_SET)
-    clean = fit_spectrum(DataSeries(flux, freq), init, anharmonicity_ghz=anharm)
+    clean = fit_spectrum(DataSeries(flux, freq), anharm)
     for key, truth in (("alpha", 0.41), ("C_S_fF", 78.0), ("E_J_GHz", 85.0)):
         assert clean.parameters[key] == pytest.approx(truth, rel=0.005)
     assert np.all(np.diff(clean.cost_history) <= 0.0)
     noisy_freq = freq + np.random.default_rng(42).normal(0.0, 1e-3, len(flux))
-    noisy = fit_spectrum(DataSeries(flux, noisy_freq), init, anharmonicity_ghz=anharm)
+    noisy = fit_spectrum(DataSeries(flux, noisy_freq), anharm)
     for key, truth in (("alpha", 0.41), ("C_S_fF", 78.0), ("E_J_GHz", 85.0)):
         assert noisy.parameters[key] == pytest.approx(truth, rel=0.02)
     assert np.all(np.diff(noisy.cost_history) <= 0.0)

@@ -211,7 +211,7 @@ COMMAND_SECTIONS = {
     "coherence": ("qubit", "cavity", "cqed", "noise", "attenuation", "flux_sweep",
                   "temperature_sweep"),
     "filter": ("filter",),
-    "fit spectrum": ("qubit", "fit"),
+    "fit spectrum": ("fit",),
     "fit t1": ("qubit", "cqed", "noise", "fit"),
     "fit envelope": ("envelope", "fit"),
     "fit fluxnoise": ("qubit", "fit"),
@@ -272,13 +272,13 @@ class TestMutatedConfig:
         ("coherence", "cqed", "omega01_ghz", 1, "omega01 = 5e-324 GHz underflows"),
         ("fit t1", "cqed", "omega01_ghz", 1, "omega01 = 5e-324 GHz underflows"),
         ("coherence", "noise", "base_temperature_k", 1, "temperature 5e-324 K underflows"),
-        ("fit spectrum", "qubit", "alpha", 2, "alpha = 4.94066e-324"),
+        ("fit spectrum", "fit", "anharmonicity_ghz", 1, "anharmonicity A = 4.94066e-324 GHz"),
     ], ids=["spectrum-e_j", "coherence-e_j", "spectrum-c_s", "coherence-omega01",
-            "fit-t1-omega01", "coherence-base-temperature", "fit-spectrum-alpha"])
+            "fit-t1-omega01", "coherence-base-temperature", "fit-spectrum-anharm"])
     def test_tiny_positive_value_names_the_quantity(self, tmp_path, capsys, command,
                                                      section, key, code, message):
         # the smallest positive double underflows a scale the models divide by,
-        # or pins a fit parameter where no difference step can move it
+        # or pins the fitted alpha at 1/8 to double precision
         parser = configparser.ConfigParser()
         parser.read_string(BASE_CONFIG)
         parser[section][key] = "5e-324"
@@ -347,7 +347,7 @@ class TestBundledConfigs:
 
     @pytest.mark.parametrize("name", ["example_config.ini", "example_config_perturbative.ini"])
     @pytest.mark.parametrize("target, keys", [
-        ("spectrum", {*QUBIT_KEYS, ("fit", "anharmonicity_ghz")}),
+        ("spectrum", {("fit", "anharmonicity_ghz")}),
         ("t1", {*QUBIT_KEYS, ("cqed", "omega01_ghz"), ("noise", "delta0_uev"),
                 ("noise", "n_cp_per_um3")}),
         ("envelope", {("envelope", "t1_s"), ("envelope", "shape")}),
@@ -534,11 +534,12 @@ class TestSpectrumCommand:
                 assert record[key] == cli._fmt(summary[key])
         assert len(at_optimum) == (1 if stop == 0.51 else 0)
 
-    @pytest.mark.parametrize("steps,solves", [(5, 3), (9, 7)])
+    @pytest.mark.parametrize("steps,solves", [(5, 3), (9, 5)])
     def test_symmetric_sweep_solves_only_up_to_optimal_point(self, tmp_path, monkeypatch,
                                                              steps, solves):
-        # keys are not rounded: in linspace(0.49, 0.51, 9), 1 - f misses the
-        # mirror point by an ulp at 0.4925 and 0.4975, so both sides are solved
+        # in linspace(0.49, 0.51, 9), 1 - f misses the mirror point by an ulp
+        # at 0.4925 and 0.4975; the two keys share the solve at the smaller
+        # one, which is never rounded, so every solve runs at a sweep flux
         fluxes = []
         original = cli.build_hamiltonian_2d
 
@@ -557,6 +558,29 @@ class TestSpectrumCommand:
         for row, mirror in zip(rows, rows[::-1]):
             for cell, mirror_cell in zip(row[2:4], mirror[2:4]):
                 assert float(cell) == pytest.approx(float(mirror_cell), rel=1e-11, abs=0.0)
+
+    def test_mirror_keys_an_ulp_apart_share_one_solve(self, tmp_path, monkeypatch):
+        # linspace(0.45, 0.55, 41) gives 41 keys min(f, 1 - f): 20 of them
+        # miss their mirror key by an ulp, so 21 solves, and each mirror pair
+        # of rows carries the same bytes
+        fluxes = []
+        original = cli.build_hamiltonian_2d
+
+        def recording(q, f, grid=None):
+            fluxes.append(f)
+            return original(q, f, grid)
+
+        monkeypatch.setattr(cli, "build_hamiltonian_2d", recording)
+        path = tmp_path / "c.ini"
+        path.write_text(BASE_CONFIG.replace("start = 0.49\nstop = 0.51\nsteps = 5",
+                                            "start = 0.45\nstop = 0.55\nsteps = 41"))
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), "spectrum"]) == cli.EXIT_OK
+        assert len(fluxes) == len(set(fluxes)) == 21
+        _, rows = read_csv(out / "spectrum.csv")
+        assert len(rows) == 41
+        for row, mirror in zip(rows, rows[::-1]):
+            assert row[2:4] == mirror[2:4]
 
     @pytest.mark.parametrize("ini", ["example_config.ini", "example_config_perturbative.ini"])
     def test_bundled_mirror_rows_are_byte_equal(self, tmp_path, ini):
@@ -863,8 +887,7 @@ class TestFitCommand:
     @pytest.mark.parametrize("line, value, target", [
         ("e_j_ghz = 136.75", "e_j_ghz = 1e300", "t1"),
         ("e_j_ghz = 136.75", "e_j_ghz = 1e300", "fluxnoise"),
-        ("anharmonicity_ghz = 0.7863981990780409", "anharmonicity_ghz = 1e300", "spectrum"),
-    ], ids=["t1-e_j", "fluxnoise-e_j", "spectrum-anharmonicity"])
+    ], ids=["t1-e_j", "fluxnoise-e_j"])
     def test_non_finite_fit_is_not_converged(self, tmp_path, capsys, line, value, target):
         # an overflowing input leaves a null parameter or residual norm: that
         # fit has not converged, though its output is still written
@@ -882,6 +905,47 @@ class TestFitCommand:
         assert None in [*result["parameters"].values(), result["residual_norm"]]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"] == [f"fit_{target}.json"]
+
+    @pytest.mark.parametrize("e_j", ["136.75", "1e9"])
+    def test_spectrum_fit_reads_no_start(self, tmp_path, config_path, e_j):
+        # the closed form has no start: [qubit] e_j_ghz = 1e9, where the
+        # iterative fit reported a false convergence, writes the same bytes
+        path = tmp_path / "c.ini"
+        path.write_text(BASE_CONFIG.replace("e_j_ghz = 136.75", f"e_j_ghz = {e_j}"))
+        out_base, out = tmp_path / "base", tmp_path / "out"
+        for config, target in ((config_path, out_base), (path, out)):
+            assert cli.main(["--config", str(config), "--out", str(target), "fit", "spectrum",
+                             str(DATA_DIR / "spectrum_synthetic.csv")]) == cli.EXIT_OK
+        result = json.loads((out / "fit_spectrum.json").read_text())
+        assert result["converged"] and result["iterations"] == 1
+        assert (out / "fit_spectrum.json").read_bytes() == (
+            out_base / "fit_spectrum.json").read_bytes()
+
+    @pytest.mark.parametrize("value", ["5e-324", "1e-300", "1e300"])
+    def test_unresolvable_anharmonicity_exits_1(self, tmp_path, capsys, value):
+        # a tiny A pins alpha at 1/8 to double precision, and an A above the
+        # gap fits no alpha: one line naming the anharmonicity, no output
+        path = tmp_path / "c.ini"
+        path.write_text(BASE_CONFIG.replace("anharmonicity_ghz = 0.7863981990780409",
+                                            f"anharmonicity_ghz = {value}"))
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), "fit", "spectrum",
+                         str(DATA_DIR / "spectrum_synthetic.csv")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"error: anharmonicity A = {float(value):.6g} GHz")
+        assert not out.exists()
+
+    def test_spectrum_fit_needs_the_anharmonicity(self, tmp_path, capsys):
+        # omega01(f) alone pins two of the three parameters: without the
+        # measured anharmonicity there is no fit to report
+        path = tmp_path / "c.ini"
+        path.write_text(BASE_CONFIG.replace("anharmonicity_ghz = 0.7863981990780409\n", ""))
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), "fit", "spectrum",
+                         str(DATA_DIR / "spectrum_synthetic.csv")]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error: missing [fit] anharmonicity_ghz\n"
+        assert not out.exists()
 
     def test_fit_reruns_bit_identical(self, tmp_path, config_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -13,6 +13,7 @@ from csfq3d.fit import (
     FitError,
     RankDeficientDataError,
     _central_jacobian,
+    _spectrum_parameters,
     fit_envelope,
     fit_flux_noise,
     fit_spectrum,
@@ -49,11 +50,26 @@ class TestDataSeries:
             DataSeries([1.0, 2.0], [1.0, 2.0], y_err=[0.1, -0.1])
 
 
+ANHARMONICITY = analytic.anharmonicity(TRUTH)
+
+
+def spectrum_fixture(case):
+    """The noiseless, 1 MHz noisy or y_err-weighted spectrum fixture."""
+    if case == "noiseless":
+        return synthetic_spectrum()
+    if case == "noisy":
+        return synthetic_spectrum(noise=1e-3, seed=42)
+    clean = synthetic_spectrum()
+    err = 1e-3 * (1.0 + np.random.default_rng(3).random(len(clean)))
+    noisy = clean.y + np.random.default_rng(5).normal(0.0, 1.0, len(clean)) * err
+    return DataSeries(clean.x, noisy, y_err=err)
+
+
 class TestFitSpectrum:
     def test_noiseless_round_trip(self):
-        result = fit_spectrum(synthetic_spectrum(), INIT,
-                              anharmonicity_ghz=analytic.anharmonicity(TRUTH))
+        result = fit_spectrum(synthetic_spectrum(), ANHARMONICITY)
         assert result.converged
+        assert result.iterations == 1
         assert result.parameters["alpha"] == pytest.approx(0.41, rel=1e-3)
         assert result.parameters["C_S_fF"] == pytest.approx(78.0, rel=1e-3)
         assert result.parameters["E_J_GHz"] == pytest.approx(85.0, rel=1e-3)
@@ -61,73 +77,90 @@ class TestFitSpectrum:
     def test_noisy_round_trip_fixed_seed(self):
         # 1 MHz Gaussian noise on GHz-scale frequencies
         data = synthetic_spectrum(noise=1e-3, seed=42)
-        result = fit_spectrum(data, INIT, anharmonicity_ghz=analytic.anharmonicity(TRUTH))
+        result = fit_spectrum(data, ANHARMONICITY)
         assert result.converged
         assert result.parameters["alpha"] == pytest.approx(0.41, rel=0.02)
         assert result.parameters["C_S_fF"] == pytest.approx(78.0, rel=0.02)
         assert result.parameters["E_J_GHz"] == pytest.approx(85.0, rel=0.02)
 
-    def test_unconstrained_fit_reports_flat_direction(self):
-        # omega01(f) is a parabola: only two of the three parameters are
-        # observable without the separately measured anharmonicity
-        result = fit_spectrum(synthetic_spectrum(), INIT)
-        assert result.converged
-        assert "degenerate_jacobian" in result.flags
-        # the fit still lands on the degenerate curve: gap and curvature match
-        fitted = QubitParams(alpha=result.parameters["alpha"], E_J=result.parameters["E_J_GHz"],
-                             E_C=3.2, C_S=result.parameters["C_S_fF"])
-        assert analytic.gap(fitted) == pytest.approx(analytic.gap(TRUTH), rel=1e-9)
+    @pytest.mark.parametrize("case", ["noiseless", "noisy", "weighted"])
+    def test_closed_form_matches_least_squares_oracle(self, case):
+        # scipy is an oracle here only: the iterative minimum of the weighted
+        # data residual plus the anharmonicity row (A_model - A)/0.01 GHz
+        from scipy.optimize import least_squares
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_low_start_alpha_converges(self):
-        # from alpha = 0.01 a trial step rounds alpha to 0.5, which QubitParams
-        # rejects; the step is refused, and the fit still finds the generator
-        start = QubitParams(alpha=0.01, E_J=INIT.E_J, E_C=INIT.E_C, C_S=INIT.C_S)
-        result = fit_spectrum(synthetic_spectrum(), start,
-                              anharmonicity_ghz=analytic.anharmonicity(TRUTH))
-        assert result.converged
-        assert result.parameters["alpha"] == pytest.approx(0.41, rel=1e-3)
+        data = spectrum_fixture(case)
+        weight = 1.0 / data.y_err if data.y_err is not None else np.ones(len(data))
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_subnormal_start_alpha_is_not_converged(self):
-        # alpha = 5e-324 sits where no difference step changes it: the fit
-        # ends, but has not determined alpha
-        start = QubitParams(alpha=5e-324, E_J=INIT.E_J, E_C=INIT.E_C, C_S=INIT.C_S)
-        result = fit_spectrum(synthetic_spectrum(), start,
-                              anharmonicity_ghz=analytic.anharmonicity(TRUTH))
-        assert not result.converged
-        assert result.parameters["alpha"] == 5e-324
+        def residual(p):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                q = QubitParams(alpha=p[0], E_J=p[2], E_C=3.2, C_S=p[1])
+            return np.append((analytic.omega01(q, data.x) - data.y) * weight,
+                             (analytic.anharmonicity(q) - ANHARMONICITY) / 0.01)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
-    @pytest.mark.parametrize("e_j", [1e12, 1e15])
-    def test_overflowing_trial_step_is_refused(self, e_j):
-        # from a huge E_J a trial step takes exp(u) past the float range; the
-        # step is refused like any out-of-range step and the fit ends unconverged
-        start = QubitParams(alpha=INIT.alpha, E_J=e_j, E_C=INIT.E_C, C_S=INIT.C_S)
-        result = fit_spectrum(synthetic_spectrum(), start,
-                              anharmonicity_ghz=analytic.anharmonicity(TRUTH))
-        assert not result.converged
+        oracle = least_squares(residual, [INIT.alpha, INIT.C_S, INIT.E_J], jac="3-point",
+                               bounds=([0.13, 1.0, 1.0], [0.49, 1e3, 1e3]),
+                               x_scale="jac", ftol=1e-15, xtol=1e-15, gtol=1e-15)
+        result = fit_spectrum(data, ANHARMONICITY)
+        np.testing.assert_allclose(list(result.parameters.values()), oracle.x, rtol=1e-8)
+        # a noiseless residual is rounding, so s^2 is the fit's own RSS/(m - 2)
+        s2 = result.residual_norm**2 / (len(data) - 2)
+        expected = s2 * np.linalg.inv(oracle.jac.T @ oracle.jac)
+        np.testing.assert_allclose(result.covariance, expected, rtol=1e-4)
+
+    @pytest.mark.parametrize("anharmonicity", [5e-324, 1e-300, 1e300])
+    def test_unresolvable_anharmonicity_is_refused_without_warning(self, anharmonicity):
+        # a subnormal or tiny A pins alpha at 1/8 to double precision, and an
+        # A above the gap has no alpha at all: each is a FitError, not a
+        # divide-by-zero warning and C_S = E_J = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitError, match="anharmonicity A = "):
+                fit_spectrum(synthetic_spectrum(), anharmonicity)
+
+    def test_capacitance_past_the_double_range_is_refused(self):
+        # (Delta, c, A) times k gives the same alpha, E_CS and E_J times k and
+        # C_S over k: at k = 1e-307, C_S = 7.8e308 fF overflows
+        point = np.array([analytic.gap(TRUTH), 0.0, ANHARMONICITY])
+        point[1] = 2.0 * analytic.epsilon_slope(TRUTH) ** 2 / point[0]
+        np.testing.assert_allclose(_spectrum_parameters(point), [0.41, 78.0, 85.0], rtol=1e-12)
+        np.testing.assert_allclose(_spectrum_parameters(point * 1e-300),
+                                   [0.41, 78e300, 85e-300], rtol=1e-12)
+        with pytest.raises(FitError, match=r"C_S = inf fF"):
+            _spectrum_parameters(point * 1e-307)
+
+    def test_overflowing_line_fit_is_refused(self):
+        f = np.array([0.4, 0.45, 0.55, 0.6, 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitError, match="overflow"):
+                fit_spectrum(DataSeries(f, [5.0, 4.8, 4.8, 5.0, 6.0]), ANHARMONICITY)
+
+    def test_downward_curvature_is_refused(self):
+        data = synthetic_spectrum()
+        with pytest.raises(FitError, match="curvature"):
+            fit_spectrum(DataSeries(data.x, -data.y + 20.0), ANHARMONICITY)
 
     def test_cost_history_monotone(self):
-        result = fit_spectrum(synthetic_spectrum(noise=1e-3), INIT,
-                              anharmonicity_ghz=analytic.anharmonicity(TRUTH))
+        result = fit_spectrum(synthetic_spectrum(noise=1e-3), ANHARMONICITY)
         assert np.all(np.diff(result.cost_history) <= 0.0)
 
     def test_degenerate_flux_rejected(self):
         f = np.full(5, 0.5)
         y = np.full(5, analytic.omega01(TRUTH, 0.5))
         with pytest.raises(RankDeficientDataError):
-            fit_spectrum(DataSeries(f, y), INIT)
+            fit_spectrum(DataSeries(f, y), ANHARMONICITY)
 
     def test_one_sided_data_rejected(self):
         f = np.linspace(0.505, 0.53, 6)
         y = np.array([analytic.omega01(TRUTH, fi) for fi in f])
         with pytest.raises(FitError, match="both sides"):
-            fit_spectrum(DataSeries(f, y), INIT)
+            fit_spectrum(DataSeries(f, y), ANHARMONICITY)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(FitError, match="4"):
-            fit_spectrum(DataSeries([0.49, 0.5, 0.51], [4.8, 4.7, 4.8]), INIT)
+            fit_spectrum(DataSeries([0.49, 0.5, 0.51], [4.8, 4.7, 4.8]), ANHARMONICITY)
 
 
 class TestFitXqp:
@@ -356,26 +389,26 @@ class TestFitFluxNoise:
 
 class TestJacobian:
     def test_matches_independent_step_at_optimum(self):
-        # central differences at the default step vs a coarser independent step
-        data = synthetic_spectrum(noise=1e-3, seed=42)
-        result = fit_spectrum(data, INIT, anharmonicity_ghz=analytic.anharmonicity(TRUTH))
-        alpha = result.parameters["alpha"]
-        c_s = result.parameters["C_S_fF"]
-        e_j = result.parameters["E_J_GHz"]
+        # the inversion (Delta, c, A) -> (alpha, C_S, E_J) differenced at the
+        # default step vs a coarser independent step, and against the forward
+        # map: the two Jacobians are inverse matrices
+        result = fit_spectrum(synthetic_spectrum(noise=1e-3, seed=42), ANHARMONICITY)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            q = QubitParams(alpha=result.parameters["alpha"], E_J=result.parameters["E_J_GHz"],
+                            E_C=3.2, C_S=result.parameters["C_S_fF"])
 
-        def residual(u):
-            from csfq3d.fit import _expit_half
-            a, cs, ej = _expit_half(u[0]), math.exp(u[1]), math.exp(u[2])
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                q = QubitParams(alpha=a, E_J=ej, E_C=3.2, C_S=cs)
-            delta = analytic.gap(q)
-            slope = analytic.epsilon_slope(q)
-            return delta + 2.0 * (slope * (data.x - 0.5)) ** 2 / delta - data.y
+        def forward(p):
+            fitted = QubitParams(alpha=p[0], E_J=p[2], E_C=3.2, C_S=p[1])
+            delta = analytic.gap(fitted)
+            return np.array([delta, 2.0 * analytic.epsilon_slope(fitted) ** 2 / delta,
+                             analytic.anharmonicity(fitted)])
 
-        u_star = np.array([math.log(2 * alpha / (1 - 2 * alpha)), math.log(c_s), math.log(e_j)])
-        floor = np.maximum(np.abs(u_star), 1.0)
-        fine = _central_jacobian(residual, u_star, floor, rel_step=1e-6)
-        coarse = _central_jacobian(residual, u_star, floor, rel_step=1e-5)
-        scale = np.abs(fine).max()
-        np.testing.assert_allclose(fine, coarse, atol=1e-5 * scale)
+        point = forward([q.alpha, q.C_S, q.E_J])
+        fine = _central_jacobian(_spectrum_parameters, point, point, rel_step=1e-6)
+        coarse = _central_jacobian(_spectrum_parameters, point, point, rel_step=1e-5)
+        np.testing.assert_allclose(fine, coarse, rtol=1e-6)
+        params = np.array([q.alpha, q.C_S, q.E_J])
+        product = fine @ _central_jacobian(forward, params, params)
+        # in relative units, d ln p_i/d ln p_j
+        np.testing.assert_allclose(product * params / params[:, None], np.eye(3), atol=1e-8)

@@ -500,15 +500,22 @@ class TestLanczos:
             start, _ = numeric._product_basis_start(numeric._Sector(op, parity), 3)
             assert np.all(np.linalg.norm(start, axis=1) >= 0.5)
 
-    def test_degenerate_slice_cluster_is_kept_whole(self):
+    def test_degenerate_slice_pair_splits_across_parity_sectors(self):
         # U = 0.3 (1 - cos 3 phi_p cos phi_m): the slice at phi_m = -pi binds one
         # level (0.298) below its top (0.6) and has the degenerate pair 2.296
-        # above it; a start that kept the lowest two slice levels split the
-        # pair, and the solve missed the third level 2.99663
+        # above it.  A 1D parity sector has no degenerate levels: the pair is
+        # one phi_p-even and one phi_p-odd slice state, so no sector start cuts
+        # it in half, and the solve finds the third level 2.99663
         grid = GridSpec(16)
         phi_p, phi_m = np.meshgrid(grid.phi(), grid.phi(), indexing="ij")
         potential = 0.3 * (1.0 - np.cos(3.0 * phi_p) * np.cos(phi_m))
         op = HamiltonianOperator((2.0, 0.7), potential, grid, energy_scale=0.3)
+        slice_ = potential[:, np.argmin(potential) % grid.n]
+        for parity in (1, -1):
+            sector = numeric._Sector(op, parity)
+            levels = np.linalg.eigvalsh(sector.kinetic.matrix + np.diag(slice_[sector.rows]))
+            assert np.min(np.diff(levels)) > 1.0
+            assert np.count_nonzero(np.abs(levels - 2.2955) < 1e-3) == 1
         result = lowest_eigenpairs(op, k=3)
         np.testing.assert_allclose(result.eigenvalues, even_sector_levels(op, 3), rtol=1e-9)
 
