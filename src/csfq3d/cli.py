@@ -12,12 +12,17 @@ are bit-identical.
 
 Exit codes: 0 success, 1 config/parse or usage error, 2 fit or eigensolve
 non-convergence, 3 partial sweep failure.
+
+A command process (main() with no argv) freezes its heap with gc.freeze()
+before it exits, because tearing down numpy's modules through the cyclic
+garbage collector otherwise costs more than most commands.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import gc
 import hashlib
 import json
 import math
@@ -88,6 +93,18 @@ def _checked(label: str, factory, *args, **values):
         raise ConfigError(f"invalid {label}: {err}") from err
 
 
+def _read_text(path: Path, kind: str, error: type[Exception]) -> str:
+    """The UTF-8 text of a `kind` input file; a missing path, a directory or
+    bytes that are not UTF-8 raise `error` naming the path."""
+    if not path.is_file():
+        problem = "path is not a file" if path.exists() else "file not found"
+        raise error(f"{kind} {problem}: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise error(f"{kind} file is not UTF-8: {path}: byte {err.start}: {err.reason}") from err
+
+
 class RunConfig:
     """Typed access to the INI sections, validated through the module types."""
 
@@ -97,10 +114,7 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
-        path = Path(path)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
-        text = path.read_text(encoding="utf-8")
+        text = _read_text(Path(path), "config", ConfigError)
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         try:
             parser.read_string(text)
@@ -290,11 +304,10 @@ def read_data_csv(path: str | Path, columns: tuple[str, str]) -> DataSeries:
     """Parse a two-column CSV with the documented header; '#' lines are
     comments.  Errors name the offending line and column."""
     path = Path(path)
-    if not path.is_file():
-        raise DataFileError(f"data file not found: {path}")
+    text = _read_text(path, "data", DataFileError)
     x, y = [], []
     header_seen = False
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -591,6 +604,13 @@ def main(argv=None) -> int:
     except (ConfigError, DataFileError, FitError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        if argv is None:
+            # Process entry (`-m`, the console script): interpreter exit would otherwise
+            # tear numpy's modules down through the cyclic GC, which costs more than most
+            # commands.  Refcounting still frees frozen objects and the streams are still
+            # flushed; every output file is already written and closed when a command returns.
+            gc.freeze()
 
 
 if __name__ == "__main__":

@@ -57,11 +57,22 @@ def charging_energy_from_capacitance(capacitance_ff: float) -> float:
     return CONSTANTS.e**2 / (2.0 * capacitance_ff * 1e-15) / CONSTANTS.h / 1e9
 
 
+#: e^2/2h in fF GHz: the capacitance in fF of a charging energy of 1 GHz
+_CAPACITANCE_FF_GHZ = CONSTANTS.e**2 / (2.0 * 1e9 * CONSTANTS.h) * 1e15
+
+
 def capacitance_from_charging_energy(energy_ghz: float) -> float:
-    """Capacitance in fF whose charging energy e^2/2C equals the given cyclic GHz."""
+    """Capacitance in fF whose charging energy e^2/2C equals the given cyclic GHz.
+
+    One division by the energy, so no product underflows: 1e-301 GHz gives
+    1.937e302 fF.  An energy whose capacitance overflows is a ValueError.
+    """
     if energy_ghz <= 0.0:
         raise ValueError(f"charging energy must be positive, got {energy_ghz} GHz")
-    return CONSTANTS.e**2 / (2.0 * energy_ghz * 1e9 * CONSTANTS.h) * 1e15
+    capacitance = _CAPACITANCE_FF_GHZ / energy_ghz
+    if capacitance == math.inf:
+        raise ValueError(f"charging energy {energy_ghz} GHz overflows the capacitance")
+    return capacitance
 
 
 class NegativeAnharmonicityWarning(UserWarning):

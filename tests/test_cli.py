@@ -94,6 +94,21 @@ class TestConfig:
         assert code == cli.EXIT_CONFIG
         assert "not found" in capsys.readouterr().err
 
+    def test_directory_is_not_a_file(self, tmp_path, capsys):
+        code = cli.main(["--config", str(tmp_path), "filter"])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: config path is not a file: {tmp_path}\n"
+
+    def test_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "c.ini"
+        path.write_bytes(b"\xff\xfe" + BASE_CONFIG.encode())
+        code = cli.main(["--config", str(path), "--out", str(tmp_path / "o"), "filter"])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file is not UTF-8: {path}: byte 0")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
     def test_missing_key(self, tmp_path, capsys):
         path = tmp_path / "c.ini"
         path.write_text("[qubit]\nalpha = 0.41\n")
@@ -384,6 +399,23 @@ class TestDataFiles:
         path.write_text("")
         with pytest.raises(cli.DataFileError, match="empty"):
             cli.read_data_csv(path, cli.DATA_SCHEMAS["spectrum"])
+
+    def test_directory_is_not_a_file(self, tmp_path, config_path, capsys):
+        code = cli.main(["--config", str(config_path), "--out", str(tmp_path / "o"),
+                         "fit", "spectrum", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: data path is not a file: {tmp_path}\n"
+
+    def test_not_utf8(self, tmp_path, config_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"flux_phi0,freq_GHz\n0.5,4.7\xff\xfe\n")
+        code = cli.main(["--config", str(config_path), "--out", str(tmp_path / "o"),
+                         "fit", "spectrum", str(path)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: data file is not UTF-8: {path}: byte 26")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
 
     def test_empty_file_exit_code(self, tmp_path, config_path, capsys):
         path = tmp_path / "d.csv"
@@ -953,3 +985,60 @@ class TestFitCommand:
             assert cli.main(["--config", str(config_path), "--out", str(out),
                              "fit", "spectrum", str(DATA_DIR / "spectrum_synthetic.csv")]) == 0
         assert (out_a / "fit_spectrum.json").read_bytes() == (out_b / "fit_spectrum.json").read_bytes()
+
+
+class TestProcessEntry:
+    """`python -m csfq3d.cli` and the console script call main() with no argv,
+    and main then freezes the heap so interpreter exit skips the cyclic GC."""
+
+    @staticmethod
+    def run_python(*args):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    @pytest.mark.parametrize("command", [
+        ["--config", str(DATA_DIR / "example_config_perturbative.ini"), "coherence"],
+        ["--config", str(DATA_DIR / "example_config.ini"),
+         "fit", "spectrum", str(DATA_DIR / "spectrum_synthetic.csv")],
+    ], ids=["coherence", "fit-spectrum"])
+    def test_module_run_matches_in_process_run(self, tmp_path, command):
+        module_out, inproc_out = tmp_path / "module", tmp_path / "inproc"
+        run = self.run_python("-m", "csfq3d.cli", "--out", str(module_out), *command)
+        assert run.returncode == cli.EXIT_OK, run.stderr
+        assert cli.main(["--out", str(inproc_out), *command]) == cli.EXIT_OK
+        names = sorted(path.name for path in inproc_out.iterdir())
+        assert sorted(path.name for path in module_out.iterdir()) == names
+        for name in names:
+            assert (module_out / name).read_bytes() == (inproc_out / name).read_bytes(), name
+
+    @pytest.mark.parametrize("config_flag", [False, True], ids=["usage", "config"])
+    def test_module_error_prints_one_line(self, tmp_path, config_flag):
+        # without --config it is a usage error; a config that does not exist a config error
+        flags = ["--config", str(tmp_path / "missing.ini")] if config_flag else []
+        run = self.run_python("-m", "csfq3d.cli", *flags, "--out", str(tmp_path / "o"),
+                              "filter")
+        assert run.returncode == cli.EXIT_CONFIG
+        assert run.stdout == ""
+        assert run.stderr.startswith("error: ")
+        assert len(run.stderr.splitlines()) == 1
+
+    def test_argv_entry_freezes_the_heap(self, tmp_path):
+        # the console script calls main() with the command line in sys.argv
+        config = str(DATA_DIR / "example_config.ini")
+        driver = ("import gc, sys; from csfq3d import cli; before = gc.get_freeze_count(); "
+                  f"sys.argv = ['csfq3d', '--config', {config!r}, "
+                  f"'--out', {str(tmp_path / 'o')!r}, 'filter']; "
+                  "code = cli.main(); print(code, before, gc.get_freeze_count())")
+        run = self.run_python("-c", driver)
+        code, before, after = map(int, run.stdout.split())
+        assert (code, before) == (cli.EXIT_OK, 0), run.stderr
+        assert after > 0
+
+    def test_in_process_call_does_not_freeze(self, tmp_path):
+        driver = ("import gc; from csfq3d import cli; before = gc.get_freeze_count(); "
+                  f"code = cli.main(['--config', {str(DATA_DIR / 'example_config.ini')!r}, "
+                  f"'--out', {str(tmp_path / 'o')!r}, 'filter']); "
+                  "print(code, before, gc.get_freeze_count())")
+        run = self.run_python("-c", driver)
+        assert run.stdout.split() == [str(cli.EXIT_OK), "0", "0"], run.stderr

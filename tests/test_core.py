@@ -37,6 +37,17 @@ def test_charging_energy_rejects_nonpositive():
         charging_energy_from_capacitance(-5.0)
 
 
+def test_capacitance_of_a_tiny_energy_is_finite():
+    # e^2/2E with E = 1e-301 GHz: no intermediate product underflows to 0
+    assert capacitance_from_charging_energy(1e-301) == pytest.approx(1.9370229324659e302,
+                                                                      rel=1e-12)
+
+
+def test_capacitance_overflow_rejected():
+    with pytest.raises(ValueError, match="overflows"):
+        capacitance_from_charging_energy(1e-310)
+
+
 @given(st.floats(min_value=1e-3, max_value=1e6), st.floats(min_value=1.5, max_value=100.0))
 def test_charging_energy_scales_inversely(c, factor):
     base = charging_energy_from_capacitance(c)
