@@ -67,8 +67,7 @@ from .numeric import (
     build_hamiltonian_2d,
     kinetic_coefficients,
     lowest_eigenpairs,
-    numeric_matrix_element,
-    small_junction_coupling_estimate,
+    one_well_element,
 )
 
 __version__ = "0.1.0"

@@ -94,9 +94,9 @@ def junction_matrix_elements(q: QubitParams) -> tuple[float, float]:
     """Perturbative |<0|sin(phi/2)|1>| estimates for the large and small junctions.
 
     The small-junction value (1/4) sqrt(E_CS/(E_J(1-2 alpha))) equals twice the
-    square of the large-junction one; it is a magnitude estimate only (the
-    literal <0|cos phi_m|1> vanishes by parity at the optimal point, see
-    :func:`csfq3d.numeric.small_junction_coupling_estimate`).
+    square of the large-junction one; a magnitude estimate only, to compare with
+    the shift |<1|cos phi_m|1> - <0|cos phi_m|0>|/2, since <0|cos phi_m|1> vanishes
+    by parity at f = 0.5.  :func:`csfq3d.numeric.one_well_element` gives both on a 2D solve.
     """
     ratio = q.E_CS / (q.E_J * (1.0 - 2.0 * q.alpha))
     m_large = ratio**0.25 / (2.0 * math.sqrt(2.0))

@@ -94,13 +94,13 @@ def _checked(label: str, factory, *args, **values):
 
 
 def _read_text(path: Path, kind: str, error: type[Exception]) -> str:
-    """The UTF-8 text of a `kind` input file; a missing path, a directory or
-    bytes that are not UTF-8 raise `error` naming the path."""
+    """The UTF-8 text, less any byte-order mark, of a `kind` input file; a missing
+    path, a directory or bytes that are not UTF-8 raise `error` naming the path."""
     if not path.is_file():
         problem = "path is not a file" if path.exists() else "file not found"
         raise error(f"{kind} {problem}: {path}")
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as err:
         raise error(f"{kind} file is not UTF-8: {path}: byte {err.start}: {err.reason}") from err
 
@@ -115,11 +115,11 @@ class RunConfig:
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
         text = _read_text(Path(path), "config", ConfigError)
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
         try:
-            parser.read_string(text)
-        except configparser.Error as err:
-            raise ConfigError(f"cannot parse config: {err}") from err
+            parser.read_string(text, source=Path(path).name)
+        except configparser.Error as err:  # some messages span lines; each names its line
+            raise ConfigError(f"cannot parse config: {' '.join(str(err).split())}") from err
         config = cls(parser, text)
         # tables are CSV only; a config that asks for another format is refused
         config._choice("output", "format", ("csv",), default="csv")

@@ -48,8 +48,8 @@ class QuasiparticleEnv:
     def __post_init__(self) -> None:
         if self.x_qp < 0.0:
             raise ValueError(f"x_qp must be non-negative, got {self.x_qp}")
-        if self.Delta0 <= 0.0:
-            raise ValueError(f"Delta0 must be positive, got {self.Delta0} ueV")
+        if not microev_to_joule(self.Delta0) > 0.0:  # the rates divide by the gap in J
+            raise ValueError(f"Delta0 = {self.Delta0} ueV must be positive, not underflow to 0 J")
         if self.n_cp <= 0.0:
             raise ValueError(f"n_cp must be positive, got {self.n_cp} um^-3")
 

@@ -262,6 +262,13 @@ def _regression_result(parameters, uncertainties, sigma_slope, residual, flags=(
                      cost_history=(float(residual @ residual),), flags=flags)
 
 
+def _check_scale(values: np.ndarray, quantity: str) -> None:
+    """Refuse data whose sum of squares, the scale of a fit's cost, overflows."""
+    with np.errstate(over="ignore"):
+        if not math.isfinite(float(values @ values)):
+            raise FitError(f"{quantity} overflow: their sum of squares is inf")
+
+
 def _finite(parameters: dict[str, float], residual_norm: float) -> bool:
     """Whether every parameter and the residual norm are finite: a fit that
     overflowed to inf or nan has not converged, whatever its iteration did."""
@@ -363,7 +370,9 @@ def fit_xqp(data: DataSeries, q: QubitParams, omega01_ghz: float, delta0_uev: fl
         raise FitError("T1 values must be positive")
     if np.any(temperatures <= 0.0):
         raise FitError("temperatures must be positive")
-    rates = 1.0 / t1
+    with np.errstate(over="ignore"):
+        rates = 1.0 / t1
+    _check_scale(rates, "the relaxation rates 1/T1")
     # T1 uncertainties propagate to rate space as sigma_Gamma = sigma_T1/T1^2
     weight = t1**2 / data.y_err if data.y_err is not None else np.ones_like(rates)
 
@@ -401,6 +410,7 @@ def fit_envelope(data: DataSeries, t1_s: float, shape: str = "gaussian") -> FitR
     y = data.y
     if np.any(t < 0.0):
         raise FitError("times must be non-negative")
+    _check_scale(y, "the envelope signals")
 
     span = max(t.max() - t.min(), t.max(), 1e-12)
     weight = 1.0 / data.y_err if data.y_err is not None else np.ones_like(y)
@@ -478,6 +488,7 @@ def fit_flux_noise(data: DataSeries, q: QubitParams,
         )
     f = data.x[mask]
     rates = data.y[mask]
+    _check_scale(rates, "the echo dephasing rates")
     derivative = np.abs(analytic.domega01_df(q, f)) * 2.0 * math.pi * 1e9
     slope, sigma_slope, residual = _through_origin(derivative, rates, "flux derivative")
     a_phi = slope * slope / math.log(2.0)

@@ -34,11 +34,9 @@ from csfq3d.fit import (
 )
 from csfq3d.numeric import (
     GridSpec,
-    build_hamiltonian_1d,
     build_hamiltonian_2d,
     lowest_eigenpairs,
-    numeric_matrix_element,
-    small_junction_coupling_estimate,
+    one_well_element,
 )
 
 PERTURBATIVE_SET = QubitParams(alpha=0.41, E_J=85.0, E_C=3.2, C_S=78.0)
@@ -85,17 +83,19 @@ def test_criterion_04_matrix_elements():
     m_large, m_small = analytic.junction_matrix_elements(PERTURBATIVE_SET)
     assert abs(m_large - 0.13) <= 0.01, m_large
     assert abs(m_small - 0.03) <= 0.005, m_small
-    op = build_hamiltonian_1d(PERTURBATIVE_SET, GridSpec(80))
-    states = lowest_eigenpairs(op, k=2)
-    numeric_large = numeric_matrix_element(op, states, "sin_half_phi_m")
+    grid = GridSpec(80)
+    states = lowest_eigenpairs(build_hamiltonian_2d(PERTURBATIVE_SET, 0.5, grid), k=2)
+    phi_p, phi_m = np.meshgrid(grid.phi(), grid.phi(), indexing="ij")
+    numeric_large = abs(one_well_element(states, np.sin((phi_p + phi_m) / 2.0)))
     assert numeric_large == pytest.approx(m_large, rel=0.10), numeric_large
     # the literal <0|cos phi_m|1> is parity-forbidden at the optimal point
     # (see decisions ledger); the parity-allowed shift estimator carries the
     # small-junction scale instead
-    assert numeric_matrix_element(op, states, "cos_phi_m") < 1e-8
-    shift = small_junction_coupling_estimate(op, states)
+    assert abs(one_well_element(states, np.cos(phi_m))) < 1e-8
+    shift = abs(one_well_element(states, np.cos(phi_m), (1, 1))
+                - one_well_element(states, np.cos(phi_m), (0, 0))) / 2.0
     assert shift == pytest.approx(m_small, rel=0.35), shift
-    report(4, f"analytic ({m_large:.4f}, {m_small:.4f}) in reference bands; numeric "
+    report(4, f"analytic ({m_large:.4f}, {m_small:.4f}) in reference bands; one-well "
               f"sin element {numeric_large:.4f} within 10%; cos element parity-zero, "
               f"shift estimator {shift:.4f}")
 

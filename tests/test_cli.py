@@ -42,6 +42,9 @@ x_qp = 6.122448979591837e-8
 a_phi_phi0sq = 3.24e-12
 ramsey_time_s = 1e-6
 base_temperature_k = 0.010
+delta0_uev = 200.0
+n_cp_per_um3 = 4.9e6
+omega_ir_rad_s = 2.5645654315018716
 
 [attenuation]
 stages = 300:1e-7, 4.0:9.9e-6, 0.1:9.99e-3, 0.01:0.99
@@ -108,6 +111,45 @@ class TestConfig:
         assert err.startswith(f"error: config file is not UTF-8: {path}: byte 0")
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text, where", [
+        ("alpha = 0.41\n" + BASE_CONFIG, "line: 1"),
+        (BASE_CONFIG.replace("alpha = 0.437\n", "alpha = 0.437\nalpha 0.41\n"), "[line 4]"),
+    ], ids=["no-section-header", "no-equals-sign"])
+    def test_malformed_config_is_one_line(self, tmp_path, capsys, text, where):
+        path = tmp_path / "c.ini"
+        path.write_text(text)
+        code = cli.main(["--config", str(path), "--out", str(tmp_path / "o"), "filter"])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot parse config: ") and "'c.ini'" in err
+        assert len(err.splitlines()) == 1 and where in err
+
+    @pytest.mark.parametrize("line, value, command, message", [
+        ("shape = gaussian", "shape = gaussian 100%", ["fit", "envelope"],
+         "[envelope] shape must be one of gaussian, exponential, got 'gaussian 100%'"),
+        ("pulse_counts = 1, 20", "pulse_counts = %(zz)s", ["filter"],
+         "bad [filter] pulse_counts: '%(zz)s'"),
+    ], ids=["percent-sign", "interpolation-syntax"])
+    def test_percent_sign_is_literal(self, tmp_path, capsys, line, value, command, message):
+        # values are not interpolated, so each fails its own cast
+        path = tmp_path / "c.ini"
+        path.write_text(BASE_CONFIG.replace(line, value))
+        if command[0] == "fit":
+            command = [*command, str(DATA_DIR / "envelope_synthetic.csv")]
+        code = cli.main(["--config", str(path), "--out", str(tmp_path / "o"), *command])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_byte_order_mark_is_ignored(self, tmp_path, config_path):
+        # a BOM-prefixed copy runs to the same bytes, manifest hash included
+        path = tmp_path / "bom.ini"
+        path.write_bytes(b"\xef\xbb\xbf" + config_path.read_bytes())
+        out_plain, out_bom = tmp_path / "plain", tmp_path / "bom"
+        assert cli.main(["--config", str(config_path), "--out", str(out_plain), "filter"]) == 0
+        assert cli.main(["--config", str(path), "--out", str(out_bom), "filter"]) == 0
+        for name in ("filter_N1.csv", "filter_N20.csv", "manifest.json"):
+            assert (out_plain / name).read_bytes() == (out_bom / name).read_bytes()
 
     def test_missing_key(self, tmp_path, capsys):
         path = tmp_path / "c.ini"
@@ -288,8 +330,11 @@ class TestMutatedConfig:
         ("fit t1", "cqed", "omega01_ghz", 1, "omega01 = 5e-324 GHz underflows"),
         ("coherence", "noise", "base_temperature_k", 1, "temperature 5e-324 K underflows"),
         ("fit spectrum", "fit", "anharmonicity_ghz", 1, "anharmonicity A = 4.94066e-324 GHz"),
+        ("coherence", "noise", "delta0_uev", 1, "Delta0 = 5e-324 ueV must be positive"),
+        ("fit t1", "noise", "delta0_uev", 1, "Delta0 = 5e-324 ueV must be positive"),
     ], ids=["spectrum-e_j", "coherence-e_j", "spectrum-c_s", "coherence-omega01",
-            "fit-t1-omega01", "coherence-base-temperature", "fit-spectrum-anharm"])
+            "fit-t1-omega01", "coherence-base-temperature", "fit-spectrum-anharm",
+            "coherence-delta0", "fit-t1-delta0"])
     def test_tiny_positive_value_names_the_quantity(self, tmp_path, capsys, command,
                                                      section, key, code, message):
         # the smallest positive double underflows a scale the models divide by,
@@ -416,6 +461,13 @@ class TestDataFiles:
         assert err.startswith(f"error: data file is not UTF-8: {path}: byte 26")
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "o").exists()
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (DATA_DIR / "t1_synthetic.csv").read_bytes())
+        bom = cli.read_data_csv(path, cli.DATA_SCHEMAS["t1"])
+        plain = cli.read_data_csv(DATA_DIR / "t1_synthetic.csv", cli.DATA_SCHEMAS["t1"])
+        assert np.array_equal(bom.x, plain.x) and np.array_equal(bom.y, plain.y)
 
     def test_empty_file_exit_code(self, tmp_path, config_path, capsys):
         path = tmp_path / "d.csv"
@@ -914,6 +966,25 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: fit t1 did not converge")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("target, rows, message", [
+        ("envelope", [f"{i}e-6,{(-1) ** i}e308" for i in range(8)],
+         "the envelope signals overflow"),
+        ("t1", [f"0.0{i},5e-324" for i in range(1, 6)], "the relaxation rates 1/T1 overflow"),
+        ("fluxnoise", [f"0.4{i},1e308" for i in range(5)], "the echo dephasing rates overflow"),
+    ], ids=["envelope", "t1", "fluxnoise"])
+    def test_overflowing_data_exits_1_naming_the_quantity(self, tmp_path, config_path, capsys,
+                                                          target, rows, message):
+        # data whose sum of squares overflows leave no fit cost to minimize:
+        # one line naming the quantity, no numpy warning, no output
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join([",".join(cli.DATA_SCHEMAS[target]), *rows]) + "\n")
+        out = tmp_path / "out"
+        code = cli.main(["--config", str(config_path), "--out", str(out), "fit", target,
+                         str(path)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}: their sum of squares is inf\n"
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
     @pytest.mark.parametrize("line, value, target", [

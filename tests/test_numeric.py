@@ -13,8 +13,7 @@ from csfq3d.numeric import (
     build_hamiltonian_2d,
     kinetic_coefficients,
     lowest_eigenpairs,
-    numeric_matrix_element,
-    small_junction_coupling_estimate,
+    one_well_element,
 )
 
 FULL_2D = dict(alpha=0.437, E_J=136.75, E_C=3.2, C_S=60.0)
@@ -585,56 +584,101 @@ class TestSpectrum1D:
         assert errors[0] > errors[1] > errors[2]
 
 
+def junction_operators(n):
+    """sin(phi_1/2), sin(phi_2/2) and cos(phi_m) on the n x n grid, phi_1,2 = phi_p +- phi_m."""
+    phi = GridSpec(n).phi()
+    phi_p, phi_m = np.meshgrid(phi, phi, indexing="ij")
+    return np.sin((phi_p + phi_m) / 2.0), np.sin((phi_p - phi_m) / 2.0), np.cos(phi_m)
+
+
 @pytest.fixture(scope="module")
 def solved():
-    q = reference_qubit_1d()
-    op = build_hamiltonian_1d(q, GridSpec(80))
-    return q, op, lowest_eigenpairs(op, k=4)
+    """The perturbative set at f = 0.5, solved on n = 64 and n = 80."""
+    q = QubitParams(alpha=0.41, E_J=85.0, E_C=3.2, C_S=78.0)
+    return q, {n: lowest_eigenpairs(build_hamiltonian_2d(q, 0.5, GridSpec(n)), k=2)
+               for n in (64, 80)}
+
+
+def shift(result, n):
+    """|<1|cos phi_m|1> - <0|cos phi_m|0>| / 2 of the one-well states."""
+    cos_phi_m = junction_operators(n)[2]
+    return abs(one_well_element(result, cos_phi_m, (1, 1))
+               - one_well_element(result, cos_phi_m, (0, 0))) / 2.0
 
 
 class TestMatrixElements:
+    """Elements of the one-well states of a 2D solve (see one_well_element)."""
+
+    def test_one_well_states_are_unit(self, solved):
+        _, results = solved
+        ones = np.ones((80, 80))
+        for i in range(2):
+            assert one_well_element(results[80], ones, (i, i)) == pytest.approx(1.0, abs=1e-12)
+
     def test_large_junction_element(self, solved):
-        q, op, result = solved
-        value = numeric_matrix_element(op, result, "sin_half_phi_m")
-        assert value == pytest.approx(0.117210516820, rel=1e-6)
+        q, results = solved
+        values = {n: abs(one_well_element(result, junction_operators(n)[0]))
+                  for n, result in results.items()}
+        assert values[80] == pytest.approx(0.122032212241, rel=1e-6)
+        assert abs(values[80] - values[64]) < 1e-5
+        # the other large junction gives the same element
+        phi_2 = abs(one_well_element(results[80], junction_operators(80)[1]))
+        assert abs(phi_2 - values[80]) < 1e-9
         m_large, _ = analytic.junction_matrix_elements(q)
-        assert value == pytest.approx(m_large, rel=0.10)
+        assert values[80] == pytest.approx(m_large, rel=0.10)
 
     def test_cos_element_is_parity_forbidden(self, solved):
         # the optimal-point potential is even in phi_m, so <0|cos phi_m|1>
         # vanishes identically; the 0.03 perturbative estimate is a scale,
         # not this matrix element
-        _, op, result = solved
-        assert numeric_matrix_element(op, result, "cos_phi_m") < 1e-8
+        _, results = solved
+        assert abs(one_well_element(results[80], junction_operators(80)[2])) < 1e-8
 
     def test_diagonal_sin_element_is_parity_forbidden(self, solved):
-        _, op, result = solved
-        assert numeric_matrix_element(op, result, "sin_half_phi_m", states=(0, 0)) < 1e-8
+        _, results = solved
+        assert abs(one_well_element(results[80], junction_operators(80)[0], (0, 0))) < 1e-8
 
     def test_small_junction_estimate_scale(self, solved):
-        # parity-allowed shift estimator; leading-order value is the analytic
-        # estimate, exact 1D value sits ~23% below it at these parameters
-        q, op, result = solved
-        value = small_junction_coupling_estimate(op, result)
-        assert value == pytest.approx(0.024724579776, rel=1e-6)
+        # parity-allowed shift estimator; its leading-order value is the
+        # analytic estimate, which the 2D value sits ~16% below
+        q, results = solved
+        value = shift(results[80], 80)
+        assert value == pytest.approx(0.0268350063, rel=1e-6)
+        assert abs(value - shift(results[64], 64)) < 1e-5
         _, m_small = analytic.junction_matrix_elements(q)
         assert value == pytest.approx(m_small, rel=0.35)
 
     def test_missing_states_rejected(self, solved):
-        _, op, result = solved
-        with pytest.raises(ValueError):
-            numeric_matrix_element(op, result, "sin_half_phi_m", states=(0, 9))
+        _, results = solved
+        with pytest.raises(ValueError, match="not available"):
+            one_well_element(results[80], junction_operators(80)[0], states=(0, 9))
 
-    def test_unknown_kind_rejected(self, solved):
-        _, op, result = solved
-        with pytest.raises(ValueError):
-            numeric_matrix_element(op, result, "sigma_x")
+    @pytest.mark.parametrize("shape", [(80,), (64, 64), (80, 40)], ids=["1d", "coarser", "half"])
+    def test_operator_shape_rejected(self, solved, shape):
+        _, results = solved
+        with pytest.raises(ValueError, match="not the n x n grid"):
+            one_well_element(results[80], np.ones(shape))
 
-    def test_requires_1d_solve(self):
-        op = build_hamiltonian_2d(reference_qubit_2d(), 0.5, GridSpec(24))
-        result = lowest_eigenpairs(op, k=2)
-        with pytest.raises(ValueError):
-            numeric_matrix_element(op, result, "sin_half_phi_m")
+    def test_requires_2d_solve(self):
+        result = lowest_eigenpairs(build_hamiltonian_1d(reference_qubit_1d(), GridSpec(80)), k=2)
+        with pytest.raises(ValueError, match="not the n x n grid"):
+            one_well_element(result, np.ones((80, 80)))
+
+    def test_full_set_passes_the_guard(self):
+        result = lowest_eigenpairs(build_hamiltonian_2d(reference_qubit_2d(), 0.5, GridSpec(64)),
+                                   k=2)
+        value = abs(one_well_element(result, junction_operators(64)[0]))
+        assert value == pytest.approx(0.12214037737, rel=1e-6)
+
+    @pytest.mark.parametrize("params", [WEAK_SHUNT_2D, SMALL_ALPHA_2D],
+                             ids=["weak-shunt", "small-alpha"])
+    def test_shallow_well_refused(self, params):
+        # the ground state spreads onto the saddle between the two copies of
+        # the well (edge weight >= 4e-5 here), so it has no one-well form
+        result = lowest_eigenpairs(build_hamiltonian_2d(QubitParams(**params), 0.5,
+                                                        GridSpec(64)), k=2)
+        with pytest.raises(ValueError, match="state 0 puts weight .* on the edge of its well"):
+            one_well_element(result, junction_operators(64)[0])
 
 
 def omega01_vs_flux(q, flux_values, grid):
