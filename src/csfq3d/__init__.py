@@ -13,7 +13,6 @@ from .analytic import (
     gap,
     junction_matrix_elements,
     omega01,
-    perturbative_level,
     perturbative_spectrum,
 )
 from .core import (
@@ -37,7 +36,6 @@ from .decoherence import (
     FluxNoise,
     QuasiparticleEnv,
     QuasiparticleValidityWarning,
-    bessel_k0,
     decay_envelope,
     effective_temperature,
     flux_dephasing_rates,

@@ -55,17 +55,6 @@ def anharmonicity(q: QubitParams) -> float:
     return (8.0 * q.alpha - 1.0) / (4.0 * (1.0 - 2.0 * q.alpha)) * q.E_CS
 
 
-def perturbative_level(q: QubitParams, m: int) -> float:
-    """m-th eigenenergy of the quartic-corrected oscillator ladder, GHz."""
-    if m < 0:
-        raise ValueError(f"level index must be non-negative, got {m}")
-    e_cs = q.E_CS
-    stiffness = q.E_J * (1.0 - 2.0 * q.alpha)
-    omega = math.sqrt(4.0 * e_cs * stiffness)
-    quartic = (8.0 * q.alpha - 1.0) / (1.0 - 2.0 * q.alpha) * e_cs / 48.0
-    return omega * (m + 0.5) + 2.0 * q.alpha * q.E_J + quartic * (6 * m * m + 6 * m + 3)
-
-
 def epsilon_slope(q: QubitParams) -> float:
     """Slope of the flux-induced energy shift, GHz per unit normalized flux."""
     ratio = q.E_CS / (q.E_J * (1.0 - 2.0 * q.alpha))

@@ -11,7 +11,8 @@ package versions and unit conventions, and reruns with an identical config
 are bit-identical.
 
 Exit codes: 0 success, 1 config/parse or usage error, 2 fit or eigensolve
-non-convergence, 3 partial sweep failure.
+non-convergence, 3 partial sweep failure; every non-zero exit prints one
+`error:` line.
 
 A command process (main() with no argv) freezes its heap with gc.freeze()
 before it exits, because tearing down numpy's modules through the cyclic
@@ -276,6 +277,17 @@ def _write_manifest(outdir: Path, command: str, config: RunConfig, outputs: list
     _write_json(outdir / "manifest.json", payload)
 
 
+def _sweep_exit(table: Path, column: str, total: int, failed, invalid=()) -> int:
+    """EXIT_OK, or EXIT_PARTIAL_FAILURE after one error line: the count of failed
+    rows of `table` and its first failed (point, error), else the first invalid value."""
+    problems = [f"{table.name}: {len(failed)} of {total} rows failed; first at {column} = "
+                f"{_fmt(point)}: {' '.join(str(err).split())}" for point, err in failed[:1]]
+    problems += invalid
+    if problems:
+        print(f"error: {problems[0]}", file=sys.stderr)
+    return EXIT_PARTIAL_FAILURE if problems else EXIT_OK
+
+
 def _map_indexed(fn, items):
     """Apply fn to each item in order; each result is (item, value, None) or,
     when fn raised, (item, None, error)."""
@@ -367,7 +379,7 @@ def cmd_spectrum(config: RunConfig, args) -> int:
         previous = key
     keys = sorted(set(owner.values()))
     solved = {f: (result, err) for f, result, err in _map_indexed(solve, keys)}
-    rows = []
+    rows, failed = [], []
     for f in flux:
         w_analytic = analytic.omega01(q, f)
         omegas, err = solved[owner[min(f, 1.0 - f)]]
@@ -375,7 +387,7 @@ def cmd_spectrum(config: RunConfig, args) -> int:
             rows.append([f, w_analytic, *omegas, "ok"])
         else:
             rows.append([f, w_analytic, "", "", f"error:{err.__class__.__name__}"])
-    failures = sum(row[4] != "ok" for row in rows)
+            failed.append((f, err))
     table = _write_table(outdir / "spectrum.csv",
                          ["flux_phi0", "omega01_analytic_GHz", "omega01_numeric_GHz",
                           "omega12_numeric_GHz", "status"], rows)
@@ -393,7 +405,7 @@ def cmd_spectrum(config: RunConfig, args) -> int:
         "perturbative_validity_ratio": spectrum.validity_ratio,
         "flags": list(spectrum.flags),
         "grid_n": grid.n,
-        "failed_points": failures,
+        "failed_points": len(failed),
     }
     summary_path = outdir / "spectrum_summary.json"
     _write_json(summary_path, summary)
@@ -401,7 +413,7 @@ def cmd_spectrum(config: RunConfig, args) -> int:
     if optimal_error is not None:
         print(f"error: optimal point f = 0.5: {optimal_error}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
-    return EXIT_PARTIAL_FAILURE if failures else EXIT_OK
+    return _sweep_exit(table, "flux_phi0", len(rows), failed)
 
 
 def cmd_coherence(config: RunConfig, args) -> int:
@@ -433,9 +445,10 @@ def cmd_coherence(config: RunConfig, args) -> int:
     t1_base = _checked("[cqed]/[noise] values", t1_point, base_temperature)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    t1_results = _map_indexed(t1_point, temperatures)
     t1_rows = [[t, value, "ok"] if err is None else [t, "", f"error:{err.__class__.__name__}"]
-               for t, value, err in _map_indexed(t1_point, temperatures)]
-    failures = sum(row[2] != "ok" for row in t1_rows)
+               for t, value, err in t1_results]
+    failed = [(t, err) for t, _, err in t1_results if err is not None]
     t1_table = _write_table(outdir / "t1_vs_temperature.csv",
                             ["temp_K", "t1_qp_s", "status"], t1_rows)
 
@@ -476,20 +489,20 @@ def cmd_coherence(config: RunConfig, args) -> int:
                if isinstance(value, float) and not math.isfinite(value)]
     invalid += [f"decoherence_budget {key} = nan" for key, value in budget.items()
                 if isinstance(value, float) and math.isnan(value)]
-    if invalid:
-        print(f"error: {invalid[0]}", file=sys.stderr)
-    return EXIT_PARTIAL_FAILURE if failures or invalid else EXIT_OK
+    return _sweep_exit(t1_table, "temp_K", len(t1_rows), failed, invalid)
 
 
 def cmd_filter(config: RunConfig, args) -> int:
     counts = config.pulse_counts()
     tau = config._get("filter", "tau_s", float, default=100e-6)
     tau_pi = config._get("filter", "tau_pi_s", float, default=0.0)
-    omega_min = config._get("filter", "omega_min_rad_s", float, default=1e2)
-    omega_max = config._get("filter", "omega_max_rad_s", float, default=1e7)
+    omega_min = config._positive("filter", "omega_min_rad_s", default=1e2)
+    omega_max = config._positive("filter", "omega_max_rad_s", default=1e7)
     points = config._get("filter", "omega_points", int, default=400)
     if points < 1:
         raise ConfigError(f"[filter] omega_points must be >= 1, got {points}")
+    if not math.isfinite(max(omega_min, omega_max) * tau):
+        raise ConfigError(f"[filter] tau_s = {tau!r} overflows omega * tau_s on the grid")
     try:  # every table is computed before the first is written
         omega = np.logspace(math.log10(omega_min), math.log10(omega_max), points)
         tables = [(n, filter_function(FilterSpec(n, tau, tau_pi), omega)) for n in counts]

@@ -9,7 +9,7 @@ Unit conventions used throughout the package:
 - cavity loss rates, dispersive shifts and couplings are cyclic MHz
 - relaxation/dephasing rates are plain s^-1, times are seconds
 - temperatures are Kelvin, capacitances fF, superconducting gaps micro-eV
-- flux biases are plain numbers, the normalized flux f = Phi/Phi0
+- flux biases are plain numbers, the normalized flux f = Phi/Phi_0
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """CODATA-exact SI constants. Phi0 and hbar are derived, not stored."""
+    """CODATA-exact SI constants; hbar is derived, not stored."""
 
     h: float = 6.62607015e-34       # J s
     e: float = 1.602176634e-19      # C
@@ -32,11 +32,6 @@ class PhysicalConstants:
     @property
     def hbar(self) -> float:
         return self.h / (2.0 * math.pi)
-
-    @property
-    def Phi0(self) -> float:
-        """Superconducting flux quantum h/2e, in Wb."""
-        return self.h / (2.0 * self.e)
 
 
 CONSTANTS = PhysicalConstants()
@@ -166,7 +161,7 @@ class CavityParams:
 
 
 def normalized_flux(f):
-    """The normalized flux f = Phi/Phi0: a float for a scalar, else a float array.
+    """The normalized flux f = Phi/Phi_0: a float for a scalar, else a float array.
     Every entry must be finite."""
     value = np.asarray(f, dtype=float)
     if not np.all(np.isfinite(value)):

@@ -32,6 +32,14 @@ class DispersiveSet:
     g12: float
 
 
+def _check_dispersive(name: str, g_mhz: float, detuning_mhz: float) -> None:
+    """Warn, at the public function's caller, when g/|detuning| exceeds the ceiling."""
+    if g_mhz != 0.0 and abs(g_mhz / detuning_mhz) > DISPERSIVE_RATIO_CEILING:
+        warnings.warn(f"{name}/|detuning| = {abs(g_mhz / detuning_mhz):.3g} > "
+                      f"{DISPERSIVE_RATIO_CEILING}: outside the dispersive regime",
+                      DispersiveLimitWarning, stacklevel=3)
+
+
 def chi_partial(g_mhz: float, omega_ij_ghz: float, omega_c0_ghz: float) -> float:
     """Partial dispersive shift g^2/(omega_ij - omega_c0), signed, MHz.
 
@@ -41,13 +49,7 @@ def chi_partial(g_mhz: float, omega_ij_ghz: float, omega_c0_ghz: float) -> float
     detuning_mhz = (omega_ij_ghz - omega_c0_ghz) * 1e3
     if detuning_mhz == 0.0:
         raise ValueError("zero qubit-cavity detuning: dispersive shift undefined")
-    if g_mhz != 0.0 and abs(g_mhz / detuning_mhz) > DISPERSIVE_RATIO_CEILING:
-        warnings.warn(
-            f"g/|detuning| = {abs(g_mhz / detuning_mhz):.2f} > "
-            f"{DISPERSIVE_RATIO_CEILING}: outside the dispersive regime",
-            DispersiveLimitWarning,
-            stacklevel=2,
-        )
+    _check_dispersive("g", g_mhz, detuning_mhz)
     return g_mhz * g_mhz / detuning_mhz
 
 
@@ -65,7 +67,8 @@ def dispersive_set(omega01_ghz: float, omega12_ghz: float, omega_c0_ghz: float,
 
     Inverts chi01 = omega_c0 - omega_c and chi12 = 2(chi01 - chi); both
     radicands chi_ij (omega_ij - omega_c0) must be positive, otherwise the
-    inputs are mutually inconsistent.
+    inputs are mutually inconsistent.  Warns, as chi_partial does, when
+    g01 or g12 is not small against its detuning.
     """
     chi01 = (omega_c0_ghz - omega_c_ghz) * 1e3
     chi12 = 2.0 * (chi01 - chi_mhz)
@@ -76,8 +79,11 @@ def dispersive_set(omega01_ghz: float, omega12_ghz: float, omega_c0_ghz: float,
             "inconsistent inputs: negative radicand for "
             f"g01^2 = {g01_sq:.3f} or g12^2 = {g12_sq:.3f} MHz^2"
         )
+    g01, g12 = math.sqrt(g01_sq), math.sqrt(g12_sq)
+    _check_dispersive("g01", g01, (omega01_ghz - omega_c0_ghz) * 1e3)
+    _check_dispersive("g12", g12, (omega12_ghz - omega_c0_ghz) * 1e3)
     return DispersiveSet(chi01=chi01, chi12=chi12, chi=total_pull(chi01, chi12),
-                         g01=math.sqrt(g01_sq), g12=math.sqrt(g12_sq))
+                         g01=g01, g12=g12)
 
 
 def purcell_t1(kappa_mhz: float, g01_mhz: float, omega01_ghz: float,

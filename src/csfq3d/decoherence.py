@@ -83,7 +83,7 @@ class AttenuationChain:
 @dataclass(frozen=True)
 class FluxNoise:
     """1/omega flux noise S(omega) = A_Phi/omega with amplitude A_Phi in
-    Phi0^2 (e.g. (1.8e-6)^2 for 1.8 micro-Phi0) and an infrared cutoff in rad/s."""
+    Phi_0^2 (e.g. (1.8e-6)^2 for 1.8 micro-Phi_0) and an infrared cutoff in rad/s."""
 
     A_Phi: float
     omega_ir: float = DEFAULT_OMEGA_IR
@@ -93,17 +93,6 @@ class FluxNoise:
             raise ValueError(f"A_Phi must be non-negative, got {self.A_Phi}")
         if self.omega_ir <= 0.0:
             raise ValueError(f"omega_ir must be positive, got {self.omega_ir}")
-
-
-def bessel_k0(x: float) -> float:
-    """Modified Bessel function of the second kind,
-    K0(x) = integral_0^inf exp(-x cosh t) dt for x > 0, as exp(-x) times
-    exp(x) K0(x) from _bessel_k0e: the trapezoid rule cut at top, where the
-    integrand falls to e^-40, with 64 + floor(4 top) points (Trefethen &
-    Weideman, SIAM Rev. 56, 385 (2014))."""
-    if x <= 0.0:
-        raise ValueError(f"K0 requires x > 0, got {x}")
-    return math.exp(-x) * _bessel_k0e(x)
 
 
 def _bessel_k0e(x: float) -> float:

@@ -6,9 +6,10 @@ g_N(omega, tau) = |1 + (-1)^(N+1) e^{i omega tau}
 
 with delta_j = (2j - 1)/(2N) the normalized center of the j-th pi pulse.
 N = 0 (empty sum) is the Ramsey free-induction filter and N = 1 the Hahn
-echo; omega = 0 is handled by its analytic limit (1 for Ramsey, 0 for any
-refocusing sequence).  :func:`filter_function` takes a scalar or an array of
-omega; ``csfq3d filter`` tabulates it on a log-spaced grid.
+echo; omega tau = 0, or so small that its square underflows, takes the
+analytic limit (1 for Ramsey, 0 for any refocusing sequence).
+:func:`filter_function` takes a scalar or an array of omega; ``csfq3d
+filter`` tabulates it on a log-spaced grid.
 """
 
 from __future__ import annotations
@@ -55,21 +56,24 @@ def filter_function(spec: FilterSpec, omega):
     scalar = omega.ndim == 0
     omega = np.atleast_1d(omega)
     out = np.empty_like(omega)
+    wt = omega * spec.tau
+    with np.errstate(over="ignore"):  # (omega tau)^2 past the double range: g_N is 0
+        wt_sq = wt * wt
 
-    zero = omega == 0.0
+    # omega = 0, or omega tau so small that g_N equals its limit in double precision
+    zero = wt_sq == 0.0
     out[zero] = 1.0 if spec.N == 0 else 0.0
 
     nz = ~zero
     if np.any(nz):
         w = omega[nz]
-        wt = w * spec.tau
-        total = 1.0 + (-1.0) ** (spec.N + 1) * np.exp(1j * wt)
+        total = 1.0 + (-1.0) ** (spec.N + 1) * np.exp(1j * wt[nz])
         if spec.N > 0:
             positions = cpmg_positions(spec.N)
             signs = (-1.0) ** np.arange(1, spec.N + 1)
             phases = np.exp(1j * np.outer(w, positions) * spec.tau)
             total = total + 2.0 * (phases @ signs) * np.cos(w * spec.tau_pi / 2.0)
-        out[nz] = np.abs(total) ** 2 / wt**2
+        out[nz] = np.abs(total) ** 2 / wt_sq[nz]
 
     return float(out[0]) if scalar else out
 

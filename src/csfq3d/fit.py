@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytic
-from .core import QubitParams, capacitance_from_charging_energy
+from .core import CONSTANTS, QubitParams, capacitance_from_charging_energy
 from .decoherence import (
     DEFAULT_N_CP,
     QuasiparticleEnv,
@@ -313,7 +313,7 @@ def _spectrum_parameters(point) -> np.ndarray:
 
 def fit_spectrum(data: DataSeries, anharmonicity_ghz: float) -> FitResult:
     """Extract (alpha, C_S, E_J) in closed form from an omega01(f) spectrum,
-    GHz vs Phi/Phi0, and the separately measured (two-tone) anharmonicity A.
+    GHz vs Phi/Phi_0, and the separately measured (two-tone) anharmonicity A.
 
     :func:`csfq3d.analytic.omega01` is the line Delta + c (f - 1/2)^2 and A
     fixes the third parameter, so the weighted line fit minimizes the cost
@@ -368,8 +368,10 @@ def fit_xqp(data: DataSeries, q: QubitParams, omega01_ghz: float, delta0_uev: fl
     t1 = data.y
     if np.any(t1 <= 0.0):
         raise FitError("T1 values must be positive")
-    if np.any(temperatures <= 0.0):
-        raise FitError("temperatures must be positive")
+    cold = temperatures[~(CONSTANTS.k_B * temperatures > 0.0)]  # the rates divide by k_B T
+    if cold.size:
+        raise FitError("data temperatures must be positive with k_B T > 0, "
+                       f"got {float(cold[0])!r} K")
     with np.errstate(over="ignore"):
         rates = 1.0 / t1
     _check_scale(rates, "the relaxation rates 1/T1")

@@ -125,23 +125,6 @@ class TestMatrixElements:
         assert m_small < 0.001
 
 
-class TestLadderConsistency:
-    def test_anharmonicity_from_levels(self):
-        q = reference_qubit()
-        levels = [analytic.perturbative_level(q, m) for m in range(3)]
-        ladder_anharmonicity = (levels[2] - levels[1]) - (levels[1] - levels[0])
-        assert ladder_anharmonicity == pytest.approx(analytic.anharmonicity(q), rel=1e-12)
-
-    def test_gap_from_levels(self):
-        q = reference_qubit()
-        assert analytic.perturbative_level(q, 1) - analytic.perturbative_level(q, 0) == \
-            pytest.approx(analytic.gap(q), rel=1e-12)
-
-    def test_rejects_negative_level(self):
-        with pytest.raises(ValueError):
-            analytic.perturbative_level(reference_qubit(), -1)
-
-
 class TestPerturbativeSpectrum:
     def test_reference_set_is_clean(self):
         with warnings.catch_warnings():

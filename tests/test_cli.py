@@ -12,6 +12,7 @@ import pytest
 
 from csfq3d import cli
 from csfq3d.analytic import PerturbativeValidityWarning
+from csfq3d.cqed import DispersiveLimitWarning
 from csfq3d.fit import FitResult
 
 DATA_DIR = resources.files("csfq3d") / "data"
@@ -561,7 +562,7 @@ class TestSpectrumCommand:
     @pytest.mark.filterwarnings("error::UserWarning")
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_partial_sweep_failure_marks_row_and_exits_3(self, tmp_path, config_path,
-                                                         monkeypatch, workers):
+                                                         monkeypatch, capsys, workers):
         from csfq3d.numeric import ConvergenceError as NumericError
 
         original = cli.lowest_eigenpairs
@@ -591,6 +592,9 @@ class TestSpectrumCommand:
         assert statuses.count("ok") == len(rows) - 2
         summary = json.loads((out / "spectrum_summary.json").read_text())
         assert summary["failed_points"] == 2
+        assert capsys.readouterr().err == (
+            "error: spectrum.csv: 2 of 5 rows failed; first at flux_phi0 = 0.495: "
+            "forced failure\n")
 
     @pytest.mark.parametrize("stop,solves", [(0.51, 3), (0.499, 6)])
     def test_optimal_point_reuses_sweep_solve(self, tmp_path, monkeypatch, stop, solves):
@@ -762,7 +766,7 @@ class TestCoherenceCommand:
         assert budget["t1_purcell_s"] == pytest.approx(1.8e-3, rel=0.05)
         assert budget["t_phi_thermal_s"] == pytest.approx(3.2e-3, rel=0.05)
 
-    def test_failed_t1_point_marks_row_and_exits_3(self, tmp_path):
+    def test_failed_t1_point_marks_row_and_exits_3(self, tmp_path, capsys):
         path = tmp_path / "c.ini"
         path.write_text(BASE_CONFIG.replace("start_k = 0.010", "start_k = 0.0"))
         out = tmp_path / "out"
@@ -771,6 +775,22 @@ class TestCoherenceCommand:
         _, rows = read_csv(out / "t1_vs_temperature.csv")
         assert rows[0][1] == "" and rows[0][2].startswith("error:")
         assert all(row[2] == "ok" for row in rows[1:])
+        assert capsys.readouterr().err == (
+            "error: t1_vs_temperature.csv: 1 of 5 rows failed; first at temp_K = 0: "
+            "temperature must be positive, got 0.0 K\n")
+
+    def test_near_resonant_qubit_warns_of_the_dispersive_limit(self, tmp_path, capsys):
+        # omega01 17.5 MHz below the bare cavity infers g01 = 5.12 MHz, 0.29 of the
+        # detuning: the budget's dispersive Purcell time is flagged, not silent
+        path = tmp_path / "c.ini"
+        path.write_text(BASE_CONFIG.replace("omega01_ghz = 4.68", "omega01_ghz = 8.2"))
+        out = tmp_path / "out"
+        with pytest.warns(DispersiveLimitWarning, match=r"g01/\|detuning\| = 0\.29") as caught:
+            code = cli.main(["--config", str(path), "--out", str(out), "coherence"])
+        assert code == cli.EXIT_OK and capsys.readouterr().err == ""
+        assert [w.category for w in caught] == [DispersiveLimitWarning]
+        budget = json.loads((out / "decoherence_budget.json").read_text())
+        assert budget["g01_MHz"] == pytest.approx(5.123, rel=1e-3)
 
     def test_ultracold_base_temperature(self, tmp_path, capsys):
         # hbar omega01 / 2 k_B T ~ 1100 at 0.1 mK: past where exp(x) overflows
@@ -901,6 +921,37 @@ class TestFilterCommand:
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert not list(out.glob("*.csv"))  # rejected before any table, even a valid N = 1
 
+    @pytest.mark.parametrize("line, value, message", [
+        ("omega_min_rad_s = 1e3", "omega_min_rad_s = 0",
+         "[filter] omega_min_rad_s must be positive, got 0.0"),
+        ("omega_max_rad_s = 1e7", "omega_max_rad_s = -5",
+         "[filter] omega_max_rad_s must be positive, got -5.0"),
+        ("tau_s = 100e-6", "tau_s = 1e308",
+         "[filter] tau_s = 1e+308 overflows omega * tau_s on the grid"),
+    ], ids=["omega_min-zero", "omega_max-negative", "tau_s-overflow"])
+    def test_unusable_grid_names_its_key(self, tmp_path, capsys, line, value, message):
+        path = tmp_path / "c.ini"
+        path.write_text(BASE_CONFIG.replace(line, value))
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), "filter"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tau, ramsey", [("1e300", 0.0), ("1e-320", 1.0)])
+    def test_filter_values_past_the_double_range_take_their_limit(self, tmp_path, capsys,
+                                                                  tau, ramsey):
+        # (omega tau)^2 overflows (g_N underflows to 0) or underflows (g_N is its
+        # omega -> 0 limit): finite tables, no numpy warning, exit 0
+        path = tmp_path / "c.ini"
+        path.write_text(BASE_CONFIG.replace("tau_s = 100e-6", f"tau_s = {tau}")
+                        .replace("pulse_counts = 1, 20", "pulse_counts = 0, 1, 20"))
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), "filter"]) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        for n, limit in ((0, ramsey), (1, 0.0), (20, 0.0)):
+            _, rows = read_csv(out / f"filter_N{n}.csv")
+            assert len(rows) == 50 and all(float(row[1]) == limit for row in rows)
+
 
 class TestFitCommand:
     def test_spectrum_fixture_recovers_generator(self, tmp_path, config_path):
@@ -966,6 +1017,22 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: fit t1 did not converge")
         assert len(err.strip().splitlines()) == 1
+
+    def test_t1_data_temperature_without_thermal_energy_blames_the_data(self, tmp_path,
+                                                                        capsys):
+        # 5e-324 K underflows k_B T to 0: a data problem, not a [cqed]/[noise] one
+        lines = (DATA_DIR / "t1_synthetic.csv").read_text().splitlines()
+        first = next(i for i, line in enumerate(lines) if line.startswith("0.01,"))
+        lines[first] = "5e-324," + lines[first].split(",")[1]
+        path = tmp_path / "t1.csv"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        code = cli.main(["--config", str(DATA_DIR / "example_config_perturbative.ini"),
+                         "--out", str(out), "fit", "t1", str(path)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: data temperatures must be positive with k_B T > 0, got 5e-324 K\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("target, rows, message", [
         ("envelope", [f"{i}e-6,{(-1) ** i}e308" for i in range(8)],

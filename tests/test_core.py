@@ -16,7 +16,6 @@ from csfq3d.core import (
 
 
 def test_constants_identities():
-    assert CONSTANTS.Phi0 == CONSTANTS.h / (2.0 * CONSTANTS.e)
     assert CONSTANTS.hbar == CONSTANTS.h / (2.0 * math.pi)
 
 

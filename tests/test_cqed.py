@@ -64,6 +64,17 @@ class TestExtractCouplings:
         g12 = cqed.dispersive_set(OMEGA01, OMEGA12, OMEGA_C0, OMEGA_C, chi01).g12
         assert g12 == 0.0
 
+    def test_near_resonant_qubit_warns(self):
+        # 17.5 MHz below the bare cavity, the inferred g01 = 5.12 MHz is 0.29 of
+        # the detuning; g12 stays deep in the dispersive regime
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            couplings = cqed.dispersive_set(8.2, OMEGA12, OMEGA_C0, OMEGA_C, CHI)
+        assert couplings.g01 == pytest.approx(math.sqrt(1.5 * 17.5), rel=1e-9)
+        assert [str(w.message).split(" = ")[0] for w in caught] == ["g01/|detuning|"]
+        assert all(w.category is cqed.DispersiveLimitWarning for w in caught)
+        assert caught[0].filename == __file__  # attributed to the caller
+
     def test_inconsistent_inputs_rejected(self):
         # dressed cavity below bare for a qubit below the cavity: negative radicand
         with pytest.raises(ValueError, match="inconsistent"):
@@ -90,7 +101,11 @@ class TestExtractCouplings:
             ratio > cqed.DISPERSIVE_RATIO_CEILING for ratio in ratios)
         chi = cqed.total_pull(chi01, chi12)
         omega_c = omega_c0 - chi01 * 1e-3
-        back = cqed.dispersive_set(omega01, omega12, omega_c0, omega_c, chi)
+        with warnings.catch_warnings(record=True) as caught_back:
+            warnings.simplefilter("always")
+            back = cqed.dispersive_set(omega01, omega12, omega_c0, omega_c, chi)
+        # the inversion flags the same couplings
+        assert [w.category for w in caught_back] == [w.category for w in caught]
         assert back.g01 == pytest.approx(g01, rel=1e-9)
         assert back.g12 == pytest.approx(g12, rel=1e-9)
 

@@ -219,6 +219,14 @@ class TestFitXqp:
         with pytest.raises(FitError):
             fit_xqp(DataSeries([0.01, 0.05], [1e-4, -1e-4]), self.q, 4.68, 200.0, self.m)
 
+    @pytest.mark.parametrize("cold", [0.0, -0.01, 5e-324])
+    def test_temperature_without_thermal_energy_rejected(self, cold):
+        # 5e-324 K is positive, but k_B T underflows to 0, which the rates divide
+        data = DataSeries(np.concatenate([[cold], self.temps]),
+                          np.concatenate([[1e-4], self.t1_data(6e-8)]))
+        with pytest.raises(FitError, match=f"data temperatures .* got {cold!r} K"):
+            fit_xqp(data, self.q, 4.68, 200.0, self.m)
+
     def test_vanishing_matrix_elements_rejected(self):
         data = DataSeries(self.temps, self.t1_data(6e-8))
         with pytest.raises(RankDeficientDataError):
