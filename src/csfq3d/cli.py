@@ -14,7 +14,8 @@ Exit codes: 0 success, 1 config/parse or usage error, 2 fit or eigensolve
 non-convergence, 3 partial sweep failure; every non-zero exit prints one
 `error:` line.
 
-A command process (main() with no argv) freezes its heap with gc.freeze()
+A command process (main() with no argv) prints each warning as one stderr
+line naming its category and message, and freezes its heap with gc.freeze()
 before it exits, because tearing down numpy's modules through the cyclic
 garbage collector otherwise costs more than most commands.
 """
@@ -28,6 +29,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -604,6 +606,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # Process entry: a model warning is one stderr line, its category and message.
+        warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
     try:
         args = _build_parser().parse_args(argv)
         config = RunConfig.load(args.config)

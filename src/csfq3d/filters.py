@@ -7,7 +7,8 @@ g_N(omega, tau) = |1 + (-1)^(N+1) e^{i omega tau}
 with delta_j = (2j - 1)/(2N) the normalized center of the j-th pi pulse.
 N = 0 (empty sum) is the Ramsey free-induction filter and N = 1 the Hahn
 echo; omega tau = 0, or so small that its square underflows, takes the
-analytic limit (1 for Ramsey, 0 for any refocusing sequence).
+analytic limit (1 for Ramsey, 0 for any refocusing sequence), and omega tau
+so large that its square overflows the limit 0.
 :func:`filter_function` takes a scalar or an array of omega; ``csfq3d
 filter`` tabulates it on a log-spaced grid.
 """
@@ -56,15 +57,18 @@ def filter_function(spec: FilterSpec, omega):
     scalar = omega.ndim == 0
     omega = np.atleast_1d(omega)
     out = np.empty_like(omega)
-    wt = omega * spec.tau
-    with np.errstate(over="ignore"):  # (omega tau)^2 past the double range: g_N is 0
+    with np.errstate(over="ignore"):
+        wt = omega * spec.tau
         wt_sq = wt * wt
 
     # omega = 0, or omega tau so small that g_N equals its limit in double precision
     zero = wt_sq == 0.0
     out[zero] = 1.0 if spec.N == 0 else 0.0
+    # omega tau or its square past the double range: g_N takes its limit 0
+    far = np.isinf(wt_sq)
+    out[far] = 0.0
 
-    nz = ~zero
+    nz = ~(zero | far)
     if np.any(nz):
         w = omega[nz]
         total = 1.0 + (-1.0) ** (spec.N + 1) * np.exp(1j * wt[nz])

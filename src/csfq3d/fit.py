@@ -3,10 +3,10 @@
 The perturbative spectrum omega01(f) is a straight line in (f - 1/2)^2, so
 its fit is a weighted line fit plus a closed-form inversion of (gap,
 curvature, measured anharmonicity), with no start and no iteration.  The
-nonlinear fits (coherence envelope, T1 trace) run through one
-Levenberg-Marquardt core with numeric central-difference Jacobians and build
-their results through one helper; a rate is kept physical by clipping at
-zero and T1 is fitted through its log.  The quasiparticle density x_qp and
+coherence envelope and the T1 trace are y = a phi(t; theta) + c with one
+nonlinear theta (Gamma_phi >= 0, or T1), so both are fitted by variable
+projection: (a, c) in closed form at each theta, theta by a grid scan and a
+golden-section search, with no start.  The quasiparticle density x_qp and
 the flux-noise amplitude A_Phi enter their models linearly, so each is a
 closed-form through-origin regression, no iteration needed.  A fit whose
 model lives in :mod:`csfq3d.analytic` or :mod:`csfq3d.decoherence` calls it
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -79,8 +79,10 @@ class DataSeries:
 @dataclass(frozen=True)
 class FitResult:
     """Outcome of one fit: physical parameter values, their linearized
-    uncertainties and covariance, the residual norm, and the accepted-step
-    cost history (non-increasing by construction)."""
+    uncertainties and covariance, the residual norm, the cost evaluations
+    (``iterations``: 1 for a closed form, the projected costs of a
+    variable-projection fit) and the best cost after each
+    (``cost_history``, non-increasing by construction)."""
 
     parameters: dict[str, float]
     uncertainties: dict[str, float]
@@ -93,146 +95,109 @@ class FitResult:
 
 
 # ---------------------------------------------------------------------------
-# Levenberg-Marquardt core
+# Variable projection core
 
 
 def _central_jacobian(residual_fn, x, floor, rel_step=1e-6):
     """Central-difference Jacobian, step rel_step * max(|x_i|, floor_i)."""
     x = np.asarray(x, dtype=float)
-    m = len(residual_fn(x))
-    jac = np.empty((m, len(x)))
+    columns = []
     for i in range(len(x)):
         h = rel_step * max(abs(x[i]), floor[i])
         up = x.copy()
         dn = x.copy()
         up[i] += h
         dn[i] -= h
-        jac[:, i] = (residual_fn(up) - residual_fn(dn)) / (2.0 * h)
-    return jac
+        columns.append((residual_fn(up) - residual_fn(dn)) / (2.0 * h))
+    return np.column_stack(columns)
 
 
-@dataclass
-class _LMOutcome:
-    x: np.ndarray
-    residual: np.ndarray
-    jacobian: np.ndarray
-    cost_history: tuple[float, ...]
-    iterations: int
-    converged: bool
+_GRID_POINTS = 25      # log-spaced over centre * 10^[-3, 3]
+_SEARCH_STEPS = 58     # golden-section steps: the bracket shrinks by 0.618^58 = 7.6e-13
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-_LM_MAX_ITER = 200
-_LM_STEP_TOL = 1e-10
-_LM_GRAD_TOL = 1e-12
+def _separable_fit(basis, data: DataSeries, centre: float, name: str,
+                   bounded_below: bool = False) -> FitResult:
+    """Fit y = amplitude * basis(theta) + offset by variable projection
+    (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).
 
+    For each theta the weighted two-column least squares gives (amplitude,
+    offset) in closed form, so the cost is a function of theta alone.  It is
+    scanned on a grid log-spaced over centre * 10^[-3, 3], with theta = 0
+    prepended when bounded_below (theta >= 0 is physical), and then
+    golden-section searched between the best grid point's neighbours.  The
+    fit has converged when that grid point is inside the grid (theta = 0
+    counts as inside) and every value is finite.  ``iterations`` counts the
+    projected-cost evaluations and ``cost_history`` is the best cost after
+    each, so it never increases.
 
-def _levenberg_marquardt(residual_fn, x0, *, clip=None) -> _LMOutcome:
-    """Minimize ||residual_fn(x)||^2 with Marquardt-scaled damping.
-
-    Steps solve (J^T J + lam diag(J^T J)) delta = -J^T r and are accepted
-    only when the cost does not increase, so the recorded cost history is
-    monotone.  Convergence within _LM_MAX_ITER steps: relative step below
-    _LM_STEP_TOL, or max |gradient| below _LM_GRAD_TOL, or no acceptable step
-    at maximum damping.  A non-finite gradient (an overflowing model) ends
-    the fit unconverged.  Jacobians take _central_jacobian's default step.
+    The covariance is the linearized s^2 (J^T J)^-1 of the columns
+    [amplitude d basis/d theta, basis, 1] at the optimum (the pseudo-inverse,
+    flagged ``degenerate_jacobian``, when J^T J is singular or
+    ill-conditioned), with d basis/d theta from :func:`_central_jacobian` at
+    a step of at least 1e-6 of the smallest positive grid point.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    if clip is not None:
-        x = clip(x)
-    # differencing scale per parameter: the start magnitude, or unity for
-    # parameters that start at exactly zero
-    floor = np.abs(x)
-    floor[floor == 0.0] = 1.0
+    y = data.y
+    weight = 1.0 / data.y_err if data.y_err is not None else np.ones_like(y)
+    w2 = weight * weight
+    total = float(w2.sum())
+    y_mean = float(w2 @ y) / total
 
-    r = residual_fn(x)
-    cost = float(r @ r)
-    history = [cost]
-    lam = 1e-3
-    converged = False
-    iterations = 0
+    evaluated = []  # (cost, theta, amplitude, offset, basis) of every projection
 
-    jac = _central_jacobian(residual_fn, x, floor)
-    for iterations in range(1, _LM_MAX_ITER + 1):
-        grad = jac.T @ r
-        if not np.all(np.isfinite(grad)):
-            break
-        if np.max(np.abs(grad)) < _LM_GRAD_TOL:
-            converged = True
-            break
-        normal = jac.T @ jac
-        diag = np.diag(normal).copy()
-        diag[diag <= 0.0] = max(diag.max(), 1e-300)
+    def project(theta):
+        phi = basis(theta)
+        phi_mean = float(w2 @ phi) / total
+        spread = float(w2 @ (phi - phi_mean) ** 2)
+        amplitude = float(w2 @ ((phi - phi_mean) * (y - y_mean))) / spread if spread else 0.0
+        offset = y_mean - amplitude * phi_mean
+        residual = (amplitude * phi + offset - y) * weight
+        evaluated.append((float(residual @ residual), theta, amplitude, offset, phi))
+        return evaluated[-1][0]
 
-        accepted = False
-        while lam < 1e15:
-            try:
-                delta = np.linalg.solve(normal + lam * np.diag(diag), -grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = x + delta
-            if clip is not None:
-                trial = clip(trial)
-            r_trial = residual_fn(trial)
-            cost_trial = float(r_trial @ r_trial)
-            if np.isfinite(cost_trial) and cost_trial <= cost:
-                step = np.linalg.norm(trial - x)
-                rel = step / max(np.linalg.norm(x), _LM_STEP_TOL)
-                x, r, cost = trial, r_trial, cost_trial
-                history.append(cost)
-                lam = max(lam / 3.0, 1e-14)
-                accepted = True
-                if rel < _LM_STEP_TOL:
-                    converged = True
-                break
-            lam *= 10.0
+    grid = centre * np.logspace(-3.0, 3.0, _GRID_POINTS)
+    if bounded_below:
+        grid = np.concatenate([[0.0], grid])
+    costs = [project(float(theta)) for theta in grid]
+    k = costs.index(min(costs))
+    lo, hi = float(grid[max(k - 1, 0)]), float(grid[min(k + 1, len(grid) - 1)])
+    left, right = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    left_cost, right_cost = project(left), project(right)
+    for _ in range(_SEARCH_STEPS):
+        if left_cost <= right_cost:
+            hi, right, right_cost = right, left, left_cost
+            left = hi - _GOLDEN * (hi - lo)
+            left_cost = project(left)
+        else:
+            lo, left, left_cost = left, right, right_cost
+            right = lo + _GOLDEN * (hi - lo)
+            right_cost = project(right)
+    cost, theta, amplitude, offset, phi = min(evaluated, key=lambda e: e[0])
 
-        if not accepted:
-            # no direction improves the cost at maximum damping: stationary
-            converged = True
-            break
-        jac = _central_jacobian(residual_fn, x, floor)
-        if converged:
-            break
-
-    return _LMOutcome(x=x, residual=r, jacobian=jac, cost_history=tuple(history),
-                      iterations=iterations, converged=converged)
-
-
-def _lm_result(outcome: _LMOutcome, parameters: dict[str, float], scale,
-               flags: tuple[str, ...] = (), converged: bool = True) -> FitResult:
-    """FitResult of an LM fit in physical parameters.
-
-    The covariance is the linearized s^2 (J^T J)^-1 at the optimum (the
-    pseudo-inverse, flagged ``degenerate_jacobian``, when J^T J is singular
-    or ill-conditioned), mapped through the diagonal scale = d(physical)/d(fitted).
-    A parameter with an all-zero Jacobian column, one no difference step
-    moves, was not fitted: not converged.
-    """
-    m, n_params = outcome.jacobian.shape
-    s2 = float(outcome.residual @ outcome.residual) / max(m - n_params, 1)
-    normal = outcome.jacobian.T @ outcome.jacobian
+    slope = _central_jacobian(lambda u: basis(u[0]), [theta], [1e-3 * centre])[:, 0]
+    jac = np.column_stack([amplitude * slope, phi, np.ones_like(phi)]) * weight[:, None]
+    normal = jac.T @ jac
     try:
         cond = np.linalg.cond(normal)
     except np.linalg.LinAlgError:
         cond = None
     well_posed = cond is not None and cond <= 1e14  # False for nan and inf
     inverse = np.linalg.inv if well_posed else np.linalg.pinv
-    cov_u = s2 * inverse(normal) if cond is not None else None
-    scale = np.asarray(scale)
-    cov = scale[:, None] * cov_u * scale if cov_u is not None else None
-    sigma = np.sqrt(np.diag(cov)) if cov is not None else np.full(n_params, np.nan)
-    residual_norm = float(np.linalg.norm(outcome.residual))
+    cov = cost / max(len(y) - 3, 1) * inverse(normal) if cond is not None else None
+    sigma = np.sqrt(np.diag(cov)) if cov is not None else np.full(3, np.nan)
+    parameters = {name: theta, "amplitude": amplitude, "offset": offset}
+    residual_norm = math.sqrt(cost)
+    inside = 0 < k < len(grid) - 1 or (bounded_below and k == 0)
     return FitResult(
         parameters=parameters,
-        uncertainties=dict(zip(parameters, sigma)),
+        uncertainties=dict(zip(parameters, sigma.tolist())),
         covariance=cov,
         residual_norm=residual_norm,
-        iterations=outcome.iterations,
-        converged=(outcome.converged and converged and _finite(parameters, residual_norm)
-                   and bool(np.all(np.any(outcome.jacobian != 0.0, axis=0)))),
-        cost_history=outcome.cost_history,
-        flags=(() if well_posed else ("degenerate_jacobian",)) + flags,
+        iterations=len(evaluated),
+        converged=inside and _finite(parameters, residual_norm),
+        cost_history=tuple(np.minimum.accumulate([e[0] for e in evaluated]).tolist()),
+        flags=() if well_posed else ("degenerate_jacobian",),
     )
 
 
@@ -414,62 +379,27 @@ def fit_envelope(data: DataSeries, t1_s: float, shape: str = "gaussian") -> FitR
         raise FitError("times must be non-negative")
     _check_scale(y, "the envelope signals")
 
-    span = max(t.max() - t.min(), t.max(), 1e-12)
-    weight = 1.0 / data.y_err if data.y_err is not None else np.ones_like(y)
-
-    def residual(u):
-        gamma, amplitude, offset = u
-        # clipped parameterization: differencing at the boundary may probe
-        # formally negative rates, which map onto the boundary
-        model = amplitude * decay_envelope(t, t1_s, max(gamma, 0.0), shape) + offset
-        return (model - y) * weight
-
-    def clip(u):
-        out = u.copy()
-        out[0] = max(out[0], 0.0)
-        return out
-
-    offset0 = float(y[-1])
-    amplitude0 = float(y[0] - offset0)
-    if amplitude0 == 0.0:
-        amplitude0 = max(abs(y).max(), 1.0) * 1e-3
-    u0 = np.array([1.0 / span, amplitude0, offset0])
-    outcome = _levenberg_marquardt(residual, u0, clip=clip)
-    gamma, amplitude, offset = (float(v) for v in outcome.x)
-    return _lm_result(outcome,
-                      {"gamma_phi_per_s": gamma, "amplitude": amplitude, "offset": offset},
-                      [1.0, 1.0, 1.0],
-                      flags=("negative_amplitude",) if amplitude < 0.0 else ())
+    span = max(t.max(), 1e-12)
+    # differencing at Gamma_phi = 0 probes a formally negative rate, which
+    # maps onto the bound
+    result = _separable_fit(lambda gamma: decay_envelope(t, t1_s, max(gamma, 0.0), shape),
+                            data, 1.0 / span, "gamma_phi_per_s", bounded_below=True)
+    if result.parameters["amplitude"] < 0.0:
+        return replace(result, flags=result.flags + ("negative_amplitude",))
+    return result
 
 
 def fit_t1_exponential(data: DataSeries) -> FitResult:
     """Extract T1 from an inversion-recovery trace, y = a exp(-t/T1) + c."""
     if len(data) < 4:
         raise FitError(f"need at least 4 trace points, got {len(data)}")
+    _check_scale(data.y, "the trace signals")
     t = data.x
-    y = data.y
-
-    span = max(t.max() - t.min(), 1e-12)
-    offset0 = float(y[-1])
-    amplitude0 = float(y[0] - offset0)
-    scale = float(np.max(np.abs(y))) + 1e-300
-    if abs(amplitude0) < 1e-12 * scale:
-        amplitude0 = scale * 1e-3
-
-    weight = 1.0 / data.y_err if data.y_err is not None else np.ones_like(y)
-
-    def residual(u):
-        log_t1, amplitude, offset = u
-        return (amplitude * np.exp(-t / math.exp(log_t1)) + offset - y) * weight
-
-    u0 = np.array([math.log(span / 3.0), amplitude0, offset0])
-    outcome = _levenberg_marquardt(residual, u0)
-    t1 = math.exp(outcome.x[0])
-    amplitude, offset = float(outcome.x[1]), float(outcome.x[2])
-    non_decaying = abs(amplitude) < 1e-6 * scale
-    return _lm_result(outcome, {"T1_s": t1, "amplitude": amplitude, "offset": offset},
-                      [t1, 1.0, 1.0], flags=("non_decaying",) if non_decaying else (),
-                      converged=not non_decaying)
+    result = _separable_fit(lambda t1: np.exp(-t / t1), data,
+                            max(t.max() - t.min(), 1e-12), "T1_s")
+    if abs(result.parameters["amplitude"]) < 1e-6 * (float(np.max(np.abs(data.y))) + 1e-300):
+        return replace(result, converged=False, flags=result.flags + ("non_decaying",))
+    return result
 
 
 def fit_flux_noise(data: DataSeries, q: QubitParams,

@@ -244,7 +244,7 @@ def test_criterion_11_fit_suite():
     clean_a = fit_flux_noise(DataSeries(flux_pts, rates), PERTURBATIVE_SET)
     assert clean_a.parameters["A_Phi_Phi0sq"] == pytest.approx(a_true, rel=0.005, abs=0.0)
     report(11, "all five fits: noiseless round-trips <= 0.5%, fixed-seed noisy "
-               "round-trips at stated tolerances, LM cost histories monotone")
+               "round-trips at stated tolerances, cost histories monotone")
 
 
 def test_criterion_12_determinism(tmp_path):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 from csfq3d import cli
 from csfq3d.analytic import PerturbativeValidityWarning
 from csfq3d.cqed import DispersiveLimitWarning
+from csfq3d.decoherence import decay_envelope
 from csfq3d.fit import FitResult
 
 DATA_DIR = resources.files("csfq3d") / "data"
@@ -855,16 +857,16 @@ class TestCoherenceCommand:
         assert all(float(row[1]) == 0.0 and float(row[2]) == 0.0 for row in rows)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("section, key, quantity", [
-        ("qubit", "e_j_ghz", "dephasing_vs_flux gamma_phi_echo_per_s"),
-        ("flux_sweep", "start", "dephasing_vs_flux gamma_phi_echo_per_s"),
-        ("cavity", "kappa_c_mhz", "decoherence_budget t_phi_thermal_s"),
-        ("cavity", "kappa_i_mhz", "decoherence_budget t_phi_thermal_s"),
-        ("cqed", "chi_mhz", "decoherence_budget t_phi_thermal_s"),
-        ("cavity", "omega_c_ghz", None),  # no thermal photons: null, not NaN
+    @pytest.mark.parametrize("section, key, quantity, dispersive_warnings", [
+        ("qubit", "e_j_ghz", "dephasing_vs_flux gamma_phi_echo_per_s", 0),
+        ("flux_sweep", "start", "dephasing_vs_flux gamma_phi_echo_per_s", 0),
+        ("cavity", "kappa_c_mhz", "decoherence_budget t_phi_thermal_s", 0),
+        ("cavity", "kappa_i_mhz", "decoherence_budget t_phi_thermal_s", 0),
+        ("cqed", "chi_mhz", "decoherence_budget t_phi_thermal_s", 1),  # g12
+        ("cavity", "omega_c_ghz", None, 2),  # no thermal photons: null, not NaN; g01, g12
     ], ids=["e_j", "flux_start", "kappa_c", "kappa_i", "chi", "omega_c"])
-    def test_overflowing_value_exits_3_naming_the_quantity(self, tmp_path, capsys,
-                                                            section, key, quantity):
+    def test_overflowing_value_exits_3_naming_the_quantity(self, tmp_path, capsys, section,
+                                                            key, quantity, dispersive_warnings):
         parser = configparser.ConfigParser()
         parser.read_string(BASE_CONFIG)
         parser[section][key] = "1e300"
@@ -872,7 +874,10 @@ class TestCoherenceCommand:
         with open(path, "w") as handle:
             parser.write(handle)
         out = tmp_path / "out"
-        code = cli.main(["--config", str(path), "--out", str(out), "coherence"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", DispersiveLimitWarning)
+            code = cli.main(["--config", str(path), "--out", str(out), "coherence"])
+        assert [w.category for w in caught] == [DispersiveLimitWarning] * dispersive_warnings
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("error:")]
         if quantity is None:
@@ -995,6 +1000,22 @@ class TestFitCommand:
         assert code == cli.EXIT_OK
         result = json.loads((out / "fit_envelope.json").read_text())
         assert result["model"] == "exponential decay envelope"
+
+    def test_zero_dephasing_trace_converges_on_the_bound(self, tmp_path):
+        # Gamma_phi = 0 under 0.5 % noise: the fitted rate is 0, and that is a converged fit
+        t = np.linspace(0.0, 300e-6, 40)
+        y = (0.8 * decay_envelope(t, 90e-6, 0.0, "exponential") + 0.1
+             + np.random.default_rng(2).normal(0.0, 0.005, 40))
+        data = tmp_path / "trace.csv"
+        data.write_text("time_s,signal\n"
+                        + "".join(f"{ti!r},{yi!r}\n" for ti, yi in zip(t.tolist(), y.tolist())))
+        path = tmp_path / "c.ini"
+        path.write_text(BASE_CONFIG.replace("shape = gaussian", "shape = exponential"))
+        out = tmp_path / "out"
+        code = cli.main(["--config", str(path), "--out", str(out), "fit", "envelope", str(data)])
+        assert code == cli.EXIT_OK
+        result = json.loads((out / "fit_envelope.json").read_text())
+        assert result["converged"] and result["parameters"]["gamma_phi_per_s"] == 0.0
 
     def test_fluxnoise_fixture_recovers_amplitude(self, tmp_path):
         out = tmp_path / "out"
@@ -1160,6 +1181,29 @@ class TestProcessEntry:
         assert run.stdout == ""
         assert run.stderr.startswith("error: ")
         assert len(run.stderr.splitlines()) == 1
+
+    def test_model_warning_prints_one_line(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text((DATA_DIR / "example_config.ini").read_text()
+                        .replace("omega01_ghz = 4.68", "omega01_ghz = 8.2"))
+        run = self.run_python("-m", "csfq3d.cli", "--config", str(path),
+                              "--out", str(tmp_path / "o"), "coherence")
+        assert run.returncode == cli.EXIT_OK
+        assert run.stderr == ("DispersiveLimitWarning: g01/|detuning| = 0.293 > 0.2: "
+                              "outside the dispersive regime\n")
+
+    def test_bundled_configs_print_nothing(self, tmp_path):
+        # every command on both bundled configs, each a process entry in one interpreter
+        argvs = [["csfq3d", "--config", str(DATA_DIR / name),
+                  "--out", str(tmp_path / f"{name}-{command}"), *command_argv(command)]
+                 for name in ("example_config.ini", "example_config_perturbative.ini")
+                 for command in sorted(COMMAND_SECTIONS)]
+        driver = ("import sys; from csfq3d import cli\n"
+                  f"for argv in {argvs!r}:\n"
+                  "    sys.argv = argv\n"
+                  "    assert cli.main() == cli.EXIT_OK, argv\n")
+        run = self.run_python("-c", driver)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "", "")
 
     def test_argv_entry_freezes_the_heap(self, tmp_path):
         # the console script calls main() with the command line in sys.argv

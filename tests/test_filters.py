@@ -72,6 +72,13 @@ class TestFilterFunction:
         assert filter_function(FilterSpec(0, 1.0), 1e-6) == pytest.approx(1.0, abs=1e-9)
         assert filter_function(FilterSpec(2, 1.0), 1e-4) < 1e-6
 
+    @pytest.mark.parametrize("n_pulses", [0, 1, 20])
+    def test_overflowing_omega_tau_takes_the_far_limit(self, n_pulses):
+        # omega tau = inf (1e3 x 1e308) and (omega tau)^2 = inf (1e-3 x 1e308): g_N -> 0,
+        # with no numpy warning (the suite turns RuntimeWarning into an error)
+        values = filter_function(FilterSpec(n_pulses, 1e308), [1e-3, 1e3, 1e4])
+        np.testing.assert_array_equal(values, [0.0, 0.0, 0.0])
+
     @given(
         st.integers(min_value=0, max_value=25),
         st.floats(min_value=1e-2, max_value=1e3),

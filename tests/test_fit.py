@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from csfq3d import analytic, cli
+from csfq3d import fit as fit_module
 from csfq3d.core import QubitParams, capacitance_from_charging_energy
 from csfq3d.decoherence import QuasiparticleEnv, decay_envelope, qp_relaxation_rate
 from csfq3d.fit import (
@@ -314,12 +315,46 @@ class TestFitEnvelope:
             fit_envelope(DataSeries(self.t[:5], self.trace(1e4)[:5]), 90e-6)
 
     def test_offset_starting_exactly_at_zero(self):
-        # differencing scale must fall back to unity for zero-start parameters
         y = self.trace(1.25e4)
-        y = y - y[-1]  # offset init lands exactly on 0.0
+        y = y - y[-1]  # the last point, and nearly the offset, is exactly 0.0
         result = fit_envelope(DataSeries(self.t, y), 90e-6, "gaussian")
         assert result.converged
         assert result.parameters["gamma_phi_per_s"] == pytest.approx(1.25e4, rel=0.005)
+
+    def projected_costs(self, y, gammas):
+        """Least-squares cost of y ~ a phi + c at each rate, phi the gaussian
+        envelope at T1 = 90 us, with (a, c) solved for each rate."""
+        phi = np.exp(-self.t / 180e-6) * np.exp(-np.square(np.outer(gammas, self.t)))
+        phi = phi - phi.mean(axis=1, keepdims=True)
+        centred = y - y.mean()
+        slope = (phi @ centred) / np.einsum("ij,ij->i", phi, phi)
+        return np.square(slope[:, None] * phi - centred).sum(axis=1)
+
+    def test_noisy_trace_reaches_the_least_cost(self):
+        # a second, shallower minimum near 2.3e3 s^-1 passed for converged
+        y = self.trace(0.0) + 0.005 * np.random.default_rng(0).standard_normal((3, 40))[2]
+        result = fit_envelope(DataSeries(self.t, y), 90e-6, "gaussian")
+        dense = self.projected_costs(y, np.concatenate([np.linspace(0.0, 1e4, 50001),
+                                                        np.logspace(4.0, 7.0, 301)]))
+        assert result.converged
+        assert result.residual_norm**2 == pytest.approx(dense.min(), rel=1e-9)
+        assert result.iterations == len(result.cost_history)
+        assert np.all(np.diff(result.cost_history) <= 0.0)
+
+    @pytest.mark.parametrize("shape, seed", [("gaussian", 0), ("exponential", 2)])
+    def test_noisy_zero_dephasing_converges_on_the_bound(self, shape, seed):
+        y = self.trace(0.0, shape) + np.random.default_rng(seed).normal(0.0, 0.005, 40)
+        result = fit_envelope(DataSeries(self.t, y), 90e-6, shape)
+        assert result.converged
+        assert result.parameters["gamma_phi_per_s"] == 0.0
+
+    def test_decay_calls_stay_bounded(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fit_module, "decay_envelope",
+                            lambda *args: calls.append(args) or decay_envelope(*args))
+        result = fit_envelope(DataSeries(self.t, self.trace(1.25e4)), 90e-6, "gaussian")
+        # one call per projected cost, two for the Jacobian column
+        assert len(calls) == result.iterations + 2 <= 100
 
 
 class TestFitT1:
@@ -342,6 +377,20 @@ class TestFitT1:
         result = fit_t1_exponential(DataSeries(self.t, np.full_like(self.t, 0.3)))
         assert not result.converged
         assert "non_decaying" in result.flags
+
+    def test_fast_noisy_decay_returns_a_result(self):
+        # a 5 us decay sampled every 8.2 us under 0.1 noise: one point stands off the baseline
+        y = 1.2 * np.exp(-self.t / 5e-6) + 0.05 + np.random.default_rng(8).normal(0.0, 0.1, 50)
+        result = fit_t1_exponential(DataSeries(self.t, y))
+        assert result.converged
+        assert 1e-6 < result.parameters["T1_s"] < 1e-5
+
+    def test_time_constant_beyond_the_grid_is_not_converged(self):
+        # T1 = 10^4 x the span: the trace is a straight line, best fitted at the grid's end
+        y = 1.2 * np.exp(-self.t / 4.0) + 0.05
+        result = fit_t1_exponential(DataSeries(self.t, y))
+        assert not result.converged
+        assert result.parameters["T1_s"] == pytest.approx(400e-6 * 1e3, rel=1e-12)
 
     def test_offset_shift_leaves_t1_unchanged(self):
         y = 1.2 * np.exp(-self.t / 90e-6) + 0.05
