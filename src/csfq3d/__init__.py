@@ -39,7 +39,6 @@ from .decoherence import (
     decay_envelope,
     effective_temperature,
     flux_dephasing_rates,
-    qp_rate_components,
     qp_relaxation_rate,
     thermal_dephasing_rate,
     thermal_photon_population,

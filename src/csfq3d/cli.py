@@ -342,12 +342,13 @@ def read_data_csv(path: str | Path, columns: tuple[str, str]) -> DataSeries:
         values = []
         for col, cell in enumerate(cells, start=1):
             try:
-                values.append(float(cell))
+                value = float(cell)
             except ValueError:
-                raise DataFileError(
-                    f"{path.name} line {lineno}, column {col}: "
-                    f"cannot parse {cell!r} as a number"
-                ) from None
+                value = math.nan
+            if not math.isfinite(value):  # a word, or a nan or inf cell
+                raise DataFileError(f"{path.name} line {lineno}, column {col}: "
+                                    f"cannot parse {cell!r} as a finite number")
+            values.append(value)
         x.append(values[0])
         y.append(values[1])
     if not header_seen:

@@ -114,24 +114,12 @@ def _bessel_k0e(x: float) -> float:
     return float(step * (values.sum() - 0.5 * (values[0] + values[-1])))
 
 
-@dataclass(frozen=True)
-class QpRateComponents:
-    """Quasiparticle transition rates in s^-1: non-equilibrium (downward only)
-    and the equilibrium downward/upward pair related by detailed balance."""
-
-    nonequilibrium: float
-    equilibrium_down: float
-    equilibrium_up: float
-
-    @property
-    def total(self) -> float:
-        return self.nonequilibrium + self.equilibrium_down + self.equilibrium_up
-
-
-def qp_rate_components(q: QubitParams, omega01_ghz: float, env: QuasiparticleEnv,
+def qp_relaxation_rate(q: QubitParams, omega01_ghz: float, env: QuasiparticleEnv,
                        temperature_k: float,
-                       matrix_elements: tuple[float, float]) -> QpRateComponents:
-    """Quasiparticle tunneling rates across the three junctions, s^-1.
+                       matrix_elements: tuple[float, float]) -> float:
+    """Quasiparticle relaxation rate Gamma = 1/T1 in s^-1 across the three
+    junctions: the non-equilibrium rate, linear in x_qp, plus the equilibrium
+    downward rate and its detailed-balance upward partner, free of x_qp.
 
     matrix_elements is (m_large, m_small): |<0|sin(phi_j/2)|1>| for the two
     large junctions (at E_J each) and the small one (at alpha E_J); either
@@ -164,15 +152,7 @@ def qp_rate_components(q: QubitParams, omega01_ghz: float, env: QuasiparticleEnv
     x = hbar_omega / (2.0 * kt)
     eq_down = a_sum * (16.0 / math.pi) * math.exp(-gap_j / kt) * _bessel_k0e(x)
     eq_up = eq_down * math.exp(-2.0 * x)
-    return QpRateComponents(nonequilibrium=neq, equilibrium_down=eq_down,
-                            equilibrium_up=eq_up)
-
-
-def qp_relaxation_rate(q: QubitParams, omega01_ghz: float, env: QuasiparticleEnv,
-                       temperature_k: float,
-                       matrix_elements: tuple[float, float]) -> float:
-    """Total quasiparticle relaxation rate Gamma = 1/T1 in s^-1."""
-    return qp_rate_components(q, omega01_ghz, env, temperature_k, matrix_elements).total
+    return neq + eq_down + eq_up
 
 
 def thermal_voltage_psd(omega_ghz: float, temperature_k: float) -> float:

@@ -28,7 +28,7 @@ from .decoherence import (
     QuasiparticleEnv,
     QuasiparticleValidityWarning,
     decay_envelope,
-    qp_rate_components,
+    qp_relaxation_rate,
 )
 
 
@@ -68,8 +68,8 @@ class DataSeries:
             err = np.asarray(self.y_err, dtype=float)
             if err.shape != x.shape:
                 raise FitError("y_err must match the data length")
-            if np.any(err <= 0.0):
-                raise FitError("y_err must be positive")
+            if not np.all(np.isfinite(err) & (err > 0.0)):
+                raise FitError("y_err must be finite and positive")
             object.__setattr__(self, "y_err", err[order])
 
     def __len__(self) -> int:
@@ -79,10 +79,10 @@ class DataSeries:
 @dataclass(frozen=True)
 class FitResult:
     """Outcome of one fit: physical parameter values, their linearized
-    uncertainties and covariance, the residual norm, the cost evaluations
-    (``iterations``: 1 for a closed form, the projected costs of a
-    variable-projection fit) and the best cost after each
-    (``cost_history``, non-increasing by construction)."""
+    uncertainties and covariance, the residual norm in the weights 1/y_err,
+    the cost evaluations (``iterations``: 1 for a closed form, the projected
+    costs of a variable-projection fit) and the best cost after each
+    (``cost_history``, non-increasing, in the weights of :func:`_weights`)."""
 
     parameters: dict[str, float]
     uncertainties: dict[str, float]
@@ -112,6 +112,15 @@ def _central_jacobian(residual_fn, x, floor, rel_step=1e-6):
     return np.column_stack(columns)
 
 
+def _weights(sigma: np.ndarray | None, like: np.ndarray) -> tuple[np.ndarray, float]:
+    """Weights 1/sigma over their largest, in (0, 1] and so safe to square at any
+    scale of sigma, and the smallest sigma, which divides a residual norm in
+    these weights into one in the caller's 1/sigma (ones and 1 without sigma)."""
+    if sigma is None:
+        return np.ones_like(like), 1.0
+    return sigma.min() / sigma, float(sigma.min())
+
+
 _GRID_POINTS = 25      # log-spaced over centre * 10^[-3, 3]
 _SEARCH_STEPS = 58     # golden-section steps: the bracket shrinks by 0.618^58 = 7.6e-13
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -130,7 +139,8 @@ def _separable_fit(basis, data: DataSeries, centre: float, name: str,
     fit has converged when that grid point is inside the grid (theta = 0
     counts as inside) and every value is finite.  ``iterations`` counts the
     projected-cost evaluations and ``cost_history`` is the best cost after
-    each, so it never increases.
+    each, so it never increases; the costs are in the weights of
+    :func:`_weights`, and ``residual_norm`` is in the caller's 1/y_err.
 
     The covariance is the linearized s^2 (J^T J)^-1 of the columns
     [amplitude d basis/d theta, basis, 1] at the optimum (the pseudo-inverse,
@@ -139,7 +149,7 @@ def _separable_fit(basis, data: DataSeries, centre: float, name: str,
     a step of at least 1e-6 of the smallest positive grid point.
     """
     y = data.y
-    weight = 1.0 / data.y_err if data.y_err is not None else np.ones_like(y)
+    weight, smallest_err = _weights(data.y_err, y)
     w2 = weight * weight
     total = float(w2.sum())
     y_mean = float(w2 @ y) / total
@@ -187,7 +197,7 @@ def _separable_fit(basis, data: DataSeries, centre: float, name: str,
     cov = cost / max(len(y) - 3, 1) * inverse(normal) if cond is not None else None
     sigma = np.sqrt(np.diag(cov)) if cov is not None else np.full(3, np.nan)
     parameters = {name: theta, "amplitude": amplitude, "offset": offset}
-    residual_norm = math.sqrt(cost)
+    residual_norm = math.sqrt(cost) / smallest_err
     inside = 0 < k < len(grid) - 1 or (bounded_below and k == 0)
     return FitResult(
         parameters=parameters,
@@ -217,9 +227,11 @@ def _through_origin(regressor: np.ndarray, target: np.ndarray, name: str,
     return slope, math.sqrt(float(residual @ residual) / dof / denom), residual
 
 
-def _regression_result(parameters, uncertainties, sigma_slope, residual, flags=()):
-    """FitResult of a through-origin regression: one step, slope covariance."""
-    residual_norm = float(np.linalg.norm(residual))
+def _regression_result(parameters, uncertainties, sigma_slope, residual, flags=(),
+                       smallest_err=1.0):
+    """FitResult of a through-origin regression: one step, slope covariance;
+    residual is in the weights of :func:`_weights`, residual_norm the caller's."""
+    residual_norm = float(np.linalg.norm(residual)) / smallest_err
     return FitResult(parameters=parameters, uncertainties=uncertainties,
                      covariance=np.array([[sigma_slope**2]]),
                      residual_norm=residual_norm, iterations=1,
@@ -324,10 +336,10 @@ def fit_xqp(data: DataSeries, q: QubitParams, omega01_ghz: float, delta0_uev: fl
     """Extract the quasiparticle density x_qp from T1 vs temperature data.
 
     data holds (temperature K, T1 s); the fit runs on rates Gamma = 1/T1.  The
-    model Gamma(T) = x_qp s + Gamma_eq(T), with s the temperature-independent
-    non-equilibrium rate per unit x_qp and Gamma_eq the equilibrium rate, is
-    linear in x_qp, so x_qp is the weighted through-origin regression
-    x_qp = max(0, sum w^2 s (Gamma - Gamma_eq) / sum w^2 s^2).
+    model :func:`csfq3d.decoherence.qp_relaxation_rate` is linear in x_qp,
+    Gamma(T) = Gamma_eq(T) + x_qp s(T), so the rate itself gives both
+    regressors, Gamma_eq(T) = Gamma(T; x_qp = 0) and s(T) = Gamma(T; 1) - Gamma(T; 0),
+    and x_qp = max(0, sum w^2 s (Gamma - Gamma_eq) / sum w^2 s^2).
     """
     temperatures = data.x
     t1 = data.y
@@ -341,17 +353,16 @@ def fit_xqp(data: DataSeries, q: QubitParams, omega01_ghz: float, delta0_uev: fl
         rates = 1.0 / t1
     _check_scale(rates, "the relaxation rates 1/T1")
     # T1 uncertainties propagate to rate space as sigma_Gamma = sigma_T1/T1^2
-    weight = t1**2 / data.y_err if data.y_err is not None else np.ones_like(rates)
+    weight, smallest_err = _weights(None if data.y_err is None else data.y_err / t1**2, rates)
 
     unit = QuasiparticleEnv(x_qp=1.0, Delta0=delta0_uev, n_cp=n_cp)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", QuasiparticleValidityWarning)
-        parts = [qp_rate_components(q, omega01_ghz, unit, t, matrix_elements)
-                 for t in temperatures]
-    per_unit = np.array([p.nonequilibrium for p in parts])
-    thermal = np.array([p.equilibrium_down + p.equilibrium_up for p in parts])
+        thermal, unit_rate = (np.array([qp_relaxation_rate(q, omega01_ghz, env, t, matrix_elements)
+                                        for t in temperatures])
+                              for env in (replace(unit, x_qp=0.0), unit))
     x_qp, sigma, residual = _through_origin(
-        weight * per_unit, weight * (rates - thermal),
+        weight * (unit_rate - thermal), weight * (rates - thermal),
         "non-equilibrium rate per unit x_qp", nonnegative=True)
 
     # data dominated by the thermal term (e.g. only high temperatures)
@@ -360,7 +371,8 @@ def fit_xqp(data: DataSeries, q: QubitParams, omega01_ghz: float, delta0_uev: fl
 
     return _regression_result({"x_qp": x_qp, "n_qp_per_um3": x_qp * unit.n_qp},
                               {"x_qp": sigma, "n_qp_per_um3": sigma * unit.n_qp},
-                              sigma, residual, ("x_qp_weakly_constrained",) if weak else ())
+                              sigma, residual, ("x_qp_weakly_constrained",) if weak else (),
+                              smallest_err)
 
 
 def fit_envelope(data: DataSeries, t1_s: float, shape: str = "gaussian") -> FitResult:

@@ -442,6 +442,38 @@ class TestDataFiles:
         with pytest.raises(cli.DataFileError, match=r"line 3, column 2"):
             cli.read_data_csv(path, cli.DATA_SCHEMAS["spectrum"])
 
+    def test_wrong_column_count_names_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("flux_phi0,freq_GHz\n0.49,4.8\n0.5,4.7,1\n")
+        with pytest.raises(cli.DataFileError, match=r"d.csv line 3: expected 2 columns, got 3"):
+            cli.read_data_csv(path, cli.DATA_SCHEMAS["spectrum"])
+
+    def test_one_data_row(self, tmp_path):
+        # the DataSeries FitError comes back as a DataFileError naming the file
+        path = tmp_path / "d.csv"
+        path.write_text("flux_phi0,freq_GHz\n0.49,4.8\n")
+        with pytest.raises(cli.DataFileError, match=r"^d.csv: need at least 2 points, got 1$"):
+            cli.read_data_csv(path, cli.DATA_SCHEMAS["spectrum"])
+
+    @pytest.mark.parametrize("column, cell", [(2, "nan"), (1, "inf"), (2, "-inf")])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, config_path, capsys,
+                                                   column, cell):
+        lines = (DATA_DIR / "envelope_synthetic.csv").read_text().splitlines()
+        row = lines.index("time_s,signal") + 3
+        cells = lines[row].split(",")
+        cells[column - 1] = cell
+        lines[row] = ",".join(cells)
+        path = tmp_path / "env_nan.csv"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        code = cli.main(["--config", str(config_path), "--out", str(out),
+                         "fit", "envelope", str(path)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: env_nan.csv line {row + 1}, column {column}: "
+            f"cannot parse {cell!r} as a finite number\n")
+        assert not out.exists()
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("")
@@ -836,6 +868,14 @@ class TestCoherenceCommand:
         assert err.startswith("error: invalid [attenuation] section")
         assert len(err.strip().splitlines()) == 1
         assert not list(out.glob("*"))  # rejected before any table is written
+
+    def test_empty_attenuation_items_are_skipped(self, tmp_path, config_path):
+        path = tmp_path / "c.ini"
+        path.write_text(BASE_CONFIG.replace("stages = 300:1e-7, 4.0:9.9e-6,",
+                                            "stages = , 300:1e-7,, 4.0:9.9e-6, ,"))
+        chain = cli.RunConfig.load(path).attenuation_chain()
+        assert chain == cli.RunConfig.load(config_path).attenuation_chain()
+        assert len(chain.stages) == 4
 
     def test_inconsistent_cavity_pull_rejected(self, tmp_path, capsys):
         # a bare cavity below the dressed one gives negative coupling radicands

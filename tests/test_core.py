@@ -42,6 +42,12 @@ def test_capacitance_of_a_tiny_energy_is_finite():
                                                                       rel=1e-12)
 
 
+@pytest.mark.parametrize("energy", [0.0, -0.25])
+def test_capacitance_rejects_nonpositive_energy(energy):
+    with pytest.raises(ValueError, match="charging energy must be positive"):
+        capacitance_from_charging_energy(energy)
+
+
 def test_capacitance_overflow_rejected():
     with pytest.raises(ValueError, match="overflows"):
         capacitance_from_charging_energy(1e-310)

@@ -15,7 +15,6 @@ from csfq3d.decoherence import (
     effective_temperature,
     flux_dephasing_rates,
     _bessel_k0e,
-    qp_rate_components,
     qp_relaxation_rate,
     thermal_dephasing_rate,
     thermal_photon_population,
@@ -128,14 +127,6 @@ class TestQpRelaxation:
         rate = qp_relaxation_rate(reference_qubit(), 4.68, env, 0.001, REFERENCE_MATRIX_ELEMENTS)
         assert rate < 1e-30
 
-    def test_detailed_balance_structure(self):
-        env = QuasiparticleEnv(x_qp=6e-8)
-        parts = qp_rate_components(reference_qubit(), 4.68, env, 0.150, REFERENCE_MATRIX_ELEMENTS)
-        boltzmann = math.exp(-CONSTANTS.h * 4.68e9 / (CONSTANTS.k_B * 0.150))
-        assert parts.equilibrium_up / parts.equilibrium_down == pytest.approx(boltzmann, rel=1e-12)
-        total = parts.nonequilibrium + parts.equilibrium_down * (1.0 + boltzmann)
-        assert parts.total == pytest.approx(total, rel=1e-12)
-
     def test_monotone_in_temperature_and_density(self):
         q = reference_qubit()
         rates_t = [
@@ -157,10 +148,9 @@ class TestQpRelaxation:
     def test_finite_far_below_exp_overflow_temperature(self):
         # at 0.1 mK, hbar omega / 2 k_B T ~ 1100: the equilibrium part is zero and
         # the temperature-independent non-equilibrium part is all that is left
-        env = QuasiparticleEnv(x_qp=6e-8)
-        parts = qp_rate_components(reference_qubit(), 4.68, env, 1e-4, REFERENCE_MATRIX_ELEMENTS)
-        assert parts.equilibrium_down == 0.0 and parts.equilibrium_up == 0.0
-        assert parts.total == parts.nonequilibrium > 0.0
+        rates = [qp_relaxation_rate(reference_qubit(), 4.68, QuasiparticleEnv(x_qp=x_qp), 1e-4,
+                                    REFERENCE_MATRIX_ELEMENTS) for x_qp in (0.0, 6e-8)]
+        assert rates[0] == 0.0 and rates[1] > 0.0
 
     def test_rejects_nonpositive_temperature(self):
         env = QuasiparticleEnv(x_qp=6e-8)
@@ -211,6 +201,11 @@ class TestEffectiveTemperature:
         chain = AttenuationChain(stages=((temperature, 1.0),))
         with pytest.warns(UserWarning, match="1 mK"):
             assert effective_temperature(chain, 8.2175) == 1e-3
+
+    @pytest.mark.parametrize("omega", [0.0, -8.2175])
+    def test_nonpositive_cavity_frequency_rejected(self, omega):
+        with pytest.raises(ValueError, match="cavity frequency must be positive"):
+            effective_temperature(EXAMPLE_CHAIN, omega)
 
     def test_psd_strictly_increasing_in_temperature(self):
         values = [thermal_voltage_psd(8.2175, t) for t in np.logspace(-3, 2.5, 30)]

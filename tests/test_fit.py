@@ -49,6 +49,16 @@ class TestDataSeries:
             DataSeries([1.0, float("nan")], [1.0, 2.0])
         with pytest.raises(FitError):
             DataSeries([1.0, 2.0], [1.0, 2.0], y_err=[0.1, -0.1])
+        with pytest.raises(FitError, match="y_err must match the data length"):
+            DataSeries([1.0, 2.0], [1.0, 2.0], y_err=[0.1])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_y_err_rejected(self, bad):
+        # nan passed an `err <= 0` test and left an envelope fit with a nan residual
+        with pytest.raises(FitError, match="y_err must be finite and positive"):
+            DataSeries([1.0, 2.0], [1.0, 2.0], y_err=[0.1, bad])
+        with pytest.raises(FitError, match="y_err must be finite and positive"):
+            DataSeries([1.0, 2.0], [1.0, 2.0], y_err=[bad, bad])
 
 
 ANHARMONICITY = analytic.anharmonicity(TRUTH)
@@ -314,6 +324,10 @@ class TestFitEnvelope:
         with pytest.raises(FitError):
             fit_envelope(DataSeries(self.t[:5], self.trace(1e4)[:5]), 90e-6)
 
+    def test_negative_time_rejected(self):
+        with pytest.raises(FitError, match="times must be non-negative"):
+            fit_envelope(DataSeries(self.t - 1e-6, self.trace(1e4)), 90e-6)
+
     def test_offset_starting_exactly_at_zero(self):
         y = self.trace(1.25e4)
         y = y - y[-1]  # the last point, and nearly the offset, is exactly 0.0
@@ -373,6 +387,10 @@ class TestFitT1:
         result = fit_t1_exponential(DataSeries(self.t, y))
         assert result.parameters["T1_s"] == pytest.approx(90e-6, rel=0.01)
 
+    def test_too_few_points(self):
+        with pytest.raises(FitError, match="need at least 4 trace points, got 3"):
+            fit_t1_exponential(DataSeries(self.t[:3], np.exp(-self.t[:3] / 90e-6)))
+
     def test_constant_trace_flagged(self):
         result = fit_t1_exponential(DataSeries(self.t, np.full_like(self.t, 0.3)))
         assert not result.converged
@@ -397,6 +415,41 @@ class TestFitT1:
         base = fit_t1_exponential(DataSeries(self.t, y))
         shifted = fit_t1_exponential(DataSeries(self.t, y + 0.7))
         assert shifted.parameters["T1_s"] == pytest.approx(base.parameters["T1_s"], rel=1e-9)
+
+
+class TestWeightScale:
+    """A constant y_err c only scales the weights: the parameters, their
+    uncertainties and convergence are those of c = 1, and the residual norm,
+    in the caller's weights 1/c, is that of c = 1 over c."""
+
+    def cases(self):
+        envelope, xqp = TestFitEnvelope(), TestFitXqp()
+        t = envelope.t
+        noisy_t1 = xqp.t1_data(6e-8) * (1.0 + np.random.default_rng(7).normal(0.0, 0.03, 5))
+        return {
+            "envelope": (t, envelope.trace(1.25e4)
+                         + np.random.default_rng(0).normal(0.0, 0.005, 40),
+                         lambda data: fit_envelope(data, 90e-6)),
+            "t1": (t, 1.2 * np.exp(-t / 90e-6) + 0.05
+                   + np.random.default_rng(1).normal(0.0, 0.01, 40), fit_t1_exponential),
+            "xqp": (xqp.temps, noisy_t1,
+                    lambda data: fit_xqp(data, xqp.q, 4.68, 200.0, xqp.m)),
+        }
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
+    @pytest.mark.parametrize("fit", ["envelope", "t1", "xqp"])
+    def test_constant_y_err_scale_changes_nothing(self, fit, scale):
+        x, y, run = self.cases()[fit]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            base = run(DataSeries(x, y, y_err=np.ones_like(y)))
+            scaled = run(DataSeries(x, y, y_err=np.full_like(y, scale)))
+        assert scaled.converged == base.converged
+        for name, value in base.parameters.items():
+            assert scaled.parameters[name] == pytest.approx(value, rel=1e-12, abs=0.0)
+            assert scaled.uncertainties[name] == pytest.approx(base.uncertainties[name],
+                                                               rel=1e-9, abs=0.0)
+        assert scaled.residual_norm * scale == pytest.approx(base.residual_norm, rel=1e-9)
 
 
 class TestFitFluxNoise:

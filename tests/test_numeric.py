@@ -135,6 +135,10 @@ class TestOperators:
         op = build_hamiltonian_1d(q, GridSpec(16))
         assert op.potential[8] == pytest.approx(2.0 * q.alpha * q.E_J, rel=1e-12)
 
+    def test_3d_potential_rejected(self):
+        with pytest.raises(ValueError, match="potential must be 1D or 2D"):
+            HamiltonianOperator((1.0, 1.0, 1.0), np.zeros((16, 16, 16)), GridSpec(16))
+
     def test_matvec_symmetry_on_random_vectors(self):
         op = build_hamiltonian_2d(reference_qubit_2d(), 0.5, GridSpec(24))
         rng = np.random.default_rng(5)
