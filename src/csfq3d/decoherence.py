@@ -254,7 +254,8 @@ def decay_envelope(t, t1_s: float, gamma_phi: float, shape: str = "gaussian"):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("times must be non-negative")
-    relax = np.exp(-t / (2.0 * t1_s))
+    with np.errstate(over="ignore"):  # t/2T1 past the double range: the limit 0
+        relax = np.exp(-t / (2.0 * t1_s))
     if shape == "gaussian":
         dephase = np.exp(-((gamma_phi * t) ** 2))
     elif shape == "exponential":

@@ -7,10 +7,11 @@ coherence envelope and the T1 trace are y = a phi(t; theta) + c with one
 nonlinear theta (Gamma_phi >= 0, or T1), so both are fitted by variable
 projection: (a, c) in closed form at each theta, theta by a grid scan and a
 golden-section search, with no start.  The quasiparticle density x_qp and
-the flux-noise amplitude A_Phi enter their models linearly, so each is a
-closed-form through-origin regression, no iteration needed.  A fit whose
-model lives in :mod:`csfq3d.analytic` or :mod:`csfq3d.decoherence` calls it
-there rather than restating it.
+the flux-noise amplitude A_Phi enter their models linearly, so each is one
+closed-form through-origin regression.  These four scale-free fits share
+:func:`_weights`; the spectrum fit keeps caller-scale weights, as its
+anharmonicity row has an absolute 0.01 GHz sigma.  A fit whose model lives in
+:mod:`csfq3d.analytic` or :mod:`csfq3d.decoherence` calls it there.
 """
 
 from __future__ import annotations
@@ -79,19 +80,26 @@ class DataSeries:
 @dataclass(frozen=True)
 class FitResult:
     """Outcome of one fit: physical parameter values, their linearized
-    uncertainties and covariance, the residual norm in the weights 1/y_err,
-    the cost evaluations (``iterations``: 1 for a closed form, the projected
-    costs of a variable-projection fit) and the best cost after each
-    (``cost_history``, non-increasing, in the weights of :func:`_weights`)."""
+    uncertainties and covariance, the residual norm in the weights 1/y_err and
+    the best cost after each cost evaluation (``cost_history``, non-increasing,
+    in the weights of :func:`_weights`), whose count is ``iterations`` (1 for a
+    closed form).  A non-finite parameter or residual norm means not converged."""
 
     parameters: dict[str, float]
     uncertainties: dict[str, float]
     covariance: np.ndarray | None
     residual_norm: float
-    iterations: int
     converged: bool
     cost_history: tuple[float, ...]
     flags: tuple[str, ...] = field(default_factory=tuple)
+
+    def __post_init__(self) -> None:
+        finite = all(math.isfinite(v) for v in (*self.parameters.values(), self.residual_norm))
+        object.__setattr__(self, "converged", self.converged and finite)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.cost_history)
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +145,10 @@ def _separable_fit(basis, data: DataSeries, centre: float, name: str,
     prepended when bounded_below (theta >= 0 is physical), and then
     golden-section searched between the best grid point's neighbours.  The
     fit has converged when that grid point is inside the grid (theta = 0
-    counts as inside) and every value is finite.  ``iterations`` counts the
-    projected-cost evaluations and ``cost_history`` is the best cost after
-    each, so it never increases; the costs are in the weights of
-    :func:`_weights`, and ``residual_norm`` is in the caller's 1/y_err.
+    counts as inside) and the grid costs are not all equal (a flat scan
+    constrains nothing).  ``cost_history`` is the best cost after each
+    projected-cost evaluation, so it never increases; the costs are in the
+    weights of :func:`_weights`, and ``residual_norm`` is in the caller's 1/y_err.
 
     The covariance is the linearized s^2 (J^T J)^-1 of the columns
     [amplitude d basis/d theta, basis, 1] at the optimum (the pseudo-inverse,
@@ -197,25 +205,26 @@ def _separable_fit(basis, data: DataSeries, centre: float, name: str,
     cov = cost / max(len(y) - 3, 1) * inverse(normal) if cond is not None else None
     sigma = np.sqrt(np.diag(cov)) if cov is not None else np.full(3, np.nan)
     parameters = {name: theta, "amplitude": amplitude, "offset": offset}
-    residual_norm = math.sqrt(cost) / smallest_err
     inside = 0 < k < len(grid) - 1 or (bounded_below and k == 0)
     return FitResult(
         parameters=parameters,
         uncertainties=dict(zip(parameters, sigma.tolist())),
         covariance=cov,
-        residual_norm=residual_norm,
-        iterations=len(evaluated),
-        converged=inside and _finite(parameters, residual_norm),
+        residual_norm=math.sqrt(cost) / smallest_err,
+        converged=inside and min(costs) < max(costs),
         cost_history=tuple(np.minimum.accumulate([e[0] for e in evaluated]).tolist()),
         flags=() if well_posed else ("degenerate_jacobian",),
     )
 
 
-def _through_origin(regressor: np.ndarray, target: np.ndarray, name: str,
-                    nonnegative: bool = False):
-    """Least-squares slope of target = slope * regressor (weights already
-    applied to both), clipped at zero if nonnegative, with its standard error
-    and the residual at that slope."""
+def _regression(regressor: np.ndarray, target: np.ndarray, sigma: np.ndarray | None,
+                name: str, nonnegative: bool = False) -> FitResult:
+    """Least-squares slope of target = slope * regressor in the weights of
+    :func:`_weights` on sigma, clipped at zero if nonnegative: a one-step
+    FitResult of the one parameter ``slope``, with its standard error and
+    variance, and ``residual_norm`` in the caller's 1/sigma."""
+    weight, smallest_err = _weights(sigma, target)
+    regressor, target = weight * regressor, weight * target
     denom = float(regressor @ regressor)
     if denom == 0.0:
         raise RankDeficientDataError(f"{name} vanishes at every point")
@@ -223,20 +232,12 @@ def _through_origin(regressor: np.ndarray, target: np.ndarray, name: str,
     if nonnegative:
         slope = max(slope, 0.0)
     residual = target - slope * regressor
-    dof = max(len(target) - 1, 1)
-    return slope, math.sqrt(float(residual @ residual) / dof / denom), residual
-
-
-def _regression_result(parameters, uncertainties, sigma_slope, residual, flags=(),
-                       smallest_err=1.0):
-    """FitResult of a through-origin regression: one step, slope covariance;
-    residual is in the weights of :func:`_weights`, residual_norm the caller's."""
-    residual_norm = float(np.linalg.norm(residual)) / smallest_err
-    return FitResult(parameters=parameters, uncertainties=uncertainties,
-                     covariance=np.array([[sigma_slope**2]]),
-                     residual_norm=residual_norm, iterations=1,
-                     converged=_finite(parameters, residual_norm),
-                     cost_history=(float(residual @ residual),), flags=flags)
+    cost = float(residual @ residual)
+    error = math.sqrt(cost / max(len(target) - 1, 1) / denom)
+    return FitResult(parameters={"slope": slope}, uncertainties={"slope": error},
+                     covariance=np.array([[error**2]]),
+                     residual_norm=math.sqrt(cost) / smallest_err, converged=True,
+                     cost_history=(cost,))
 
 
 def _check_scale(values: np.ndarray, quantity: str) -> None:
@@ -244,12 +245,6 @@ def _check_scale(values: np.ndarray, quantity: str) -> None:
     with np.errstate(over="ignore"):
         if not math.isfinite(float(values @ values)):
             raise FitError(f"{quantity} overflow: their sum of squares is inf")
-
-
-def _finite(parameters: dict[str, float], residual_norm: float) -> bool:
-    """Whether every parameter and the residual norm are finite: a fit that
-    overflowed to inf or nan has not converged, whatever its iteration did."""
-    return all(math.isfinite(value) for value in (*parameters.values(), residual_norm))
 
 
 def _spectrum_parameters(point) -> np.ndarray:
@@ -327,8 +322,8 @@ def fit_spectrum(data: DataSeries, anharmonicity_ghz: float) -> FitResult:
     parameters = dict(zip(("alpha", "C_S_fF", "E_J_GHz"), _spectrum_parameters(point).tolist()))
     return FitResult(parameters=parameters,
                      uncertainties=dict(zip(parameters, np.sqrt(np.diag(cov)).tolist())),
-                     covariance=cov, residual_norm=math.sqrt(rss), iterations=1,
-                     converged=True, cost_history=(rss,))
+                     covariance=cov, residual_norm=math.sqrt(rss), converged=True,
+                     cost_history=(rss,))
 
 
 def fit_xqp(data: DataSeries, q: QubitParams, omega01_ghz: float, delta0_uev: float,
@@ -341,8 +336,7 @@ def fit_xqp(data: DataSeries, q: QubitParams, omega01_ghz: float, delta0_uev: fl
     regressors, Gamma_eq(T) = Gamma(T; x_qp = 0) and s(T) = Gamma(T; 1) - Gamma(T; 0),
     and x_qp = max(0, sum w^2 s (Gamma - Gamma_eq) / sum w^2 s^2).
     """
-    temperatures = data.x
-    t1 = data.y
+    temperatures, t1 = data.x, data.y
     if np.any(t1 <= 0.0):
         raise FitError("T1 values must be positive")
     cold = temperatures[~(CONSTANTS.k_B * temperatures > 0.0)]  # the rates divide by k_B T
@@ -352,8 +346,10 @@ def fit_xqp(data: DataSeries, q: QubitParams, omega01_ghz: float, delta0_uev: fl
     with np.errstate(over="ignore"):
         rates = 1.0 / t1
     _check_scale(rates, "the relaxation rates 1/T1")
-    # T1 uncertainties propagate to rate space as sigma_Gamma = sigma_T1/T1^2
-    weight, smallest_err = _weights(None if data.y_err is None else data.y_err / t1**2, rates)
+    # T1 uncertainties propagate to rate space as sigma_Gamma = sigma_T1/T1^2, formed
+    # over max(y_err) and max(T1), and scaled back in steps, so that nothing overflows
+    err_max, t1_max = (1.0, 1.0) if data.y_err is None else (data.y_err.max(), t1.max())
+    sigma = None if data.y_err is None else data.y_err / err_max / (t1 / t1_max) ** 2
 
     unit = QuasiparticleEnv(x_qp=1.0, Delta0=delta0_uev, n_cp=n_cp)
     with warnings.catch_warnings():
@@ -361,18 +357,17 @@ def fit_xqp(data: DataSeries, q: QubitParams, omega01_ghz: float, delta0_uev: fl
         thermal, unit_rate = (np.array([qp_relaxation_rate(q, omega01_ghz, env, t, matrix_elements)
                                         for t in temperatures])
                               for env in (replace(unit, x_qp=0.0), unit))
-    x_qp, sigma, residual = _through_origin(
-        weight * (unit_rate - thermal), weight * (rates - thermal),
-        "non-equilibrium rate per unit x_qp", nonnegative=True)
-
+    fit = _regression(unit_rate - thermal, rates - thermal, sigma,
+                      "non-equilibrium rate per unit x_qp", nonnegative=True)
+    x_qp, error = fit.parameters["slope"], fit.uncertainties["slope"]
     # data dominated by the thermal term (e.g. only high temperatures)
     # leaves x_qp with a wide relative uncertainty
-    weak = sigma != 0.0 and (not np.isfinite(sigma) or sigma > 0.5 * x_qp)
+    weak = error != 0.0 and (not np.isfinite(error) or error > 0.5 * x_qp)
 
-    return _regression_result({"x_qp": x_qp, "n_qp_per_um3": x_qp * unit.n_qp},
-                              {"x_qp": sigma, "n_qp_per_um3": sigma * unit.n_qp},
-                              sigma, residual, ("x_qp_weakly_constrained",) if weak else (),
-                              smallest_err)
+    return replace(fit, parameters={"x_qp": x_qp, "n_qp_per_um3": x_qp * unit.n_qp},
+                   uncertainties={"x_qp": error, "n_qp_per_um3": error * unit.n_qp},
+                   residual_norm=fit.residual_norm / err_max * t1_max * t1_max,
+                   flags=("x_qp_weakly_constrained",) if weak else ())
 
 
 def fit_envelope(data: DataSeries, t1_s: float, shape: str = "gaussian") -> FitResult:
@@ -385,8 +380,7 @@ def fit_envelope(data: DataSeries, t1_s: float, shape: str = "gaussian") -> FitR
     """
     if len(data) < 6:
         raise FitError(f"need at least 6 envelope points, got {len(data)}")
-    t = data.x
-    y = data.y
+    t, y = data.x, data.y
     if np.any(t < 0.0):
         raise FitError("times must be non-negative")
     _check_scale(y, "the envelope signals")
@@ -434,9 +428,9 @@ def fit_flux_noise(data: DataSeries, q: QubitParams,
     rates = data.y[mask]
     _check_scale(rates, "the echo dephasing rates")
     derivative = np.abs(analytic.domega01_df(q, f)) * 2.0 * math.pi * 1e9
-    slope, sigma_slope, residual = _through_origin(derivative, rates, "flux derivative")
-    a_phi = slope * slope / math.log(2.0)
-    sigma_a = 2.0 * abs(slope) * sigma_slope / math.log(2.0)
-    return _regression_result({"A_Phi_Phi0sq": a_phi, "slope": slope},
-                              {"A_Phi_Phi0sq": sigma_a, "slope": sigma_slope},
-                              sigma_slope, residual)
+    fit = _regression(derivative, rates, None if data.y_err is None else data.y_err[mask],
+                      "flux derivative")
+    slope, error = fit.parameters["slope"], fit.uncertainties["slope"]
+    return replace(fit, parameters={"A_Phi_Phi0sq": slope * slope / math.log(2.0), "slope": slope},
+                   uncertainties={"A_Phi_Phi0sq": 2.0 * abs(slope) * error / math.log(2.0),
+                                  "slope": error})

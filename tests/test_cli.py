@@ -1057,6 +1057,22 @@ class TestFitCommand:
         result = json.loads((out / "fit_envelope.json").read_text())
         assert result["converged"] and result["parameters"]["gamma_phi_per_s"] == 0.0
 
+    @pytest.mark.parametrize("t1_s, code", [("1e-7", 2), ("1e-320", 2), ("1e-6", 0)])
+    def test_flat_envelope_scan_is_not_converged(self, tmp_path, capsys, t1_s, code):
+        # T1 far below the first nonzero time (7.7 us) decouples the signal from
+        # Gamma_phi: every grid rate gives the same cost, which constrains nothing
+        path = tmp_path / "c.ini"
+        path.write_text((DATA_DIR / "example_config.ini").read_text()
+                        .replace("t1_s = 90e-6", f"t1_s = {t1_s}"))
+        assert cli.main(["--config", str(path), "--out", str(tmp_path / "out"), "fit",
+                         "envelope", str(DATA_DIR / "envelope_synthetic.csv")]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: fit envelope did not converge")
+            assert len(err.splitlines()) == 1
+        else:
+            assert err == ""
+
     def test_fluxnoise_fixture_recovers_amplitude(self, tmp_path):
         out = tmp_path / "out"
         code = cli.main(["--config", str(DATA_DIR / "example_config_perturbative.ini"),
@@ -1068,8 +1084,8 @@ class TestFitCommand:
 
     def test_nonconvergence_maps_to_exit_2(self, tmp_path, config_path, monkeypatch, capsys):
         stub = FitResult(parameters={"x_qp": 0.0}, uncertainties={"x_qp": 0.0},
-                         covariance=None, residual_norm=1.0, iterations=200,
-                         converged=False, cost_history=(1.0,))
+                         covariance=None, residual_norm=1.0, converged=False,
+                         cost_history=(1.0,))
         monkeypatch.setattr(cli, "fit_xqp", lambda *a, **k: stub)
         out = tmp_path / "out"
         code = cli.main(["--config", str(config_path), "--out", str(out),

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -12,6 +13,7 @@ from csfq3d.decoherence import QuasiparticleEnv, decay_envelope, qp_relaxation_r
 from csfq3d.fit import (
     DataSeries,
     FitError,
+    FitResult,
     RankDeficientDataError,
     _central_jacobian,
     _spectrum_parameters,
@@ -59,6 +61,17 @@ class TestDataSeries:
             DataSeries([1.0, 2.0], [1.0, 2.0], y_err=[0.1, bad])
         with pytest.raises(FitError, match="y_err must be finite and positive"):
             DataSeries([1.0, 2.0], [1.0, 2.0], y_err=[bad, bad])
+
+
+class TestFitResult:
+    @pytest.mark.parametrize("value, residual_norm", [
+        (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_value_is_not_converged(self, value, residual_norm):
+        # the rule lives in the type, so a dataclasses.replace applies it too
+        finite = FitResult(parameters={"a": 1.0}, uncertainties={"a": 0.0}, covariance=None,
+                           residual_norm=1.0, converged=True, cost_history=(1.0,))
+        assert finite.converged
+        assert not replace(finite, parameters={"a": value}, residual_norm=residual_norm).converged
 
 
 ANHARMONICITY = analytic.anharmonicity(TRUTH)
@@ -423,9 +436,10 @@ class TestWeightScale:
     in the caller's weights 1/c, is that of c = 1 over c."""
 
     def cases(self):
-        envelope, xqp = TestFitEnvelope(), TestFitXqp()
+        envelope, xqp, flux = TestFitEnvelope(), TestFitXqp(), TestFitFluxNoise()
         t = envelope.t
         noisy_t1 = xqp.t1_data(6e-8) * (1.0 + np.random.default_rng(7).normal(0.0, 0.03, 5))
+        echo = flux.synthetic((1.8e-6) ** 2)
         return {
             "envelope": (t, envelope.trace(1.25e4)
                          + np.random.default_rng(0).normal(0.0, 0.005, 40),
@@ -434,10 +448,12 @@ class TestWeightScale:
                    + np.random.default_rng(1).normal(0.0, 0.01, 40), fit_t1_exponential),
             "xqp": (xqp.temps, noisy_t1,
                     lambda data: fit_xqp(data, xqp.q, 4.68, 200.0, xqp.m)),
+            "fluxnoise": (echo.x, echo.y * (1.0 + np.random.default_rng(3).normal(0.0, 0.03, 16)),
+                          lambda data: fit_flux_noise(data, flux.q)),
         }
 
-    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
-    @pytest.mark.parametrize("fit", ["envelope", "t1", "xqp"])
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200, 1e300, 1e301])
+    @pytest.mark.parametrize("fit", ["envelope", "t1", "xqp", "fluxnoise"])
     def test_constant_y_err_scale_changes_nothing(self, fit, scale):
         x, y, run = self.cases()[fit]
         with warnings.catch_warnings():
@@ -484,6 +500,18 @@ class TestFitFluxNoise:
         ]))
         again = fit_flux_noise(extended, self.q)
         assert again.parameters["slope"] == pytest.approx(base.parameters["slope"], rel=1e-12)
+
+    def test_weighted_by_y_err(self):
+        # one outlier known to 1e-9 against 1 elsewhere pulls the slope to the
+        # weighted solve sum w^2 x y / sum w^2 x^2, w = 1/y_err
+        flux = np.concatenate([np.linspace(0.485, 0.497, 4), np.linspace(0.503, 0.515, 4)])
+        data = self.synthetic((1.8e-6) ** 2, flux)
+        rates = data.y * np.where(np.arange(8) == 0, 1.1, 1.0)
+        y_err = np.concatenate([[1e-9], np.ones(7)])
+        x = np.abs(analytic.domega01_df(self.q, flux)) * 2e9 * math.pi
+        w2 = 1.0 / y_err**2
+        slope = fit_flux_noise(DataSeries(flux, rates, y_err), self.q).parameters["slope"]
+        assert slope == pytest.approx(float(w2 @ (x * rates) / (w2 @ (x * x))), rel=1e-12)
 
     def test_exclusion_window_enforced(self):
         flux = np.linspace(0.4985, 0.5015, 9)  # everything inside the default window
