@@ -279,27 +279,37 @@ def _write_manifest(outdir: Path, command: str, config: RunConfig, outputs: list
     _write_json(outdir / "manifest.json", payload)
 
 
-def _sweep_exit(table: Path, column: str, total: int, failed, invalid=()) -> int:
-    """EXIT_OK, or EXIT_PARTIAL_FAILURE after one error line: the count of failed
-    rows of `table` and its first failed (point, error), else the first invalid value."""
-    problems = [f"{table.name}: {len(failed)} of {total} rows failed; first at {column} = "
-                f"{_fmt(point)}: {' '.join(str(err).split())}" for point, err in failed[:1]]
+def _attempt(fn, point):
+    """(fn(point), None), or (None, error) when fn raised."""
+    try:
+        return fn(point), None
+    except Exception as err:  # noqa: BLE001 - reported per sweep point
+        return None, err
+
+
+def _status(err) -> str:
+    return "ok" if err is None else f"error:{err.__class__.__name__}"
+
+
+def _non_finite(table: Path, header: list[str], rows: list[list]) -> list[str]:
+    """One message per non-finite float cell of `table`, at its row's first cell."""
+    return [f"{table.stem} {name} = {value} at {header[0]} = {row[0]}"
+            for row in rows for name, value in zip(header, row)
+            if isinstance(value, float) and not math.isfinite(value)]
+
+
+def _sweep_exit(table: Path, column: str, results, invalid=()) -> int:
+    """EXIT_OK, or EXIT_PARTIAL_FAILURE after one error line: the count of failed rows
+    among the (point, (value, error)) `results` of `table` and the first failed
+    (point, error), else the first invalid value."""
+    failed = [(point, err) for point, (_, err) in results if err is not None]
+    problems = [f"{table.name}: {len(failed)} of {len(results)} rows failed; first at "
+                f"{column} = {_fmt(point)}: {' '.join(str(err).split())}"
+                for point, err in failed[:1]]
     problems += invalid
     if problems:
         print(f"error: {problems[0]}", file=sys.stderr)
     return EXIT_PARTIAL_FAILURE if problems else EXIT_OK
-
-
-def _map_indexed(fn, items):
-    """Apply fn to each item in order; each result is (item, value, None) or,
-    when fn raised, (item, None, error)."""
-    results = []
-    for item in items:
-        try:
-            results.append((item, fn(item), None))
-        except Exception as err:  # noqa: BLE001 - reported per sweep point
-            results.append((item, None, err))
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -376,26 +386,19 @@ def cmd_spectrum(config: RunConfig, args) -> int:
 
     # H(1 - f) is H(f) with phi_m -> -phi_m, so each mirror pair is solved once; a key
     # within 2 ulp(1) of the next smaller one (1 - f rounded) shares its solve, unrounded
-    owner, previous = {}, -math.inf
+    solved, previous = {}, -math.inf
     for key in sorted({min(f, 1.0 - f) for f in flux} | {0.5}):
-        owner[key] = owner[previous] if key - previous <= 2.0 * np.spacing(1.0) else key
+        close = key - previous <= 2.0 * np.spacing(1.0)
+        solved[key] = solved[previous] if close else _attempt(solve, key)
         previous = key
-    keys = sorted(set(owner.values()))
-    solved = {f: (result, err) for f, result, err in _map_indexed(solve, keys)}
-    rows, failed = [], []
-    for f in flux:
-        w_analytic = analytic.omega01(q, f)
-        omegas, err = solved[owner[min(f, 1.0 - f)]]
-        if err is None:
-            rows.append([f, w_analytic, *omegas, "ok"])
-        else:
-            rows.append([f, w_analytic, "", "", f"error:{err.__class__.__name__}"])
-            failed.append((f, err))
-    table = _write_table(outdir / "spectrum.csv",
-                         ["flux_phi0", "omega01_analytic_GHz", "omega01_numeric_GHz",
-                          "omega12_numeric_GHz", "status"], rows)
+    results = [(f, solved[min(f, 1.0 - f)]) for f in flux]
+    header = ["flux_phi0", "omega01_analytic_GHz", "omega01_numeric_GHz",
+              "omega12_numeric_GHz", "status"]
+    rows = [[f, analytic.omega01(q, f), *(omegas or ("", "")), _status(err)]
+            for f, (omegas, err) in results]
+    table = _write_table(outdir / "spectrum.csv", header, rows)
 
-    optimal, optimal_error = solved[owner[0.5]]
+    optimal, optimal_error = solved[0.5]
     omega01, omega12 = optimal or (None, None)
     spectrum = analytic.perturbative_spectrum(q)
     summary = {  # a failed optimal-point solve leaves its numeric fields null
@@ -408,7 +411,7 @@ def cmd_spectrum(config: RunConfig, args) -> int:
         "perturbative_validity_ratio": spectrum.validity_ratio,
         "flags": list(spectrum.flags),
         "grid_n": grid.n,
-        "failed_points": len(failed),
+        "failed_points": sum(err is not None for _, (_, err) in results),
     }
     summary_path = outdir / "spectrum_summary.json"
     _write_json(summary_path, summary)
@@ -416,7 +419,7 @@ def cmd_spectrum(config: RunConfig, args) -> int:
     if optimal_error is not None:
         print(f"error: optimal point f = 0.5: {optimal_error}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
-    return _sweep_exit(table, "flux_phi0", len(rows), failed)
+    return _sweep_exit(table, "flux_phi0", results, _non_finite(table, header, rows))
 
 
 def cmd_coherence(config: RunConfig, args) -> int:
@@ -448,12 +451,10 @@ def cmd_coherence(config: RunConfig, args) -> int:
     t1_base = _checked("[cqed]/[noise] values", t1_point, base_temperature)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    t1_results = _map_indexed(t1_point, temperatures)
-    t1_rows = [[t, value, "ok"] if err is None else [t, "", f"error:{err.__class__.__name__}"]
-               for t, value, err in t1_results]
-    failed = [(t, err) for t, _, err in t1_results if err is not None]
-    t1_table = _write_table(outdir / "t1_vs_temperature.csv",
-                            ["temp_K", "t1_qp_s", "status"], t1_rows)
+    t1_results = [(t, _attempt(t1_point, t)) for t in temperatures]
+    t1_table = _write_table(outdir / "t1_vs_temperature.csv", ["temp_K", "t1_qp_s", "status"],
+                            [[t, value if err is None else "", _status(err)]
+                             for t, (value, err) in t1_results])
 
     flux_rows = []
     for f in flux:
@@ -487,12 +488,10 @@ def cmd_coherence(config: RunConfig, args) -> int:
     _write_manifest(outdir, "coherence", config, [t1_table, flux_table, budget_path])
     # an overflowing input leaves a non-finite rate or a NaN time; an
     # infinite budget time (no quasiparticle rate) is a legitimate value
-    invalid = [f"dephasing_vs_flux {name} = {value} at flux_phi0 = {row[0]}"
-               for row in flux_rows for name, value in zip(flux_header, row)
-               if isinstance(value, float) and not math.isfinite(value)]
+    invalid = _non_finite(flux_table, flux_header, flux_rows)
     invalid += [f"decoherence_budget {key} = nan" for key, value in budget.items()
                 if isinstance(value, float) and math.isnan(value)]
-    return _sweep_exit(t1_table, "temp_K", len(t1_rows), failed, invalid)
+    return _sweep_exit(t1_table, "temp_K", t1_results, invalid)
 
 
 def cmd_filter(config: RunConfig, args) -> int:

@@ -364,8 +364,10 @@ def fit_xqp(data: DataSeries, q: QubitParams, omega01_ghz: float, delta0_uev: fl
     # leaves x_qp with a wide relative uncertainty
     weak = error != 0.0 and (not np.isfinite(error) or error > 0.5 * x_qp)
 
+    gradient = np.array([1.0, unit.n_qp])  # d(x_qp, n_qp)/d x_qp
     return replace(fit, parameters={"x_qp": x_qp, "n_qp_per_um3": x_qp * unit.n_qp},
                    uncertainties={"x_qp": error, "n_qp_per_um3": error * unit.n_qp},
+                   covariance=error**2 * np.outer(gradient, gradient),
                    residual_norm=fit.residual_norm / err_max * t1_max * t1_max,
                    flags=("x_qp_weakly_constrained",) if weak else ())
 
@@ -431,6 +433,8 @@ def fit_flux_noise(data: DataSeries, q: QubitParams,
     fit = _regression(derivative, rates, None if data.y_err is None else data.y_err[mask],
                       "flux derivative")
     slope, error = fit.parameters["slope"], fit.uncertainties["slope"]
+    gradient = np.array([2.0 * slope / math.log(2.0), 1.0])  # d(A_Phi, slope)/d slope
     return replace(fit, parameters={"A_Phi_Phi0sq": slope * slope / math.log(2.0), "slope": slope},
                    uncertainties={"A_Phi_Phi0sq": 2.0 * abs(slope) * error / math.log(2.0),
-                                  "slope": error})
+                                  "slope": error},
+                   covariance=error**2 * np.outer(gradient, gradient))

@@ -929,6 +929,24 @@ class TestCoherenceCommand:
             assert len(errors) == 1 and errors[0].startswith(f"error: {quantity} = ")
         assert (out / "manifest.json").is_file()  # the tables are still written
 
+    def test_spectrum_overflow_exits_3_like_coherence(self, tmp_path, capsys):
+        # the analytic omega01 overflows far from f = 1/2 while every solve succeeds
+        parser = configparser.ConfigParser()
+        parser.read_string(BASE_CONFIG)
+        parser["flux_sweep"].update(start="1e300", steps="3")
+        path = tmp_path / "c.ini"
+        with open(path, "w") as handle:
+            parser.write(handle)
+        out = tmp_path / "out"
+        code = cli.main(["--config", str(path), "--out", str(out), "spectrum"])
+        assert code == cli.EXIT_PARTIAL_FAILURE
+        assert capsys.readouterr().err == (
+            "error: spectrum omega01_analytic_GHz = inf at flux_phi0 = 1e+300\n")
+        _, rows = read_csv(out / "spectrum.csv")
+        assert [row[-1] for row in rows] == ["ok"] * 3
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == [
+            "spectrum.csv", "spectrum_summary.json"]
+
 
 class TestFilterCommand:
     def test_outputs_match_closed_form(self, tmp_path, config_path):
@@ -1072,6 +1090,9 @@ class TestFitCommand:
             assert len(err.splitlines()) == 1
         else:
             assert err == ""
+        # the signal barely moves with Gamma_phi, so J^T J is ill-conditioned at each T1
+        result = json.loads((tmp_path / "out" / "fit_envelope.json").read_text())
+        assert result["flags"] == ["degenerate_jacobian"]
 
     def test_fluxnoise_fixture_recovers_amplitude(self, tmp_path):
         out = tmp_path / "out"

@@ -211,6 +211,18 @@ class TestEffectiveTemperature:
         values = [thermal_voltage_psd(8.2175, t) for t in np.logspace(-3, 2.5, 30)]
         assert np.all(np.diff(values) > 0.0)
 
+    @pytest.mark.parametrize("temperature", [0.0, -0.01])
+    def test_psd_rejects_nonpositive_temperature(self, temperature):
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            thermal_voltage_psd(8.2175, temperature)
+
+    @pytest.mark.parametrize("x", [701.0, 1e4])
+    def test_psd_is_zero_past_the_underflow(self, x):
+        # at x = h f/k_B T > 700 the power is below the smallest double, and
+        # past x = 709.8 expm1(x) would overflow
+        temperature = CONSTANTS.h * 8.2175e9 / CONSTANTS.k_B / x
+        assert thermal_voltage_psd(8.2175, temperature) == 0.0
+
     def test_chain_validation(self):
         with pytest.raises(ValueError):
             AttenuationChain(stages=())

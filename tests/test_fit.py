@@ -73,6 +73,19 @@ class TestFitResult:
         assert finite.converged
         assert not replace(finite, parameters={"a": value}, residual_norm=residual_norm).converged
 
+    @pytest.mark.parametrize("fit", ["spectrum", "envelope", "t1", "xqp", "fluxnoise"])
+    def test_covariance_matches_the_parameters(self, fit):
+        # one row and column per parameter, in order, whose diagonal is the variances
+        if fit == "spectrum":
+            result = fit_spectrum(spectrum_fixture("noisy"), ANHARMONICITY)
+        else:
+            x, y, run = TestWeightScale().cases()[fit]
+            result = run(DataSeries(x, y))
+        assert list(result.uncertainties) == list(result.parameters)
+        assert result.covariance.shape == (len(result.parameters),) * 2
+        np.testing.assert_allclose(np.sqrt(np.diag(result.covariance)),
+                                   list(result.uncertainties.values()), rtol=1e-12, atol=0.0)
+
 
 ANHARMONICITY = analytic.anharmonicity(TRUTH)
 
@@ -407,7 +420,7 @@ class TestFitT1:
     def test_constant_trace_flagged(self):
         result = fit_t1_exponential(DataSeries(self.t, np.full_like(self.t, 0.3)))
         assert not result.converged
-        assert "non_decaying" in result.flags
+        assert result.flags == ("degenerate_jacobian", "non_decaying")
 
     def test_fast_noisy_decay_returns_a_result(self):
         # a 5 us decay sampled every 8.2 us under 0.1 noise: one point stands off the baseline
