@@ -132,6 +132,23 @@ def _weights(sigma: np.ndarray | None, like: np.ndarray) -> tuple[np.ndarray, fl
 _GRID_POINTS = 25      # log-spaced over centre * 10^[-3, 3]
 _SEARCH_STEPS = 58     # golden-section steps: the bracket shrinks by 0.618^58 = 7.6e-13
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_MAX_COND = 1e14       # largest condition number of J^T J that is inverted as it is
+
+
+def _unbounded(normal: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """The pseudo-inverse covariance ``cov`` of ``normal`` = J^T J, with an
+    infinite variance (and nan covariances) for each parameter that has a
+    component above sqrt(eps) in an unresolved eigenvector of J^T J, one whose
+    eigenvalue is at most 1/_MAX_COND of the largest.  The data leave such a
+    parameter unbounded, where the pseudo-inverse would zero its variance."""
+    lam, vec = np.linalg.eigh(normal)
+    unresolved = vec[:, lam <= lam[-1] / _MAX_COND]
+    free = np.abs(unresolved).max(axis=1, initial=0.0) > math.sqrt(np.finfo(float).eps)
+    cov = cov.copy()
+    cov[free, :] = np.nan
+    cov[:, free] = np.nan
+    cov[free, free] = np.inf
+    return cov
 
 
 def _separable_fit(basis, data: DataSeries, centre: float, name: str,
@@ -151,10 +168,12 @@ def _separable_fit(basis, data: DataSeries, centre: float, name: str,
     weights of :func:`_weights`, and ``residual_norm`` is in the caller's 1/y_err.
 
     The covariance is the linearized s^2 (J^T J)^-1 of the columns
-    [amplitude d basis/d theta, basis, 1] at the optimum (the pseudo-inverse,
-    flagged ``degenerate_jacobian``, when J^T J is singular or
-    ill-conditioned), with d basis/d theta from :func:`_central_jacobian` at
-    a step of at least 1e-6 of the smallest positive grid point.
+    [amplitude d basis/d theta, basis, 1] at the optimum, with d basis/d theta
+    from :func:`_central_jacobian` at a step of at least 1e-6 of the smallest
+    positive grid point.  When J^T J is singular or ill-conditioned the fit is
+    flagged ``degenerate_jacobian`` and the covariance is the pseudo-inverse,
+    except that a parameter the data do not constrain gets an infinite
+    variance (:func:`_unbounded`).
     """
     y = data.y
     weight, smallest_err = _weights(data.y_err, y)
@@ -200,9 +219,11 @@ def _separable_fit(basis, data: DataSeries, centre: float, name: str,
         cond = np.linalg.cond(normal)
     except np.linalg.LinAlgError:
         cond = None
-    well_posed = cond is not None and cond <= 1e14  # False for nan and inf
+    well_posed = cond is not None and cond <= _MAX_COND  # False for nan and inf
     inverse = np.linalg.inv if well_posed else np.linalg.pinv
     cov = cost / max(len(y) - 3, 1) * inverse(normal) if cond is not None else None
+    if cov is not None and not well_posed:
+        cov = _unbounded(normal, cov)
     sigma = np.sqrt(np.diag(cov)) if cov is not None else np.full(3, np.nan)
     parameters = {name: theta, "amplitude": amplitude, "offset": offset}
     inside = 0 < k < len(grid) - 1 or (bounded_below and k == 0)

@@ -1,4 +1,5 @@
 import configparser
+import hashlib
 import json
 import math
 import os
@@ -752,12 +753,14 @@ class TestSpectrumCommand:
     def test_sweep_imports_no_scipy_solver_modules(self, tmp_path, config_path, command):
         # scipy is not a runtime dependency: no command loads scipy or any
         # scipy.* module; sweep points run in one loop, so no command loads
-        # concurrent or concurrent.*, not even with --workers 2
+        # concurrent or concurrent.*, not even with --workers 2; the manifest
+        # digests come from the interpreter's built-in SHA-256, so no command
+        # loads OpenSSL through _hashlib or ssl
         driver = ("import sys; from csfq3d import cli; "
                   f"code = cli.main(['--config', {str(config_path)!r}, "
                   f"'--out', {str(tmp_path / 'out')!r}, '--workers', '2', *{command!r}]); "
-                  "print(code, sorted(m for m in sys.modules "
-                  "if m.split('.')[0] in ('scipy', 'concurrent')))")
+                  "print(code, sorted(m for m in sys.modules if m.split('.')[0] "
+                  "in ('scipy', 'concurrent', '_hashlib', 'ssl')))")
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
         run = subprocess.run([sys.executable, "-c", driver], env=env, capture_output=True,
                              text=True, timeout=120)
@@ -1028,7 +1031,9 @@ class TestFitCommand:
         assert result["parameters"]["C_S_fF"] == pytest.approx(78.0, rel=1e-6)
         assert result["parameters"]["E_J_GHz"] == pytest.approx(85.0, rel=1e-6)
         manifest = json.loads((out / "manifest.json").read_text())
-        assert "data_sha256" in manifest
+        assert manifest["config_sha256"] == hashlib.sha256(BASE_CONFIG.encode("utf-8")).hexdigest()
+        assert manifest["data_sha256"] == hashlib.sha256(
+            (DATA_DIR / "spectrum_synthetic.csv").read_bytes()).hexdigest()
 
     def test_t1_fixture_recovers_density(self, tmp_path):
         out = tmp_path / "out"
@@ -1091,8 +1096,12 @@ class TestFitCommand:
         else:
             assert err == ""
         # the signal barely moves with Gamma_phi, so J^T J is ill-conditioned at each T1
+        # and the data leave Gamma_phi unbounded: an infinite uncertainty, null in JSON
         result = json.loads((tmp_path / "out" / "fit_envelope.json").read_text())
         assert result["flags"] == ["degenerate_jacobian"]
+        sigma = result["uncertainties"]
+        assert sigma["gamma_phi_per_s"] is None
+        assert 0.0 < sigma["amplitude"] < 1.0 and 0.0 < sigma["offset"] < 1.0
 
     def test_fluxnoise_fixture_recovers_amplitude(self, tmp_path):
         out = tmp_path / "out"

@@ -17,6 +17,7 @@ from csfq3d.fit import (
     RankDeficientDataError,
     _central_jacobian,
     _spectrum_parameters,
+    _unbounded,
     fit_envelope,
     fit_flux_noise,
     fit_spectrum,
@@ -387,6 +388,13 @@ class TestFitEnvelope:
         result = fit_envelope(DataSeries(self.t, y), 90e-6, shape)
         assert result.converged
         assert result.parameters["gamma_phi_per_s"] == 0.0
+        # d/dGamma of exp(-Gamma^2 t^2) is 0 at Gamma = 0, which leaves the rate
+        # unbounded; that of exp(-Gamma t) is -t
+        sigma = result.uncertainties
+        assert result.flags == (("degenerate_jacobian",) if shape == "gaussian" else ())
+        assert math.isinf(sigma["gamma_phi_per_s"]) == (shape == "gaussian")
+        assert 0.0 < sigma["amplitude"] < 0.05 and 0.0 < sigma["offset"] < 0.05
+        np.testing.assert_array_equal(np.sqrt(np.diag(result.covariance)), list(sigma.values()))
 
     def test_decay_calls_stay_bounded(self, monkeypatch):
         calls = []
@@ -421,6 +429,8 @@ class TestFitT1:
         result = fit_t1_exponential(DataSeries(self.t, np.full_like(self.t, 0.3)))
         assert not result.converged
         assert result.flags == ("degenerate_jacobian", "non_decaying")
+        # a zero amplitude leaves T1 unconstrained
+        assert math.isinf(result.uncertainties["T1_s"])
 
     def test_fast_noisy_decay_returns_a_result(self):
         # a 5 us decay sampled every 8.2 us under 0.1 noise: one point stands off the baseline
@@ -563,3 +573,17 @@ class TestJacobian:
         product = fine @ _central_jacobian(forward, params, params)
         # in relative units, d ln p_i/d ln p_j
         np.testing.assert_allclose(product * params / params[:, None], np.eye(3), atol=1e-8)
+
+
+class TestUnbounded:
+    def test_collinear_parameters_get_infinite_variance(self):
+        # columns x and 2x are collinear: their parameters are unbounded, the
+        # offset, orthogonal to the null direction (2, -1, 0), keeps its variance
+        x = np.linspace(0.0, 1.0, 11)
+        jac = np.column_stack([x, 2.0 * x, np.ones_like(x)])
+        normal = jac.T @ jac
+        cov = _unbounded(normal, np.linalg.pinv(normal))
+        np.testing.assert_array_equal(np.diag(cov)[:2], [np.inf, np.inf])
+        assert np.isnan(cov[:2, 2]).all() and np.isnan(cov[2, :2]).all()
+        # the least-squares offset of a line through 11 points: variance 7/22 per unit s^2
+        assert cov[2, 2] == pytest.approx(7.0 / 22.0, rel=1e-12)
