@@ -4,7 +4,6 @@ channel predictions, pulse-sequence filter functions, and parameter
 extraction from measured data."""
 
 from .analytic import (
-    PerturbativeSpectrum,
     PerturbativeValidityWarning,
     anharmonicity,
     domega01_df,
@@ -13,7 +12,7 @@ from .analytic import (
     gap,
     junction_matrix_elements,
     omega01,
-    perturbative_spectrum,
+    validity_ratio,
 )
 from .core import (
     CONSTANTS,

@@ -3,7 +3,7 @@
 Treats the soft phase mode as a harmonic oscillator with kinetic energy set
 by the shunt charging energy E_CS and quadratic stiffness E_J(1 - 2 alpha),
 plus the quartic correction at first order.  Valid near the optimal point
-when E_J(1 - 2 alpha)/E_CS >> 1; :func:`perturbative_spectrum` flags the
+when E_J(1 - 2 alpha)/E_CS >> 1; :func:`validity_ratio` warns in the
 regime where the expansion degrades.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from .core import QubitParams, normalized_flux
 
@@ -21,22 +20,6 @@ VALIDITY_RATIO_FLOOR = 20.0
 
 class PerturbativeValidityWarning(UserWarning):
     """Perturbative expansion applied outside its comfortable regime."""
-
-
-@dataclass(frozen=True)
-class PerturbativeSpectrum:
-    """Summary of the perturbative model at the optimal point.
-
-    Delta is the qubit gap (GHz), dEps_df the slope of the flux-induced energy
-    shift (GHz per unit normalized flux), A the anharmonicity (GHz) and
-    validity_ratio E_J(1 - 2 alpha)/E_CS, the inverse expansion parameter.
-    """
-
-    Delta: float
-    dEps_df: float
-    A: float
-    validity_ratio: float
-    flags: tuple[str, ...]
 
 
 def gap(q: QubitParams) -> float:
@@ -93,26 +76,18 @@ def junction_matrix_elements(q: QubitParams) -> tuple[float, float]:
     return m_large, m_small
 
 
-def perturbative_spectrum(q: QubitParams) -> PerturbativeSpectrum:
-    """Gap, flux slope and anharmonicity with a validity flag.
+def validity_ratio(q: QubitParams) -> float:
+    """E_J(1 - 2 alpha)/E_CS, the inverse expansion parameter.
 
-    Warns (and flags) when E_J(1-2 alpha)/E_CS < 20, where the quartic and
-    higher cosine-expansion terms are no longer small.
+    Warns below VALIDITY_RATIO_FLOOR, where the quartic and higher
+    cosine-expansion terms are no longer small.
     """
     ratio = q.E_J * (1.0 - 2.0 * q.alpha) / q.E_CS
-    flags: tuple[str, ...] = ()
     if ratio < VALIDITY_RATIO_FLOOR:
-        flags = ("perturbative_ratio_low",)
         warnings.warn(
             f"E_J(1-2 alpha)/E_CS = {ratio:.1f} < {VALIDITY_RATIO_FLOOR:.0f}: "
             "perturbative spectrum is unreliable",
             PerturbativeValidityWarning,
             stacklevel=2,
         )
-    return PerturbativeSpectrum(
-        Delta=gap(q),
-        dEps_df=epsilon_slope(q),
-        A=anharmonicity(q),
-        validity_ratio=ratio,
-        flags=flags,
-    )
+    return ratio

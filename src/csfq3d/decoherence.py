@@ -72,10 +72,11 @@ class AttenuationChain:
         if not self.stages:
             raise ValueError("attenuation chain needs at least one stage")
         for temperature, weight in self.stages:
-            if temperature <= 0.0:
-                raise ValueError(f"stage temperature must be positive, got {temperature} K")
-            if weight < 0.0:
-                raise ValueError(f"stage weight must be non-negative, got {weight}")
+            if not 0.0 < temperature < math.inf:
+                raise ValueError(f"stage temperature must be finite and positive, "
+                                 f"got {temperature} K")
+            if not 0.0 <= weight < math.inf:
+                raise ValueError(f"stage weight must be finite and non-negative, got {weight}")
         if sum(weight for _, weight in self.stages) <= 0.0:
             raise ValueError("all attenuation weights are zero")
 
@@ -174,7 +175,8 @@ def effective_temperature(chain: AttenuationChain, omega_c_ghz: float) -> float:
     n(omega_c, T), so T_eff = h f / (k_B ln(1 + 1/nbar)) in closed form, with
     nbar = sum_i A_i n(omega_c, T_i) / sum_i A_i; only weight ratios matter.
     Below the 1 mK floor (or when nbar underflows to zero) the floor is
-    returned with a warning.
+    returned with a warning; an nbar so large that k_B ln(1 + 1/nbar)
+    underflows to 0 (or not a number) is a ValueError.
     """
     if omega_c_ghz <= 0.0:
         raise ValueError(f"cavity frequency must be positive, got {omega_c_ghz} GHz")
@@ -183,8 +185,11 @@ def effective_temperature(chain: AttenuationChain, omega_c_ghz: float) -> float:
         weight * thermal_photon_population(omega_c_ghz, temperature)
         for temperature, weight in chain.stages
     ) / total_weight
-    t_eff = 0.0 if nbar == 0.0 else (
-        CONSTANTS.h * omega_c_ghz * 1e9 / (CONSTANTS.k_B * math.log1p(1.0 / nbar)))
+    denominator = CONSTANTS.k_B * math.log1p(1.0 / nbar) if nbar else math.inf
+    if not denominator > 0.0:
+        raise ValueError(f"mean thermal occupation {nbar:.3g} underflows "
+                         "k_B ln(1 + 1/nbar), the divisor of T_eff, to 0")
+    t_eff = CONSTANTS.h * omega_c_ghz * 1e9 / denominator
     if t_eff < 1e-3:
         warnings.warn(
             "effective temperature lies below the 1 mK floor; returning 1 mK",
@@ -196,10 +201,12 @@ def effective_temperature(chain: AttenuationChain, omega_c_ghz: float) -> float:
 
 
 def thermal_photon_population(omega_c_ghz: float, temperature_k: float) -> float:
-    """Bose occupation 1/(exp(hbar omega_c/k_B T) - 1) at the cavity frequency."""
-    if temperature_k <= 0.0:
+    """Bose occupation 1/(exp(hbar omega_c/k_B T) - 1) at the cavity frequency;
+    0, the T -> 0 limit, where k_B T is not positive (T <= 0, or k_B T underflows)."""
+    kt = CONSTANTS.k_B * temperature_k
+    if not kt > 0.0:
         return 0.0
-    x = CONSTANTS.h * omega_c_ghz * 1e9 / (CONSTANTS.k_B * temperature_k)
+    x = CONSTANTS.h * omega_c_ghz * 1e9 / kt
     if x > 700.0:  # population underflows double precision
         return 0.0
     return 1.0 / math.expm1(x)
@@ -225,15 +232,14 @@ def flux_dephasing_rates(noise: FluxNoise, domega01_df_ghz: float,
     Gamma_E = sqrt(A_Phi ln 2) |d omega01/d f| and
     Gamma_R = sqrt(A_Phi ln(1/(omega_ir t))) |d omega01/d f|, with the flux
     derivative supplied in cyclic GHz per unit flux and converted to angular
-    rad/s internally.  The Ramsey rate needs omega_ir * t < 1; their ratio
+    rad/s internally.  The Ramsey rate needs 0 < omega_ir * t < 1; their ratio
     sqrt(ln(1/(omega_ir t))/ln 2) is independent of both A_Phi and the
     derivative.
     """
     product = noise.omega_ir * ramsey_time_s
-    if product >= 1.0:
-        raise ValueError(
-            f"omega_ir * t = {product:.3g} >= 1: Ramsey log factor undefined"
-        )
+    if not 0.0 < product < 1.0:
+        raise ValueError(f"omega_ir * t = {noise.omega_ir:.3g} rad/s * {ramsey_time_s!r} s = "
+                         f"{product:.3g}, not in (0, 1): Ramsey log factor undefined")
     derivative = abs(domega01_df_ghz) * 2.0 * math.pi * 1e9
     gamma_echo = math.sqrt(noise.A_Phi * math.log(2.0)) * derivative
     gamma_ramsey = math.sqrt(noise.A_Phi * math.log(1.0 / product)) * derivative

@@ -169,11 +169,12 @@ def _separable_fit(basis, data: DataSeries, centre: float, name: str,
 
     The covariance is the linearized s^2 (J^T J)^-1 of the columns
     [amplitude d basis/d theta, basis, 1] at the optimum, with d basis/d theta
-    from :func:`_central_jacobian` at a step of at least 1e-6 of the smallest
-    positive grid point.  When J^T J is singular or ill-conditioned the fit is
-    flagged ``degenerate_jacobian`` and the covariance is the pseudo-inverse,
-    except that a parameter the data do not constrain gets an infinite
-    variance (:func:`_unbounded`).
+    a central difference at a step of 1e-6 theta, but at least 1e-6 of the
+    smallest positive grid point, and a forward one where the central step
+    would cross the bound theta = 0.  When J^T J is singular or
+    ill-conditioned the fit is flagged ``degenerate_jacobian`` and the
+    covariance is the pseudo-inverse, except that a parameter the data do
+    not constrain gets an infinite variance (:func:`_unbounded`).
     """
     y = data.y
     weight, smallest_err = _weights(data.y_err, y)
@@ -212,7 +213,11 @@ def _separable_fit(basis, data: DataSeries, centre: float, name: str,
             right_cost = project(right)
     cost, theta, amplitude, offset, phi = min(evaluated, key=lambda e: e[0])
 
-    slope = _central_jacobian(lambda u: basis(u[0]), [theta], [1e-3 * centre])[:, 0]
+    step = 1e-6 * max(theta, 1e-3 * centre)
+    if bounded_below and theta < step:  # a central difference would probe theta < 0
+        slope = (basis(theta + step) - phi) / step
+    else:
+        slope = (basis(theta + step) - basis(theta - step)) / (2.0 * step)
     jac = np.column_stack([amplitude * slope, phi, np.ones_like(phi)]) * weight[:, None]
     normal = jac.T @ jac
     try:
@@ -409,9 +414,7 @@ def fit_envelope(data: DataSeries, t1_s: float, shape: str = "gaussian") -> FitR
     _check_scale(y, "the envelope signals")
 
     span = max(t.max(), 1e-12)
-    # differencing at Gamma_phi = 0 probes a formally negative rate, which
-    # maps onto the bound
-    result = _separable_fit(lambda gamma: decay_envelope(t, t1_s, max(gamma, 0.0), shape),
+    result = _separable_fit(lambda gamma: decay_envelope(t, t1_s, gamma, shape),
                             data, 1.0 / span, "gamma_phi_per_s", bounded_below=True)
     if result.parameters["amplitude"] < 0.0:
         return replace(result, flags=result.flags + ("negative_amplitude",))

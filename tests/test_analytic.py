@@ -125,20 +125,17 @@ class TestMatrixElements:
         assert m_small < 0.001
 
 
-class TestPerturbativeSpectrum:
+class TestValidityRatio:
     def test_reference_set_is_clean(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            spectrum = analytic.perturbative_spectrum(reference_qubit())
-        assert spectrum.flags == ()
-        assert spectrum.validity_ratio == pytest.approx(85.0 * 0.18 / 0.25, rel=1e-12)
-        assert spectrum.Delta == analytic.gap(reference_qubit())
-        assert spectrum.A == analytic.anharmonicity(reference_qubit())
-        assert spectrum.dEps_df == analytic.epsilon_slope(reference_qubit())
+            ratio = analytic.validity_ratio(reference_qubit())
+        assert ratio == pytest.approx(85.0 * 0.18 / 0.25, rel=1e-12)
+        assert ratio >= analytic.VALIDITY_RATIO_FLOOR
 
-    def test_low_ratio_is_flagged(self):
+    def test_low_ratio_warns(self):
         q = QubitParams(alpha=0.48, E_J=20.0, E_C=3.2,
                         C_S=capacitance_from_charging_energy(0.5))
-        with pytest.warns(analytic.PerturbativeValidityWarning):
-            spectrum = analytic.perturbative_spectrum(q)
-        assert "perturbative_ratio_low" in spectrum.flags
+        with pytest.warns(analytic.PerturbativeValidityWarning, match="= 1.6 < 20"):
+            ratio = analytic.validity_ratio(q)
+        assert ratio == pytest.approx(20.0 * 0.04 / 0.5, rel=1e-12)

@@ -280,6 +280,9 @@ COMMAND_SECTIONS = {
 # 1.7e308 is finite, but (4 + 2 alpha) E_J overflows and e^2/2C_S underflows;
 # 1e15 elements are past the address space: the allocation fails at once
 MUTATIONS = ("nan", "inf", "0", "-1", "1e300", "1.7e308", "5e-324", "1000000000000000")
+# a list-valued key also takes the bad value as one item of an otherwise valid list
+LIST_ITEMS = {("attenuation", "stages"): ("{}:1", "0.01:{}"),
+              ("filter", "pulse_counts"): ("{}, 20",)}
 
 
 def command_argv(command: str) -> list[str]:
@@ -303,26 +306,28 @@ class TestMutatedConfig:
             keys = configparser.ConfigParser()
             keys.read_string(BASE_CONFIG)
             for key in keys[section]:
-                parser = configparser.ConfigParser()
-                parser.read_string(BASE_CONFIG)
-                parser[section][key] = value
-                path = tmp_path / f"{section}.{key}.ini"
-                with open(path, "w") as handle:
-                    parser.write(handle)
-                label = f"[{section}] {key} = {value}"
-                try:
-                    code = cli.main(["--config", str(path), "--out",
-                                     str(tmp_path / f"{section}.{key}"),
-                                     *command_argv(command)])
-                except Exception as err:  # noqa: BLE001 - the escape is the finding
-                    escapes.append(f"{label}: {err.__class__.__name__}: {err}")
-                    continue
-                errors = [line for line in capsys.readouterr().err.splitlines()
-                          if line.startswith("error:")]
-                if code not in (0, 1, 2, 3):
-                    escapes.append(f"{label}: exit {code}")
-                elif code in (1, 2) and len(errors) != 1:
-                    escapes.append(f"{label}: exit {code} printed {errors}")
+                items = LIST_ITEMS.get((section, key), ())
+                for index, raw in enumerate([value, *(item.format(value) for item in items)]):
+                    parser = configparser.ConfigParser()
+                    parser.read_string(BASE_CONFIG)
+                    parser[section][key] = raw
+                    path = tmp_path / f"{section}.{key}.{index}.ini"
+                    with open(path, "w") as handle:
+                        parser.write(handle)
+                    label = f"[{section}] {key} = {raw}"
+                    try:
+                        code = cli.main(["--config", str(path), "--out",
+                                         str(tmp_path / f"{section}.{key}.{index}"),
+                                         *command_argv(command)])
+                    except Exception as err:  # noqa: BLE001 - the escape is the finding
+                        escapes.append(f"{label}: {err.__class__.__name__}: {err}")
+                        continue
+                    errors = [line for line in capsys.readouterr().err.splitlines()
+                              if line.startswith("error:")]
+                    if code not in (0, 1, 2, 3):
+                        escapes.append(f"{label}: exit {code}")
+                    elif code in (1, 2) and len(errors) != 1:
+                        escapes.append(f"{label}: exit {code} printed {errors}")
         assert not escapes, "\n".join(escapes)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -560,6 +565,8 @@ class TestSpectrumCommand:
         assert code == cli.EXIT_OK
         _, rows = read_csv(out / "spectrum.csv")
         assert [row[4] for row in rows] == ["ok"] * 5
+        summary = json.loads((out / "spectrum_summary.json").read_text())
+        assert summary["flags"] == ["perturbative_ratio_low"]
 
     def test_small_alpha_device_omega12_matches_dense_oracle(self, tmp_path, config_path):
         # the third level at f = 0.45 is even in phi_p and lies just below the
@@ -852,25 +859,31 @@ class TestCoherenceCommand:
         assert budget["t1_qp_s"] is None
 
     def test_ramsey_time_past_infrared_cutoff_rejected(self, tmp_path, capsys):
-        path = tmp_path / "c.ini"
-        path.write_text(BASE_CONFIG.replace("ramsey_time_s = 1e-6", "ramsey_time_s = 1.0"))
-        out = tmp_path / "out"
-        assert cli.main(["--config", str(path), "--out", str(out), "coherence"]) == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "[noise] ramsey_time_s" in err
-        assert len(err.strip().splitlines()) == 1
-        assert not list(out.glob("*.csv"))  # rejected before any table is written
+        # the library's window 0 < omega_ir * t < 1, at and past both of its ends
+        for index, value in enumerate(("1.0", "0", "-1e-6")):
+            path = tmp_path / f"c{index}.ini"
+            path.write_text(BASE_CONFIG.replace("ramsey_time_s = 1e-6",
+                                                f"ramsey_time_s = {value}"))
+            out = tmp_path / f"out{index}"
+            assert cli.main(["--config", str(path), "--out", str(out), "coherence"]) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("error: invalid [noise] ramsey_time_s: omega_ir * t = ")
+            assert len(err.strip().splitlines()) == 1
+            assert not list(out.glob("*"))  # rejected before any table is written
 
     def test_all_zero_attenuation_weights_rejected(self, tmp_path, capsys):
-        path = tmp_path / "c.ini"
-        path.write_text(BASE_CONFIG.replace("stages = 300:1e-7, 4.0:9.9e-6, 0.1:9.99e-3, 0.01:0.99",
-                                            "stages = 0.01:0"))
-        out = tmp_path / "out"
-        assert cli.main(["--config", str(path), "--out", str(out), "coherence"]) == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("error: invalid [attenuation] section")
-        assert len(err.strip().splitlines()) == 1
-        assert not list(out.glob("*"))  # rejected before any table is written
+        # and the non-finite stages, and one whose Bose occupation overflows
+        for index, stages in enumerate(("0.01:0", "nan:1", "inf:1", "0.01:nan", "0.01:inf",
+                                        "1.7e308:1")):
+            path = tmp_path / f"c{index}.ini"
+            path.write_text(BASE_CONFIG.replace(
+                "stages = 300:1e-7, 4.0:9.9e-6, 0.1:9.99e-3, 0.01:0.99", f"stages = {stages}"))
+            out = tmp_path / f"out{index}"
+            assert cli.main(["--config", str(path), "--out", str(out), "coherence"]) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("error: invalid [attenuation] section")
+            assert len(err.strip().splitlines()) == 1
+            assert not list(out.glob("*"))  # rejected before any table is written
 
     def test_empty_attenuation_items_are_skipped(self, tmp_path, config_path):
         path = tmp_path / "c.ini"

@@ -230,6 +230,17 @@ class TestEffectiveTemperature:
             AttenuationChain(stages=((0.0, 1.0),))
         with pytest.raises(ValueError):
             AttenuationChain(stages=((4.0, -0.1),))
+        for stage in ((math.nan, 1.0), (math.inf, 1.0), (0.01, math.nan), (0.01, math.inf)):
+            with pytest.raises(ValueError, match="must be finite"):
+                AttenuationChain(stages=(stage,))
+
+    # the occupation of a 1.7e308 K stage overflows; that of a 1e307 K stage is
+    # finite, but k_B ln(1 + 1/nbar) underflows to 0
+    @pytest.mark.parametrize("temperature", [1.7e308, 1e307])
+    def test_overflowing_occupation_rejected(self, temperature):
+        chain = AttenuationChain(stages=((temperature, 1.0),))
+        with pytest.raises(ValueError, match=r"underflows k_B ln\(1 \+ 1/nbar\)"):
+            effective_temperature(chain, 8.2175)
 
 
 class TestThermalPhotons:
@@ -240,6 +251,7 @@ class TestThermalPhotons:
     def test_population_vanishes_at_low_temperature(self):
         assert thermal_photon_population(8.219, 1e-4) == 0.0
         assert thermal_photon_population(8.219, 0.0) == 0.0
+        assert thermal_photon_population(8.219, 5e-324) == 0.0  # k_B T underflows to 0
 
     def test_rayleigh_jeans_limit(self):
         classical = CONSTANTS.k_B * 10.0 / (CONSTANTS.h * 8.219e9)
@@ -293,6 +305,11 @@ class TestFluxDephasing:
         noise = FluxNoise(A_Phi=1e-12, omega_ir=2.0 * math.pi)
         with pytest.raises(ValueError):
             flux_dephasing_rates(noise, 104.0, 1.0)
+
+    @pytest.mark.parametrize("ramsey_time", [0.0, -1e-6])
+    def test_nonpositive_ramsey_time_rejected(self, ramsey_time):
+        with pytest.raises(ValueError, match=r"omega_ir \* t = .*, not in \(0, 1\)"):
+            flux_dephasing_rates(FluxNoise(A_Phi=3.24e-12), 5.0, ramsey_time)
 
     def test_noise_validation(self):
         with pytest.raises(ValueError):

@@ -394,6 +394,14 @@ class TestFitEnvelope:
         assert result.flags == (("degenerate_jacobian",) if shape == "gaussian" else ())
         assert math.isinf(sigma["gamma_phi_per_s"]) == (shape == "gaussian")
         assert 0.0 < sigma["amplitude"] < 0.05 and 0.0 < sigma["offset"] < 0.05
+        if shape == "exponential":
+            # s^2 (J^T J)^-1 with the exact one-sided column -a t e^(-t/2T1); a central
+            # difference clamped at the bound halved it and doubled the rate uncertainty
+            relax = np.exp(-self.t / 180e-6)
+            jac = np.column_stack([-result.parameters["amplitude"] * self.t * relax, relax,
+                                   np.ones_like(self.t)])
+            cov = result.residual_norm**2 / (len(self.t) - 3) * np.linalg.inv(jac.T @ jac)
+            assert sigma["gamma_phi_per_s"] == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-5)
         np.testing.assert_array_equal(np.sqrt(np.diag(result.covariance)), list(sigma.values()))
 
     def test_decay_calls_stay_bounded(self, monkeypatch):
