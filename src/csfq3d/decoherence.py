@@ -15,6 +15,7 @@ Rate conventions (documented per function, never mixed inside one formula):
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -158,38 +159,38 @@ def qp_relaxation_rate(q: QubitParams, omega01_ghz: float, env: QuasiparticleEnv
 
 def thermal_voltage_psd(omega_ghz: float, temperature_k: float) -> float:
     """Quantum Johnson noise power spectral density of an R = 50 Ohm resistor,
-    V^2/Hz: 4 k_B T R (hbar omega/k_B T)/(exp(hbar omega/k_B T) - 1); strictly
-    increasing in T.  omega_ghz is a cyclic frequency."""
+    V^2/Hz: 4 k_B T R (hbar omega/k_B T)/(exp(hbar omega/k_B T) - 1), 4 k_B T R
+    where that ratio is 0; strictly increasing in T.  omega_ghz is a cyclic frequency."""
     if temperature_k <= 0.0:
         raise ValueError(f"temperature must be positive, got {temperature_k} K")
-    x = CONSTANTS.h * omega_ghz * 1e9 / (CONSTANTS.k_B * temperature_k)
+    x = CONSTANTS.h / CONSTANTS.k_B * (omega_ghz * 1e9) / temperature_k  # no subnormal h f
     if x > 700.0:  # noise power underflows double precision
         return 0.0
-    return 4.0 * CONSTANTS.k_B * temperature_k * 50.0 * x / math.expm1(x)
+    return 4.0 * CONSTANTS.k_B * temperature_k * 50.0 * (x / math.expm1(x) if x else 1.0)
 
 
 def effective_temperature(chain: AttenuationChain, omega_c_ghz: float) -> float:
     """Temperature whose resistor noise matches the weighted chain noise, K.
 
     The Johnson noise S(omega_c, T) is proportional to the Bose occupation
-    n(omega_c, T), so T_eff = h f / (k_B ln(1 + 1/nbar)) in closed form, with
+    n(omega_c, T), so T_eff = (h f/k_B)/ln(1 + 1/nbar) in closed form, with
     nbar = sum_i A_i n(omega_c, T_i) / sum_i A_i; only weight ratios matter.
     Below the 1 mK floor (or when nbar underflows to zero) the floor is
-    returned with a warning; an nbar so large that k_B ln(1 + 1/nbar)
-    underflows to 0 (or not a number) is a ValueError.
+    returned with a warning; an nbar so large that ln(1 + 1/nbar) underflows
+    to 0 (an infinite nbar) is a ValueError.
     """
-    if omega_c_ghz <= 0.0:
-        raise ValueError(f"cavity frequency must be positive, got {omega_c_ghz} GHz")
+    if not 0.0 < omega_c_ghz * 1e9 < math.inf:
+        raise ValueError(f"cavity frequency must be positive and finite, got {omega_c_ghz} GHz")
     total_weight = sum(weight for _, weight in chain.stages)
     nbar = sum(
         weight * thermal_photon_population(omega_c_ghz, temperature)
         for temperature, weight in chain.stages
     ) / total_weight
-    denominator = CONSTANTS.k_B * math.log1p(1.0 / nbar) if nbar else math.inf
-    if not denominator > 0.0:
+    divisor = math.log1p(1.0 / nbar) if nbar else math.inf
+    if not divisor > 0.0:
         raise ValueError(f"mean thermal occupation {nbar:.3g} underflows "
-                         "k_B ln(1 + 1/nbar), the divisor of T_eff, to 0")
-    t_eff = CONSTANTS.h * omega_c_ghz * 1e9 / denominator
+                         "ln(1 + 1/nbar), the divisor of T_eff, to 0")
+    t_eff = CONSTANTS.h / CONSTANTS.k_B * (omega_c_ghz * 1e9) / divisor
     if t_eff < 1e-3:
         warnings.warn(
             "effective temperature lies below the 1 mK floor; returning 1 mK",
@@ -202,14 +203,17 @@ def effective_temperature(chain: AttenuationChain, omega_c_ghz: float) -> float:
 
 def thermal_photon_population(omega_c_ghz: float, temperature_k: float) -> float:
     """Bose occupation 1/(exp(hbar omega_c/k_B T) - 1) at the cavity frequency;
-    0, the T -> 0 limit, where k_B T is not positive (T <= 0, or k_B T underflows)."""
+    0, the T -> 0 limit, where k_B T is not positive (T <= 0, or k_B T underflows),
+    and infinite, the classical limit's, where even h f/k_B T formed from h/k_B is 0."""
     kt = CONSTANTS.k_B * temperature_k
     if not kt > 0.0:
         return 0.0
-    x = CONSTANTS.h * omega_c_ghz * 1e9 / kt
+    hf = CONSTANTS.h * omega_c_ghz * 1e9  # where it is subnormal, x is formed without it
+    x = (hf / kt if hf >= sys.float_info.min
+         else CONSTANTS.h / CONSTANTS.k_B * (omega_c_ghz * 1e9) / temperature_k)
     if x > 700.0:  # population underflows double precision
         return 0.0
-    return 1.0 / math.expm1(x)
+    return 1.0 / math.expm1(x) if x else math.inf
 
 
 def thermal_dephasing_rate(kappa_mhz: float, chi_mhz: float, nbar: float) -> float:

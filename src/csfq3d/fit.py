@@ -87,7 +87,7 @@ class FitResult:
 
     parameters: dict[str, float]
     uncertainties: dict[str, float]
-    covariance: np.ndarray | None
+    covariance: np.ndarray
     residual_norm: float
     converged: bool
     cost_history: tuple[float, ...]
@@ -132,23 +132,30 @@ def _weights(sigma: np.ndarray | None, like: np.ndarray) -> tuple[np.ndarray, fl
 _GRID_POINTS = 25      # log-spaced over centre * 10^[-3, 3]
 _SEARCH_STEPS = 58     # golden-section steps: the bracket shrinks by 0.618^58 = 7.6e-13
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_MAX_COND = 1e14       # largest condition number of J^T J that is inverted as it is
+_MAX_COND = 1e14       # largest condition number of the unit-diagonal J^T J that is well posed
 
 
-def _unbounded(normal: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """The pseudo-inverse covariance ``cov`` of ``normal`` = J^T J, with an
-    infinite variance (and nan covariances) for each parameter that has a
-    component above sqrt(eps) in an unresolved eigenvector of J^T J, one whose
-    eigenvalue is at most 1/_MAX_COND of the largest.  The data leave such a
-    parameter unbounded, where the pseudo-inverse would zero its variance."""
-    lam, vec = np.linalg.eigh(normal)
-    unresolved = vec[:, lam <= lam[-1] / _MAX_COND]
-    free = np.abs(unresolved).max(axis=1, initial=0.0) > math.sqrt(np.finfo(float).eps)
-    cov = cov.copy()
-    cov[free, :] = np.nan
-    cov[:, free] = np.nan
+def _covariance(jac: np.ndarray, scale: float) -> tuple[np.ndarray, bool]:
+    """scale (J^T J)^-1, and whether J^T J is well posed, from one eigendecomposition
+    of D J^T J D, D = diag(1/|J_i|), whose unit-length columns keep the units of
+    the data from deciding (van der Sluis, Numer. Math. 14, 14 (1969)).  It is
+    well posed when every eigenvalue is above 1/_MAX_COND of the largest.  The
+    inverse runs over the resolved eigenvectors, mapped back with D; a parameter
+    with a component above sqrt(eps) in an unresolved one (a zero column is one)
+    is unbounded: an infinite variance, nan covariances.  A non-finite J gives nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        length = np.hypot.reduce(jac, axis=0)  # column norms that do not overflow
+    if not np.isfinite(length).all():
+        return np.full((jac.shape[1],) * 2, np.nan), False
+    length[length == 0.0] = 1.0  # a zero column stays zero, and unresolved
+    lam, vec = np.linalg.eigh((jac / length).T @ (jac / length))
+    resolved = lam > lam[-1] / _MAX_COND
+    free = np.abs(vec[:, ~resolved]).max(axis=1, initial=0.0) > math.sqrt(np.finfo(float).eps)
+    factor = math.sqrt(scale) / length
+    cov = (vec[:, resolved] / lam[resolved]) @ vec[:, resolved].T * factor * factor[:, None]
+    cov[free, :] = cov[:, free] = np.nan
     cov[free, free] = np.inf
-    return cov
+    return cov, bool(resolved.all())
 
 
 def _separable_fit(basis, data: DataSeries, centre: float, name: str,
@@ -171,10 +178,11 @@ def _separable_fit(basis, data: DataSeries, centre: float, name: str,
     [amplitude d basis/d theta, basis, 1] at the optimum, with d basis/d theta
     a central difference at a step of 1e-6 theta, but at least 1e-6 of the
     smallest positive grid point, and a forward one where the central step
-    would cross the bound theta = 0.  When J^T J is singular or
-    ill-conditioned the fit is flagged ``degenerate_jacobian`` and the
-    covariance is the pseudo-inverse, except that a parameter the data do
-    not constrain gets an infinite variance (:func:`_unbounded`).
+    would cross the bound theta = 0.  It comes from :func:`_covariance`, which
+    scales each column to unit length first, so a change of units (y -> s y)
+    changes neither the flags nor theta's uncertainty.  A fit whose scaled J^T J
+    is singular or ill-conditioned is flagged ``degenerate_jacobian``, and each
+    parameter the data leave unresolved gets an infinite variance.
     """
     y = data.y
     weight, smallest_err = _weights(data.y_err, y)
@@ -219,17 +227,8 @@ def _separable_fit(basis, data: DataSeries, centre: float, name: str,
     else:
         slope = (basis(theta + step) - basis(theta - step)) / (2.0 * step)
     jac = np.column_stack([amplitude * slope, phi, np.ones_like(phi)]) * weight[:, None]
-    normal = jac.T @ jac
-    try:
-        cond = np.linalg.cond(normal)
-    except np.linalg.LinAlgError:
-        cond = None
-    well_posed = cond is not None and cond <= _MAX_COND  # False for nan and inf
-    inverse = np.linalg.inv if well_posed else np.linalg.pinv
-    cov = cost / max(len(y) - 3, 1) * inverse(normal) if cond is not None else None
-    if cov is not None and not well_posed:
-        cov = _unbounded(normal, cov)
-    sigma = np.sqrt(np.diag(cov)) if cov is not None else np.full(3, np.nan)
+    cov, well_posed = _covariance(jac, cost / max(len(y) - 3, 1))
+    sigma = np.sqrt(np.diag(cov))
     parameters = {name: theta, "amplitude": amplitude, "offset": offset}
     inside = 0 < k < len(grid) - 1 or (bounded_below and k == 0)
     return FitResult(

@@ -1067,6 +1067,30 @@ class TestFitCommand:
         result = json.loads((out / "fit_envelope.json").read_text())
         assert result["parameters"]["gamma_phi_per_s"] == pytest.approx(1.25e4, rel=1e-3)
 
+    def test_envelope_fixture_in_other_units(self, tmp_path, config_path):
+        # the bundled trace with its signal 1000x smaller: J^T J's own condition number
+        # grows 1e6-fold, to 9.35e15, but with unit-length columns it is 5.94 at any scale
+        lines = (DATA_DIR / "envelope_synthetic.csv").read_text().splitlines()
+        start = lines.index("time_s,signal") + 1
+        rows = [line.split(",") for line in lines[start:]]
+        path = tmp_path / "env_mV.csv"
+        path.write_text("\n".join(lines[:start] + [f"{t},{float(y) * 1e-3!r}" for t, y in rows])
+                        + "\n")
+        outputs = []
+        for index, data in enumerate((DATA_DIR / "envelope_synthetic.csv", path)):
+            out = tmp_path / f"out{index}"
+            assert cli.main(["--config", str(config_path), "--out", str(out),
+                             "fit", "envelope", str(data)]) == cli.EXIT_OK
+            outputs.append(json.loads((out / "fit_envelope.json").read_text()))
+        base, scaled = outputs
+        assert scaled["flags"] == base["flags"] == []
+        assert all(value is not None for value in scaled["uncertainties"].values())
+        assert scaled["parameters"]["gamma_phi_per_s"] == pytest.approx(
+            base["parameters"]["gamma_phi_per_s"], rel=1e-8)
+        # the trace is noiseless, so s is the rounding of its residuals, ~1e-12
+        assert scaled["uncertainties"]["gamma_phi_per_s"] == pytest.approx(
+            base["uncertainties"]["gamma_phi_per_s"], rel=1e-4)
+
     def test_envelope_shape_override(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text(BASE_CONFIG.replace("shape = gaussian", "shape = exponential"))
@@ -1127,7 +1151,7 @@ class TestFitCommand:
 
     def test_nonconvergence_maps_to_exit_2(self, tmp_path, config_path, monkeypatch, capsys):
         stub = FitResult(parameters={"x_qp": 0.0}, uncertainties={"x_qp": 0.0},
-                         covariance=None, residual_norm=1.0, converged=False,
+                         covariance=np.zeros((1, 1)), residual_norm=1.0, converged=False,
                          cost_history=(1.0,))
         monkeypatch.setattr(cli, "fit_xqp", lambda *a, **k: stub)
         out = tmp_path / "out"

@@ -174,6 +174,13 @@ class TestEffectiveTemperature:
             chain = AttenuationChain(stages=((0.137, weight),))
             assert effective_temperature(chain, 8.2175) == pytest.approx(0.137, rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("temperature", [1e280, 1e290, 1e300, 1e307])
+    def test_single_stage_identity_near_the_double_range(self, temperature):
+        # k_B ln(1 + 1/nbar) ~ h f/T was subnormal here, with few bits: 1e300 K gave 1.1021e300
+        chain = AttenuationChain(stages=((temperature, 1.0),))
+        assert effective_temperature(chain, 8.2175) == pytest.approx(temperature, rel=1e-12,
+                                                                     abs=0.0)
+
     def test_example_chain_lands_near_50_mk(self):
         t_eff = effective_temperature(EXAMPLE_CHAIN, 8.2175)
         assert t_eff == pytest.approx(0.049888134, rel=1e-6)
@@ -202,7 +209,8 @@ class TestEffectiveTemperature:
         with pytest.warns(UserWarning, match="1 mK"):
             assert effective_temperature(chain, 8.2175) == 1e-3
 
-    @pytest.mark.parametrize("omega", [0.0, -8.2175])
+    # past 1.8e299 GHz the frequency in Hz overflows, and T_eff would be inf/inf
+    @pytest.mark.parametrize("omega", [0.0, -8.2175, 1e300, math.inf])
     def test_nonpositive_cavity_frequency_rejected(self, omega):
         with pytest.raises(ValueError, match="cavity frequency must be positive"):
             effective_temperature(EXAMPLE_CHAIN, omega)
@@ -234,12 +242,12 @@ class TestEffectiveTemperature:
             with pytest.raises(ValueError, match="must be finite"):
                 AttenuationChain(stages=(stage,))
 
-    # the occupation of a 1.7e308 K stage overflows; that of a 1e307 K stage is
-    # finite, but k_B ln(1 + 1/nbar) underflows to 0
-    @pytest.mark.parametrize("temperature", [1.7e308, 1e307])
+    # the occupation of a 1e308 or 1.7e308 K stage overflows, and ln(1 + 1/nbar)
+    # is 0; a finite occupation keeps it positive, since 1/nbar is then >= 5.6e-309
+    @pytest.mark.parametrize("temperature", [1.7e308, 1e308])
     def test_overflowing_occupation_rejected(self, temperature):
         chain = AttenuationChain(stages=((temperature, 1.0),))
-        with pytest.raises(ValueError, match=r"underflows k_B ln\(1 \+ 1/nbar\)"):
+        with pytest.raises(ValueError, match=r"underflows ln\(1 \+ 1/nbar\), the divisor"):
             effective_temperature(chain, 8.2175)
 
 
@@ -252,6 +260,19 @@ class TestThermalPhotons:
         assert thermal_photon_population(8.219, 1e-4) == 0.0
         assert thermal_photon_population(8.219, 0.0) == 0.0
         assert thermal_photon_population(8.219, 5e-324) == 0.0  # k_B T underflows to 0
+
+    def test_subnormal_photon_energy_takes_the_classical_limit(self):
+        # h f underflows at f = 1e-300 GHz, and x = h f/k_B T was 0: a ZeroDivisionError
+        classical = CONSTANTS.k_B / CONSTANTS.h * 1.0 / 1e-291  # k_B T/h f at T = 1 K
+        assert thermal_photon_population(1e-300, 1.0) == pytest.approx(classical, rel=1e-12)
+        assert thermal_voltage_psd(1e-300, 1.0) == pytest.approx(4.0 * CONSTANTS.k_B * 50.0,
+                                                                 rel=1e-12)
+        # where even x formed from h/k_B is 0, the limits themselves
+        assert thermal_photon_population(1e-300, 1e300) == math.inf
+        assert thermal_voltage_psd(1e-300, 1e300) == pytest.approx(4.0 * CONSTANTS.k_B * 5e301,
+                                                                   rel=1e-12)
+        with pytest.raises(ValueError, match=r"underflows ln\(1 \+ 1/nbar\)"):
+            effective_temperature(AttenuationChain(stages=((1e300, 1.0),)), 1e-300)
 
     def test_rayleigh_jeans_limit(self):
         classical = CONSTANTS.k_B * 10.0 / (CONSTANTS.h * 8.219e9)

@@ -16,8 +16,8 @@ from csfq3d.fit import (
     FitResult,
     RankDeficientDataError,
     _central_jacobian,
+    _covariance,
     _spectrum_parameters,
-    _unbounded,
     fit_envelope,
     fit_flux_noise,
     fit_spectrum,
@@ -69,8 +69,9 @@ class TestFitResult:
         (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)])
     def test_non_finite_value_is_not_converged(self, value, residual_norm):
         # the rule lives in the type, so a dataclasses.replace applies it too
-        finite = FitResult(parameters={"a": 1.0}, uncertainties={"a": 0.0}, covariance=None,
-                           residual_norm=1.0, converged=True, cost_history=(1.0,))
+        finite = FitResult(parameters={"a": 1.0}, uncertainties={"a": 0.0},
+                           covariance=np.zeros((1, 1)), residual_norm=1.0, converged=True,
+                           cost_history=(1.0,))
         assert finite.converged
         assert not replace(finite, parameters={"a": value}, residual_norm=residual_norm).converged
 
@@ -499,6 +500,43 @@ class TestWeightScale:
         assert scaled.residual_norm * scale == pytest.approx(base.residual_norm, rel=1e-9)
 
 
+class TestSignalScale:
+    """A change of the signal's units, y -> s y, leaves both variable-projection
+    fits' rate, its uncertainty and the flags as they are, and scales the
+    amplitude, the offset and their uncertainties by s."""
+
+    def cases(self):
+        t_env, t_t1 = np.linspace(0.0, 200e-6, 40), np.linspace(0.0, 400e-6, 50)
+        return {
+            "envelope": (t_env, 0.8 * decay_envelope(t_env, 90e-6, 1.25e4, "gaussian") + 0.1
+                         + np.random.default_rng(3).normal(0.0, 0.003, 40),
+                         lambda data: fit_envelope(data, 90e-6), "gamma_phi_per_s"),
+            "t1": (t_t1, 0.7 * np.exp(-t_t1 / 80e-6) + 0.2
+                   + np.random.default_rng(5).normal(0.0, 0.003, 50), fit_t1_exponential, "T1_s"),
+        }
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e-3, 1e4, 1e8, 1e100, 1e150])
+    @pytest.mark.parametrize("fit", ["envelope", "t1"])
+    def test_signal_units_change_nothing(self, fit, scale):
+        # the unscaled J^T J, whose condition number grows with s^2, flagged the
+        # envelope at s <= 1e-3 and the T1 trace at s >= 1e4 with infinite uncertainties
+        t, y, run, rate = self.cases()[fit]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            base, scaled = run(DataSeries(t, y)), run(DataSeries(t, scale * y))
+        assert base.converged and scaled.converged
+        assert base.flags == scaled.flags == ()
+        if fit == "envelope":
+            assert base.uncertainties[rate] == pytest.approx(52.10, abs=0.005)
+        assert scaled.parameters[rate] == pytest.approx(base.parameters[rate], rel=1e-8)
+        assert scaled.uncertainties[rate] == pytest.approx(base.uncertainties[rate], rel=1e-8)
+        for name in ("amplitude", "offset"):
+            assert scaled.parameters[name] == pytest.approx(scale * base.parameters[name],
+                                                            rel=1e-8)
+            assert scaled.uncertainties[name] == pytest.approx(scale * base.uncertainties[name],
+                                                               rel=1e-8)
+
+
 class TestFitFluxNoise:
     q = QubitParams(alpha=0.41, E_J=85.0, E_C=3.2, C_S=capacitance_from_charging_energy(0.25))
 
@@ -584,14 +622,48 @@ class TestJacobian:
 
 
 class TestUnbounded:
+    x = np.linspace(0.0, 1.0, 11)
+
     def test_collinear_parameters_get_infinite_variance(self):
         # columns x and 2x are collinear: their parameters are unbounded, the
         # offset, orthogonal to the null direction (2, -1, 0), keeps its variance
-        x = np.linspace(0.0, 1.0, 11)
-        jac = np.column_stack([x, 2.0 * x, np.ones_like(x)])
-        normal = jac.T @ jac
-        cov = _unbounded(normal, np.linalg.pinv(normal))
+        jac = np.column_stack([self.x, 2.0 * self.x, np.ones_like(self.x)])
+        cov, well_posed = _covariance(jac, 1.0)
+        assert not well_posed
         np.testing.assert_array_equal(np.diag(cov)[:2], [np.inf, np.inf])
         assert np.isnan(cov[:2, 2]).all() and np.isnan(cov[2, :2]).all()
         # the least-squares offset of a line through 11 points: variance 7/22 per unit s^2
         assert cov[2, 2] == pytest.approx(7.0 / 22.0, rel=1e-12)
+
+    def test_zero_column_is_unresolved(self):
+        jac = np.column_stack([np.zeros_like(self.x), self.x, np.ones_like(self.x)])
+        cov, well_posed = _covariance(jac, 4.0)
+        assert not well_posed
+        assert math.isinf(cov[0, 0]) and np.isnan(cov[0, 1:]).all()
+        # the slope and offset of the line fit, in units of s^2 = 4
+        np.testing.assert_allclose(cov[1:, 1:], 4.0 / 12.1 * np.array([[11.0, -5.5], [-5.5, 3.85]]),
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("unit", [1e-150, 1e-12, 1.0, 1e12, 1e150])
+    def test_column_units_do_not_decide(self, unit):
+        # the slope column in units 1e150 apart: J^T J's own condition number
+        # ranges over 1e-300 to 1e300, but the line fit is well posed in every unit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cov, well_posed = _covariance(np.column_stack([unit * self.x, np.ones_like(self.x)]),
+                                          1.0)
+        assert well_posed
+        assert cov[0, 0] * unit * unit == pytest.approx(10.0 / 11.0, rel=1e-12)
+        assert cov[0, 1] * unit == pytest.approx(-5.0 / 11.0, rel=1e-12)
+        assert cov[1, 1] == pytest.approx(7.0 / 22.0, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_jacobian_gives_nan(self, bad):
+        # no traceback and no zero variance: every entry is unknown
+        jac = np.column_stack([self.x, np.ones_like(self.x), self.x * self.x])
+        jac[4, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cov, well_posed = _covariance(jac, 1.0)
+        assert not well_posed
+        assert cov.shape == (3, 3) and np.isnan(cov).all()

@@ -549,6 +549,63 @@ class TestFull2DSpectrum:
         assert result.omega01 > 1.0
 
 
+def charge_basis_levels_2d(q, f, cutoffs, count=4):
+    """Independent oracle: the two-phase Hamiltonian in its charge basis, the
+    plane waves e^{i(n_p phi_p + n_m phi_m)} with n_p + n_m even (exactly the
+    half-cell-even sector), |n_p| <= cutoffs[0] and |n_m| <= cutoffs[1].  The
+    kinetic term is the diagonal E_p n_p^2 + E_m n_m^2; -2 E_J cos phi_p cos phi_m
+    couples (n_p +- 1, n_m +- 1) with -E_J/2, and -alpha E_J cos(2 pi f + 2 phi_m)
+    couples n_m + 2 to n_m with -alpha E_J e^{2 pi i f}/2, real at f = 0.5.  It
+    shares no code with the grid, its sectors or the solver's start."""
+    e_p, e_m = kinetic_coefficients(q)
+    states = [(a, b) for a in range(-cutoffs[0], cutoffs[0] + 1)
+              for b in range(-cutoffs[1], cutoffs[1] + 1) if (a + b) % 2 == 0]
+    index = {state: i for i, state in enumerate(states)}
+    charges = np.array(states, dtype=float)
+    h = np.diag(e_p * charges[:, 0] ** 2 + e_m * charges[:, 1] ** 2 + (2.0 + q.alpha) * q.E_J)
+    flux_term = -0.5 * q.alpha * q.E_J * (-1.0 if f == 0.5 else np.exp(2j * math.pi * f))
+    h = h.astype(type(flux_term))
+    for (a, b), i in index.items():
+        for j in (index.get((a + 1, b + 1)), index.get((a + 1, b - 1))):
+            if j is not None:
+                h[i, j] = h[j, i] = -0.5 * q.E_J
+        j = index.get((a, b + 2))
+        if j is not None:
+            h[j, i], h[i, j] = flux_term, np.conj(flux_term)
+    return np.linalg.eigvalsh(h)[:count]
+
+
+def random_devices(count=12, seed=13):
+    """Seeded devices in a fixed box: alpha in [0.15, 0.48], E_J in [10, 150] GHz
+    (log-uniform), E_C in [2, 8] GHz, C_S in [5, 100] fF, and f = 0.5 on every
+    other device, else f in [0.4, 0.6]; the grid is n = 48, 56 or 64 in turn."""
+    rng = np.random.default_rng(seed)
+    devices = []
+    for index in range(count):
+        alpha, log_e_j, e_c, c_s, f = rng.uniform([0.15, math.log(10.0), 2.0, 5.0, 0.4],
+                                                  [0.48, math.log(150.0), 8.0, 100.0, 0.6])
+        devices.append((QubitParams(alpha=alpha, E_J=math.exp(log_e_j), E_C=e_c, C_S=c_s),
+                        0.5 if index % 2 == 0 else f, (48, 56, 64)[index % 3]))
+    return devices
+
+
+class TestLevelCompleteness:
+    """A residual check cannot see a level the solver never found; the charge
+    basis can.  The box stops at E_J = 150 GHz and E_C = 2 GHz, so that the
+    cutoffs (12, 24) already agree with (14, 28) to 1e-10 E_J; a device where
+    they do not is an oracle too short for it, and it fails, never skipped.
+    Twelve devices, half of them complex (f != 0.5), take about 2.5 s."""
+
+    @pytest.mark.parametrize("q, f, n", random_devices(),
+                             ids=[f"device{index}" for index in range(12)])
+    def test_grid_levels_match_the_charge_basis(self, q, f, n):
+        coarse, fine = (charge_basis_levels_2d(q, f, cutoffs) for cutoffs in ((12, 24), (14, 28)))
+        assert np.max(np.abs(coarse - fine)) <= 1e-10 * q.E_J
+        grid = lowest_eigenpairs(build_hamiltonian_2d(q, f, GridSpec(n)), k=4).eigenvalues
+        # a missed level shifts every level above it by a level spacing
+        np.testing.assert_allclose(grid, fine, rtol=0.0, atol=1e-9 * q.E_J)
+
+
 class TestSpectrum1D:
     def test_against_charge_basis_oracle(self):
         q = reference_qubit_1d()
