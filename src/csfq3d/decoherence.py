@@ -15,7 +15,6 @@ Rate conventions (documented per function, never mixed inside one formula):
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -203,14 +202,11 @@ def effective_temperature(chain: AttenuationChain, omega_c_ghz: float) -> float:
 
 def thermal_photon_population(omega_c_ghz: float, temperature_k: float) -> float:
     """Bose occupation 1/(exp(hbar omega_c/k_B T) - 1) at the cavity frequency;
-    0, the T -> 0 limit, where k_B T is not positive (T <= 0, or k_B T underflows),
-    and infinite, the classical limit's, where even h f/k_B T formed from h/k_B is 0."""
-    kt = CONSTANTS.k_B * temperature_k
-    if not kt > 0.0:
+    0, the T -> 0 limit, where T is not positive, and infinite, the classical
+    limit's, where even h f/k_B T formed from h/k_B is 0."""
+    if not temperature_k > 0.0:
         return 0.0
-    hf = CONSTANTS.h * omega_c_ghz * 1e9  # where it is subnormal, x is formed without it
-    x = (hf / kt if hf >= sys.float_info.min
-         else CONSTANTS.h / CONSTANTS.k_B * (omega_c_ghz * 1e9) / temperature_k)
+    x = CONSTANTS.h / CONSTANTS.k_B * (omega_c_ghz * 1e9) / temperature_k  # no subnormal h f
     if x > 700.0:  # population underflows double precision
         return 0.0
     return 1.0 / math.expm1(x) if x else math.inf

@@ -136,13 +136,12 @@ _MAX_COND = 1e14       # largest condition number of the unit-diagonal J^T J tha
 
 
 def _covariance(jac: np.ndarray, scale: float) -> tuple[np.ndarray, bool]:
-    """scale (J^T J)^-1, and whether J^T J is well posed, from one eigendecomposition
-    of D J^T J D, D = diag(1/|J_i|), whose unit-length columns keep the units of
-    the data from deciding (van der Sluis, Numer. Math. 14, 14 (1969)).  It is
-    well posed when every eigenvalue is above 1/_MAX_COND of the largest.  The
-    inverse runs over the resolved eigenvectors, mapped back with D; a parameter
-    with a component above sqrt(eps) in an unresolved one (a zero column is one)
-    is unbounded: an infinite variance, nan covariances.  A non-finite J gives nan."""
+    """scale (J^T J)^-1, and whether J^T J is well posed, from one eigendecomposition of
+    D J^T J D, D = diag(1/|J_i|), whose unit-length columns keep the data's units from
+    deciding (van der Sluis, Numer. Math. 14, 14 (1969)).  Well posed: every eigenvalue
+    above 1/_MAX_COND of the largest.  The inverse runs over the resolved eigenvectors,
+    mapped back with D; a parameter with a component above sqrt(eps) in an unresolved
+    one (a zero column is one) gets an infinite variance, nan covariances; a non-finite J, nan."""
     with np.errstate(over="ignore", invalid="ignore"):
         length = np.hypot.reduce(jac, axis=0)  # column norms that do not overflow
     if not np.isfinite(length).all():
@@ -175,14 +174,13 @@ def _separable_fit(basis, data: DataSeries, centre: float, name: str,
     weights of :func:`_weights`, and ``residual_norm`` is in the caller's 1/y_err.
 
     The covariance is the linearized s^2 (J^T J)^-1 of the columns
-    [amplitude d basis/d theta, basis, 1] at the optimum, with d basis/d theta
-    a central difference at a step of 1e-6 theta, but at least 1e-6 of the
-    smallest positive grid point, and a forward one where the central step
-    would cross the bound theta = 0.  It comes from :func:`_covariance`, which
-    scales each column to unit length first, so a change of units (y -> s y)
-    changes neither the flags nor theta's uncertainty.  A fit whose scaled J^T J
-    is singular or ill-conditioned is flagged ``degenerate_jacobian``, and each
-    parameter the data leave unresolved gets an infinite variance.
+    [amplitude d basis/d theta, basis, 1] at the optimum.  d basis/d theta is a
+    central difference at a step of 1e-6 max(theta, smallest positive grid point),
+    forward where it would cross theta = 0, and 0 where the difference is rounding
+    noise.  :func:`_covariance` scales each column to unit length first, so a change
+    of units (y -> s y) changes neither the flags nor theta's uncertainty; a fit whose
+    scaled J^T J is singular or ill-conditioned is flagged ``degenerate_jacobian``,
+    and a parameter left unresolved gets an infinite variance.
     """
     y = data.y
     weight, smallest_err = _weights(data.y_err, y)
@@ -223,9 +221,11 @@ def _separable_fit(basis, data: DataSeries, centre: float, name: str,
 
     step = 1e-6 * max(theta, 1e-3 * centre)
     if bounded_below and theta < step:  # a central difference would probe theta < 0
-        slope = (basis(theta + step) - phi) / step
+        diff, width = basis(theta + step) - phi, step
     else:
-        slope = (basis(theta + step) - basis(theta - step)) / (2.0 * step)
+        diff, width = basis(theta + step) - basis(theta - step), 2.0 * step
+    # a difference within 16 ulps of max|basis| is the rounding of basis: a zero, unresolved slope
+    slope = diff / width * (np.abs(diff).max() > 16 * np.finfo(float).eps * np.abs(phi).max())
     jac = np.column_stack([amplitude * slope, phi, np.ones_like(phi)]) * weight[:, None]
     cov, well_posed = _covariance(jac, cost / max(len(y) - 3, 1))
     sigma = np.sqrt(np.diag(cov))

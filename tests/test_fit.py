@@ -405,6 +405,19 @@ class TestFitEnvelope:
             assert sigma["gamma_phi_per_s"] == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-5)
         np.testing.assert_array_equal(np.sqrt(np.diag(result.covariance)), list(sigma.values()))
 
+    def test_slope_of_rounding_noise_is_unresolved(self):
+        # at 3e-3 s^-1 the gaussian moves by a few ulps of 1 over the Jacobian step:
+        # that column is rounding noise, so the rate is unresolved in any units
+        result = fit_envelope(DataSeries(self.t, self.trace(3e-3)), 90e-6, "gaussian")
+        gamma = result.parameters["gamma_phi_per_s"]
+        step = 1e-6 * max(gamma, 1e-3 / self.t[-1])
+        diff = (decay_envelope(self.t, 90e-6, gamma + step)
+                - decay_envelope(self.t, 90e-6, gamma - step))
+        assert 0.0 < gamma and 0.0 < np.abs(diff).max() <= 16 * np.finfo(float).eps
+        assert result.flags == ("degenerate_jacobian",)
+        assert math.isinf(result.uncertainties["gamma_phi_per_s"])
+        assert 0.0 < result.uncertainties["amplitude"] < 1e-6
+
     def test_decay_calls_stay_bounded(self, monkeypatch):
         calls = []
         monkeypatch.setattr(fit_module, "decay_envelope",
