@@ -250,8 +250,6 @@ def _json_safe(value):
         return {key: _json_safe(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(item) for item in value]
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value

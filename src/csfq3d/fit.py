@@ -106,20 +106,6 @@ class FitResult:
 # Variable projection core
 
 
-def _central_jacobian(residual_fn, x, floor, rel_step=1e-6):
-    """Central-difference Jacobian, step rel_step * max(|x_i|, floor_i)."""
-    x = np.asarray(x, dtype=float)
-    columns = []
-    for i in range(len(x)):
-        h = rel_step * max(abs(x[i]), floor[i])
-        up = x.copy()
-        dn = x.copy()
-        up[i] += h
-        dn[i] -= h
-        columns.append((residual_fn(up) - residual_fn(dn)) / (2.0 * h))
-    return np.column_stack(columns)
-
-
 def _weights(sigma: np.ndarray | None, like: np.ndarray) -> tuple[np.ndarray, float]:
     """Weights 1/sigma over their largest, in (0, 1] and so safe to square at any
     scale of sigma, and the smallest sigma, which divides a residual norm in
@@ -338,7 +324,9 @@ def fit_spectrum(data: DataSeries, anharmonicity_ghz: float) -> FitResult:
             delta = y_mean - curvature * x_mean
             rss = float(w2 @ (delta + curvature * x - y) ** 2)
             point = np.array([delta, curvature, anharmonicity_ghz])
-            jac = _central_jacobian(_spectrum_parameters, point, point)
+            step = 1e-6 * np.abs(point)
+            jac = np.column_stack([_spectrum_parameters(point + h) - _spectrum_parameters(point - h)
+                                   for h in np.diag(step)]) / (2.0 * step)
             block = np.array([[1.0 / total + x_mean * x_mean / spread, -x_mean / spread, 0.0],
                               [-x_mean / spread, 1.0 / spread, 0.0], [0.0, 0.0, 0.01**2]])
             cov = rss / (len(data) - 2) * jac @ block @ jac.T

@@ -429,6 +429,29 @@ class TestBundledConfigs:
                          *command_argv(f"fit {target}")]) == cli.EXIT_OK
         assert read == {("output", "format"), *keys}
 
+    @pytest.mark.parametrize("name", ["example_config.ini", "example_config_perturbative.ini"])
+    @pytest.mark.parametrize("target, table, key, parameter", [
+        ("fluxnoise", "dephasing_vs_flux.csv", "a_phi_phi0sq", "A_Phi_Phi0sq"),
+        ("t1", "t1_vs_temperature.csv", "x_qp", "x_qp"),
+    ], ids=["fluxnoise", "t1"])
+    def test_fit_inverts_coherence(self, tmp_path, name, target, table, key, parameter):
+        # the fit reads coherence's forward model back to the [noise] value it was given:
+        # the echo rate column as gamma_e_per_s, the quasiparticle T1 column as t1_s
+        config = DATA_DIR / name
+        assert cli.main(["--config", str(config), "--out", str(tmp_path / "coherence"),
+                         "coherence"]) == cli.EXIT_OK
+        _, rows = read_csv(tmp_path / "coherence" / table)
+        data = tmp_path / f"{target}.csv"
+        data.write_text("\n".join([",".join(cli.DATA_SCHEMAS[target]),
+                                   *(f"{row[0]},{row[1]}" for row in rows)]) + "\n")
+        assert cli.main(["--config", str(config), "--out", str(tmp_path / "fit"),
+                         "fit", target, str(data)]) == cli.EXIT_OK
+        fitted = json.loads((tmp_path / "fit" / f"fit_{target}.json").read_text())
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        parser.read_string(config.read_text())
+        assert fitted["parameters"][parameter] == pytest.approx(float(parser["noise"][key]),
+                                                                rel=1e-8)
+
 
 class TestDataFiles:
     def test_reads_bundled_fixture(self):
@@ -912,7 +935,6 @@ class TestCoherenceCommand:
         _, rows = read_csv(out / "dephasing_vs_flux.csv")
         assert all(float(row[1]) == 0.0 and float(row[2]) == 0.0 for row in rows)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("section, key, quantity, dispersive_warnings", [
         ("qubit", "e_j_ghz", "dephasing_vs_flux gamma_phi_echo_per_s", 0),
         ("flux_sweep", "start", "dephasing_vs_flux gamma_phi_echo_per_s", 0),

@@ -15,7 +15,6 @@ from csfq3d.fit import (
     FitError,
     FitResult,
     RankDeficientDataError,
-    _central_jacobian,
     _covariance,
     _spectrum_parameters,
     fit_envelope,
@@ -607,11 +606,18 @@ class TestFitFluxNoise:
         assert wide.converged
 
 
+def central_difference(fn, x, rel_step):
+    """Central-difference Jacobian of fn at x, steps rel_step |x_i|."""
+    x = np.asarray(x, dtype=float)
+    step = rel_step * np.abs(x)
+    return np.column_stack([fn(x + h) - fn(x - h) for h in np.diag(step)]) / (2.0 * step)
+
+
 class TestJacobian:
     def test_matches_independent_step_at_optimum(self):
-        # the inversion (Delta, c, A) -> (alpha, C_S, E_J) differenced at the
-        # default step vs a coarser independent step, and against the forward
-        # map: the two Jacobians are inverse matrices
+        # the inversion (Delta, c, A) -> (alpha, C_S, E_J) differenced at
+        # fit_spectrum's step vs a coarser independent step, and against the
+        # forward map: the two Jacobians are inverse matrices
         result = fit_spectrum(synthetic_spectrum(noise=1e-3, seed=42), ANHARMONICITY)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -625,13 +631,28 @@ class TestJacobian:
                              analytic.anharmonicity(fitted)])
 
         point = forward([q.alpha, q.C_S, q.E_J])
-        fine = _central_jacobian(_spectrum_parameters, point, point, rel_step=1e-6)
-        coarse = _central_jacobian(_spectrum_parameters, point, point, rel_step=1e-5)
+        fine = central_difference(_spectrum_parameters, point, 1e-6)
+        coarse = central_difference(_spectrum_parameters, point, 1e-5)
         np.testing.assert_allclose(fine, coarse, rtol=1e-6)
         params = np.array([q.alpha, q.C_S, q.E_J])
-        product = fine @ _central_jacobian(forward, params, params)
+        product = fine @ central_difference(forward, params, 1e-6)
         # in relative units, d ln p_i/d ln p_j
         np.testing.assert_allclose(product * params / params[:, None], np.eye(3), atol=1e-8)
+
+    def test_covariance_is_the_inversion_jacobian_applied_to_the_line_fit(self):
+        # s^2 J block J^T, the line fit's unscaled covariance of (Delta, c) from
+        # np.polyfit and sigma_A = 0.01 GHz, with J at the coarser independent step
+        data = synthetic_spectrum(noise=1e-3, seed=42)
+        result = fit_spectrum(data, ANHARMONICITY)
+        x = (data.x - 0.5) ** 2
+        (curvature, delta), unscaled = np.polyfit(x, data.y, 1, cov="unscaled")
+        rss = float(np.sum((delta + curvature * x - data.y) ** 2))
+        block = np.zeros((3, 3))
+        block[:2, :2] = unscaled[::-1, ::-1]  # polyfit orders (c, Delta)
+        block[2, 2] = 0.01**2
+        jac = central_difference(_spectrum_parameters, [delta, curvature, ANHARMONICITY], 1e-5)
+        expected = rss / (len(data) - 2) * jac @ block @ jac.T
+        np.testing.assert_allclose(result.covariance, expected, rtol=1e-5)
 
 
 class TestUnbounded:
