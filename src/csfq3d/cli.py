@@ -178,7 +178,7 @@ class RunConfig:
                         kappa_i=self._get("cavity", "kappa_i_mhz", float))
 
     def grid(self) -> GridSpec:
-        return _checked("[grid] section", GridSpec, n=self._get("grid", "n", int, default=80))
+        return _checked("[grid] section", GridSpec, n=self._get("grid", "n", int, default=GridSpec.n))
 
     def quasiparticle_env(self, x_qp: float | None = None) -> QuasiparticleEnv:
         """The [noise] quasiparticle environment; a caller that fits x_qp passes

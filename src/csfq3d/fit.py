@@ -79,14 +79,14 @@ class DataSeries:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of one fit: physical parameter values, their linearized
-    uncertainties and covariance, the residual norm in the weights 1/y_err and
-    the best cost after each cost evaluation (``cost_history``, non-increasing,
-    in the weights of :func:`_weights`), whose count is ``iterations`` (1 for a
-    closed form).  A non-finite parameter or residual norm means not converged."""
+    """Outcome of one fit: physical parameter values, their linearized covariance (one
+    row and column per parameter, in order, else a ValueError), the one record of the
+    ``uncertainties`` sqrt(diag(covariance)), the residual norm in the weights 1/y_err and
+    the best cost after each cost evaluation (``cost_history``, non-increasing, in the
+    weights of :func:`_weights`), whose count is ``iterations`` (1 for a closed form).
+    A non-finite parameter or residual norm means not converged."""
 
     parameters: dict[str, float]
-    uncertainties: dict[str, float]
     covariance: np.ndarray
     residual_norm: float
     converged: bool
@@ -94,12 +94,18 @@ class FitResult:
     flags: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        if np.shape(self.covariance) != (n := len(self.parameters),) * 2:
+            raise ValueError(f"covariance of shape {np.shape(self.covariance)} for {n} parameters")
         finite = all(math.isfinite(v) for v in (*self.parameters.values(), self.residual_norm))
         object.__setattr__(self, "converged", self.converged and finite)
 
     @property
     def iterations(self) -> int:
         return len(self.cost_history)
+
+    @property
+    def uncertainties(self) -> dict[str, float]:
+        return dict(zip(self.parameters, np.sqrt(np.diag(self.covariance)).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +220,9 @@ def _separable_fit(basis, data: DataSeries, centre: float, name: str,
     slope = diff / width * (np.abs(diff).max() > 16 * np.finfo(float).eps * np.abs(phi).max())
     jac = np.column_stack([amplitude * slope, phi, np.ones_like(phi)]) * weight[:, None]
     cov, well_posed = _covariance(jac, cost / max(len(y) - 3, 1))
-    sigma = np.sqrt(np.diag(cov))
-    parameters = {name: theta, "amplitude": amplitude, "offset": offset}
     inside = 0 < k < len(grid) - 1 or (bounded_below and k == 0)
     return FitResult(
-        parameters=parameters,
-        uncertainties=dict(zip(parameters, sigma.tolist())),
+        parameters={name: theta, "amplitude": amplitude, "offset": offset},
         covariance=cov,
         residual_norm=math.sqrt(cost) / smallest_err,
         converged=inside and min(costs) < max(costs),
@@ -229,11 +232,11 @@ def _separable_fit(basis, data: DataSeries, centre: float, name: str,
 
 
 def _regression(regressor: np.ndarray, target: np.ndarray, sigma: np.ndarray | None,
-                name: str, nonnegative: bool = False) -> FitResult:
-    """Least-squares slope of target = slope * regressor in the weights of
-    :func:`_weights` on sigma, clipped at zero if nonnegative: a one-step
-    FitResult of the one parameter ``slope``, with its standard error and
-    variance, and ``residual_norm`` in the caller's 1/sigma."""
+                name: str, nonnegative: bool = False) -> tuple[float, float, float, float]:
+    """(slope, its standard error, cost, residual norm) of the least-squares
+    target = slope * regressor in the weights of :func:`_weights` on sigma, the
+    slope clipped at zero if nonnegative; the cost is in those weights and the
+    residual norm in the caller's 1/sigma."""
     weight, smallest_err = _weights(sigma, target)
     regressor, target = weight * regressor, weight * target
     denom = float(regressor @ regressor)
@@ -245,10 +248,7 @@ def _regression(regressor: np.ndarray, target: np.ndarray, sigma: np.ndarray | N
     residual = target - slope * regressor
     cost = float(residual @ residual)
     error = math.sqrt(cost / max(len(target) - 1, 1) / denom)
-    return FitResult(parameters={"slope": slope}, uncertainties={"slope": error},
-                     covariance=np.array([[error**2]]),
-                     residual_norm=math.sqrt(cost) / smallest_err, converged=True,
-                     cost_history=(cost,))
+    return slope, error, cost, math.sqrt(cost) / smallest_err
 
 
 def _check_scale(values: np.ndarray, quantity: str) -> None:
@@ -333,10 +333,8 @@ def fit_spectrum(data: DataSeries, anharmonicity_ghz: float) -> FitResult:
     except FloatingPointError as err:
         raise FitError(f"the spectrum fit overflows: {err}") from err
     parameters = dict(zip(("alpha", "C_S_fF", "E_J_GHz"), _spectrum_parameters(point).tolist()))
-    return FitResult(parameters=parameters,
-                     uncertainties=dict(zip(parameters, np.sqrt(np.diag(cov)).tolist())),
-                     covariance=cov, residual_norm=math.sqrt(rss), converged=True,
-                     cost_history=(rss,))
+    return FitResult(parameters=parameters, covariance=cov, residual_norm=math.sqrt(rss),
+                     converged=True, cost_history=(rss,))
 
 
 def fit_xqp(data: DataSeries, q: QubitParams, omega01_ghz: float, delta0_uev: float,
@@ -370,19 +368,20 @@ def fit_xqp(data: DataSeries, q: QubitParams, omega01_ghz: float, delta0_uev: fl
         thermal, unit_rate = (np.array([qp_relaxation_rate(q, omega01_ghz, env, t, matrix_elements)
                                         for t in temperatures])
                               for env in (replace(unit, x_qp=0.0), unit))
-    fit = _regression(unit_rate - thermal, rates - thermal, sigma,
-                      "non-equilibrium rate per unit x_qp", nonnegative=True)
-    x_qp, error = fit.parameters["slope"], fit.uncertainties["slope"]
+    x_qp, error, cost, residual_norm = _regression(
+        unit_rate - thermal, rates - thermal, sigma, "non-equilibrium rate per unit x_qp",
+        nonnegative=True)
     # data dominated by the thermal term (e.g. only high temperatures)
     # leaves x_qp with a wide relative uncertainty
     weak = error != 0.0 and (not np.isfinite(error) or error > 0.5 * x_qp)
+    # x_qp = 0 is the bound x_qp >= 0, where the clip, not the data, set the value
+    flags = ("x_qp_weakly_constrained",) * weak + ("x_qp_at_bound",) * (x_qp == 0.0)
 
     gradient = np.array([1.0, unit.n_qp])  # d(x_qp, n_qp)/d x_qp
-    return replace(fit, parameters={"x_qp": x_qp, "n_qp_per_um3": x_qp * unit.n_qp},
-                   uncertainties={"x_qp": error, "n_qp_per_um3": error * unit.n_qp},
-                   covariance=error**2 * np.outer(gradient, gradient),
-                   residual_norm=fit.residual_norm / err_max * t1_max * t1_max,
-                   flags=("x_qp_weakly_constrained",) if weak else ())
+    return FitResult(parameters={"x_qp": x_qp, "n_qp_per_um3": x_qp * unit.n_qp},
+                     covariance=error**2 * np.outer(gradient, gradient),
+                     residual_norm=residual_norm / err_max * t1_max * t1_max, converged=True,
+                     cost_history=(cost,), flags=flags)
 
 
 def fit_envelope(data: DataSeries, t1_s: float, shape: str = "gaussian") -> FitResult:
@@ -441,11 +440,9 @@ def fit_flux_noise(data: DataSeries, q: QubitParams,
     rates = data.y[mask]
     _check_scale(rates, "the echo dephasing rates")
     derivative = np.abs(analytic.domega01_df(q, f)) * 2.0 * math.pi * 1e9
-    fit = _regression(derivative, rates, None if data.y_err is None else data.y_err[mask],
-                      "flux derivative")
-    slope, error = fit.parameters["slope"], fit.uncertainties["slope"]
+    slope, error, cost, residual_norm = _regression(
+        derivative, rates, None if data.y_err is None else data.y_err[mask], "flux derivative")
     gradient = np.array([2.0 * slope / math.log(2.0), 1.0])  # d(A_Phi, slope)/d slope
-    return replace(fit, parameters={"A_Phi_Phi0sq": slope * slope / math.log(2.0), "slope": slope},
-                   uncertainties={"A_Phi_Phi0sq": 2.0 * abs(slope) * error / math.log(2.0),
-                                  "slope": error},
-                   covariance=error**2 * np.outer(gradient, gradient))
+    return FitResult(parameters={"A_Phi_Phi0sq": slope * slope / math.log(2.0), "slope": slope},
+                     covariance=error**2 * np.outer(gradient, gradient),
+                     residual_norm=residual_norm, converged=True, cost_history=(cost,))

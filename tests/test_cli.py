@@ -452,6 +452,22 @@ class TestBundledConfigs:
         assert fitted["parameters"][parameter] == pytest.approx(float(parser["noise"][key]),
                                                                 rel=1e-8)
 
+    def test_perturbative_coherence_is_pinned(self, tmp_path):
+        # the closed-form dephasing and quasiparticle T1 of the perturbative ini, so that a
+        # change of the full ini's dephasing model shows here if it leaks into this one
+        assert cli.main(["--config", str(DATA_DIR / "example_config_perturbative.ini"),
+                         "--out", str(tmp_path), "coherence"]) == cli.EXIT_OK
+        _, rows = read_csv(tmp_path / "dephasing_vs_flux.csv")
+        pinned = {"0.49": [982191.232268, 4232874.35652, 4.30962343936],
+                  "0.495": [491095.616134, 2116437.17826, 4.30962343936]}
+        for row in rows:
+            if row[0] in pinned:
+                assert [float(value) for value in row[1:]] == pytest.approx(
+                    pinned.pop(row[0]), rel=1e-12)
+        assert pinned == {}
+        budget = json.loads((tmp_path / "decoherence_budget.json").read_text())
+        assert budget["t1_qp_s"] == pytest.approx(8.187526225697033e-05, rel=1e-12)
+
 
 class TestDataFiles:
     def test_reads_bundled_fixture(self):
@@ -1171,10 +1187,24 @@ class TestFitCommand:
         result = json.loads((out / "fit_fluxnoise.json").read_text())
         assert result["sqrt_A_Phi_uPhi0"] == pytest.approx(1.8, rel=1e-6)
 
+    @pytest.mark.parametrize("name, flags", [
+        ("example_config.ini", ["x_qp_weakly_constrained", "x_qp_at_bound"]),
+        ("example_config_perturbative.ini", []),
+    ])
+    def test_t1_fixture_flags_a_density_held_at_its_bound(self, tmp_path, name, flags):
+        # the full ini's qubit cannot reproduce the fixture's rates, so the x_qp >= 0 clip
+        # decides x_qp; the flag says so, and the fit still converges with exit 0
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(DATA_DIR / name), "--out", str(out),
+                         "fit", "t1", str(DATA_DIR / "t1_synthetic.csv")]) == cli.EXIT_OK
+        result = json.loads((out / "fit_t1.json").read_text())
+        assert result["converged"]
+        assert result["flags"] == flags
+        assert (result["parameters"]["x_qp"] == 0.0) == ("x_qp_at_bound" in flags)
+
     def test_nonconvergence_maps_to_exit_2(self, tmp_path, config_path, monkeypatch, capsys):
-        stub = FitResult(parameters={"x_qp": 0.0}, uncertainties={"x_qp": 0.0},
-                         covariance=np.zeros((1, 1)), residual_norm=1.0, converged=False,
-                         cost_history=(1.0,))
+        stub = FitResult(parameters={"x_qp": 0.0}, covariance=np.zeros((1, 1)),
+                         residual_norm=1.0, converged=False, cost_history=(1.0,))
         monkeypatch.setattr(cli, "fit_xqp", lambda *a, **k: stub)
         out = tmp_path / "out"
         code = cli.main(["--config", str(config_path), "--out", str(out),

@@ -68,9 +68,8 @@ class TestFitResult:
         (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)])
     def test_non_finite_value_is_not_converged(self, value, residual_norm):
         # the rule lives in the type, so a dataclasses.replace applies it too
-        finite = FitResult(parameters={"a": 1.0}, uncertainties={"a": 0.0},
-                           covariance=np.zeros((1, 1)), residual_norm=1.0, converged=True,
-                           cost_history=(1.0,))
+        finite = FitResult(parameters={"a": 1.0}, covariance=np.zeros((1, 1)),
+                           residual_norm=1.0, converged=True, cost_history=(1.0,))
         assert finite.converged
         assert not replace(finite, parameters={"a": value}, residual_norm=residual_norm).converged
 
@@ -84,8 +83,12 @@ class TestFitResult:
             result = run(DataSeries(x, y))
         assert list(result.uncertainties) == list(result.parameters)
         assert result.covariance.shape == (len(result.parameters),) * 2
-        np.testing.assert_allclose(np.sqrt(np.diag(result.covariance)),
-                                   list(result.uncertainties.values()), rtol=1e-12, atol=0.0)
+        assert result.uncertainties == dict(zip(result.parameters,
+                                                np.sqrt(np.diag(result.covariance)).tolist()))
+        # the type holds the shape rule: a covariance for another parameter count is refused
+        for shape in [(len(result.parameters) + 1,) * 2, (len(result.parameters),)]:
+            with pytest.raises(ValueError, match="covariance of shape"):
+                replace(result, covariance=np.zeros(shape))
 
 
 ANHARMONICITY = analytic.anharmonicity(TRUTH)
@@ -240,6 +243,20 @@ class TestFitXqp:
         ])
         result = fit_xqp(DataSeries(hot, t1), self.q, 4.68, 200.0, self.m)
         assert result.parameters["x_qp"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_density_held_at_its_bound_is_flagged(self):
+        # rates below the thermal ones want x_qp < 0: the clip holds it at 0, and says so
+        hot = np.array([0.12, 0.15, 0.20])
+        t1 = np.array([
+            2.0 / qp_relaxation_rate(self.q, 4.68, QuasiparticleEnv(x_qp=0.0), t, self.m)
+            for t in hot
+        ])
+        result = fit_xqp(DataSeries(hot, t1), self.q, 4.68, 200.0, self.m)
+        assert result.parameters["x_qp"] == 0.0
+        assert result.converged
+        assert "x_qp_at_bound" in result.flags
+        assert "x_qp_at_bound" not in fit_xqp(DataSeries(self.temps, self.t1_data(6e-8)),
+                                              self.q, 4.68, 200.0, self.m).flags
 
     def test_insensitive_data_flagged(self):
         hot = np.array([0.20, 0.25, 0.30])
@@ -402,7 +419,6 @@ class TestFitEnvelope:
                                    np.ones_like(self.t)])
             cov = result.residual_norm**2 / (len(self.t) - 3) * np.linalg.inv(jac.T @ jac)
             assert sigma["gamma_phi_per_s"] == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-5)
-        np.testing.assert_array_equal(np.sqrt(np.diag(result.covariance)), list(sigma.values()))
 
     def test_slope_of_rounding_noise_is_unresolved(self):
         # at 3e-3 s^-1 the gaussian moves by a few ulps of 1 over the Jacobian step:
