@@ -36,8 +36,8 @@ sector is solved only when a Weyl lower bound on its levels
 (:func:`_odd_sector_floor`) fails to clear the even sector's k-th level by the
 tolerance; the k lowest of both are returned.  At f = 0.5, phi_m -> -phi_m is
 a symmetry too, which is not split; the tests check those levels against a
-dense oracle.  The kinetic matrices and their blocks are built once per
-(coefficient, n).  Nothing is random, and a solve imports no scipy.
+dense oracle.  Kinetic matrices are cached per (coefficient, n), sector
+blocks per (E_p, E_m, n).  Nothing is random, and a solve imports no scipy.
 
 H(1 - f) is H(f) under phi_m -> -phi_m (grid index j -> (n - j) mod n, which
 keeps the kinetic term and the even sector), so ``csfq3d spectrum`` solves
@@ -94,43 +94,42 @@ _Block = NamedTuple("_Block", [("matrix", np.ndarray), ("levels", np.ndarray),
                                ("modes", np.ndarray)])
 
 
-class _KineticFactors(NamedTuple):
-    """Read-only kinetic matrix of one axis and its blocks: ``parity`` on
-    functions even and odd under phi -> -phi, in the bases (delta_i +-
-    delta_{n-i})/sqrt 2, 0 < i < n/2, plus delta_0 and delta_{n/2} if even;
-    ``period`` on n/2 points of functions (anti)periodic under phi -> phi + pi."""
-
-    matrix: np.ndarray
-    parity: tuple[_Block, _Block]
-    period: tuple[_Block, _Block]
-
-
 @functools.lru_cache(maxsize=16)
-def _kinetic_factors(coeff: float, n: int) -> _KineticFactors:
-    """The kinetic factors for one axis, built once per (coeff, n).  The
-    matrix multiplies the plane wave e^{i m phi} by coeff m^2, |m| <= n/2, so
-    entry (i, j) is (coeff/n) sum_m m^2 cos(2 pi m d/n), d the ring distance."""
+def _kinetic_matrix(coeff: float, n: int) -> np.ndarray:
+    """The read-only kinetic matrix of one axis, built once per (coeff, n).  It
+    multiplies the plane wave e^{i m phi} by coeff m^2, |m| <= n/2, so entry
+    (i, j) is (coeff/n) sum_m m^2 cos(2 pi m d/n), d the ring distance."""
     index = np.arange(n)
     distance = np.minimum(index, n - index)  # also |m| of the wave at each index
     t = coeff / n * (np.cos(2.0 * math.pi / n * (np.outer(distance, index) % n)) @ distance ** 2)
-    matrix, half = t[distance[(index[:, None] - index) % n]], n // 2
-    reflect = np.eye(n)[(-index) % n]
+    matrix = t[distance[(index[:, None] - index) % n]]
+    matrix.flags.writeable = False
+    return matrix
+
+
+@functools.lru_cache(maxsize=16)
+def _sector_blocks(e_p: float, e_m: float, n: int):
+    """The read-only blocks of the phi_p-parity sectors, built once per (E_p, E_m, n): T_p
+    on functions even and odd under phi_p -> -phi_p, in the bases (delta_i +- delta_{n-i})
+    /sqrt 2, 0 < i < n/2, plus delta_0 and delta_{n/2} if even, and T_m on n/2 points of
+    functions (anti)periodic under phi_m -> phi_m + pi."""
+    t_p, t_m, half = _kinetic_matrix(e_p, n), _kinetic_matrix(e_m, n), n // 2
+    reflect = np.eye(n)[(-np.arange(n)) % n]
     bases = [basis / np.linalg.norm(basis, axis=0)
              for basis in ((np.eye(n) + reflect)[:, :half + 1], (np.eye(n) - reflect)[:, 1:half])]
-    blocks = [basis.T @ matrix @ basis for basis in bases] + [
-        matrix[:half, :half] + sign * matrix[half:, :half] for sign in (1.0, -1.0)]
+    blocks = [basis.T @ t_p @ basis for basis in bases] + [
+        t_m[:half, :half] + sign * t_m[half:, :half] for sign in (1.0, -1.0)]
     blocks = [_Block(block, *np.linalg.eigh(block)) for block in blocks]
-    for array in (matrix, *(array for block in blocks for array in block)):
+    for array in (array for block in blocks for array in block):
         array.flags.writeable = False
-    return _KineticFactors(matrix, tuple(blocks[:2]), tuple(blocks[2:]))
+    return tuple(blocks[:2]), tuple(blocks[2:])
 
 
 class HamiltonianOperator:
-    """Real-symmetric Hamiltonian on a periodic grid: spectral kinetic term
-    plus a diagonal potential.  The kinetic term is one dense matrix product
-    per axis, with factors shared by every operator with the same
-    coefficient and grid (see :class:`_KineticFactors`).  A vector is the
-    flat grid, dim = n (1D) or n^2 (2D, row-major in (phi_p, phi_m)).
+    """Real-symmetric Hamiltonian on a periodic grid: spectral kinetic term, one
+    dense product per axis with the matrix :func:`_kinetic_matrix` caches, plus a
+    diagonal potential.  A vector is the flat grid, dim = n (1D) or n^2 (2D,
+    row-major in (phi_p, phi_m)).
 
     Parameters
     ----------
@@ -173,7 +172,6 @@ class HamiltonianOperator:
         self.potential = potential
         self.grid = grid
         self.energy_scale = float(energy_scale)
-        self._factors = tuple(_kinetic_factors(coeff, grid.n) for coeff in self.kinetic)
 
     @property
     def ndim(self) -> int:
@@ -190,9 +188,9 @@ class HamiltonianOperator:
         a C-ordered (m, dim) array goes in and out uncopied."""
         v = np.asarray(v, dtype=float)
         grids = v.T.reshape(v.shape[1:] + self.potential.shape)
-        out = grids @ self._factors[-1].matrix  # the kinetic matrices are symmetric
+        out = grids @ _kinetic_matrix(self.kinetic[-1], self.grid.n)  # the matrix is symmetric
         if self.ndim == 2:
-            out += self._factors[0].matrix @ grids
+            out += _kinetic_matrix(self.kinetic[0], self.grid.n) @ grids
         out += self.potential * grids
         return out.reshape(v.shape[::-1]).T
 
@@ -275,7 +273,8 @@ def lowest_eigenpairs(op: HamiltonianOperator, k: int = 4) -> EigenResult:
         raise ValueError(f"k must be in 1..10, got {k}")
     tol = 1e-8 * op.energy_scale
     if op.ndim == 1:
-        evals, vectors = np.linalg.eigh(op._factors[0].matrix + np.diag(op.potential))
+        evals, vectors = np.linalg.eigh(_kinetic_matrix(*op.kinetic, op.grid.n)
+                                        + np.diag(op.potential))
         evals, vectors, iterations = evals[:k], vectors[:, :k], 0
     else:  # the odd sector is skipped if its bound clears the even one's k-th level
         results, iterations = [], 0
@@ -300,20 +299,21 @@ def lowest_eigenpairs(op: HamiltonianOperator, k: int = 4) -> EigenResult:
 class _Sector:
     """The phi_p-parity sector (parity +1 or -1) of the half-cell-even states
     of a 2D operator: a vector is a flat row of the rows 0..n/2 (even) or
-    1..n/2-1 (odd) of the parity basis of :class:`_KineticFactors` by the
+    1..n/2-1 (odd) of the parity basis of :func:`_sector_blocks` by the
     columns j < n/2 (module docstring), which fix the rest of the grid."""
 
     def __init__(self, op: HamiltonianOperator, parity: int):
         self.op, self.parity, self.half = op, parity, op.grid.n // 2
         self.rows = slice(0, self.half + 1) if parity > 0 else slice(1, self.half)
-        self.kinetic = op._factors[0].parity[parity < 0]
+        parities, periods = _sector_blocks(*op.kinetic, op.grid.n)
+        self.kinetic, self.t_m = parities[parity < 0], _kinetic_matrix(op.kinetic[1], op.grid.n)
         self.diagonal = op.potential[self.rows, :self.half]
         self.shape, self.dim = self.diagonal.shape, self.diagonal.size
         # a phi_p mode that flip keeps (negates) meets the phi_m modes (anti)periodic in pi
         keeps = parity * np.sum(self.kinetic.modes * self.kinetic.modes[::-1], axis=0) > 0
         self._inverse = [(part, block.modes, 1.0 / (self.kinetic.levels[part, None]
                                                      + block.levels + op.energy_scale))
-                         for part, block in zip((keeps, ~keeps), op._factors[1].period)]
+                         for part, block in zip((keeps, ~keeps), periods)]
 
     def flip(self, rows: np.ndarray) -> np.ndarray:
         return self.parity * rows[..., ::-1, :]
@@ -321,7 +321,7 @@ class _Sector:
     def matvec(self, block: np.ndarray) -> np.ndarray:
         """H applied to each row of a (m, dim) block."""
         rows = block.reshape((-1,) + self.shape)
-        image = rows @ self.op._factors[1].matrix[:self.half]
+        image = rows @ self.t_m[:self.half]
         out = image[..., :self.half] + self.flip(image[..., self.half:])
         out += self.kinetic.matrix @ rows
         out += self.diagonal * rows
@@ -348,7 +348,8 @@ def _odd_sector_floor(op: HamiltonianOperator) -> float:
     """A lower bound on the phi_p-odd sector: T_m >= 0 and U >= L(phi_p),
     its minimum over phi_m, so H >= (T_p + diag L) x 1 (Weyl)."""
     floor = op.potential[1:op.grid.n // 2].min(axis=1)
-    return float(np.linalg.eigvalsh(op._factors[0].parity[1].matrix + np.diag(floor))[0])
+    odd = _sector_blocks(*op.kinetic, op.grid.n)[0][1]
+    return float(np.linalg.eigvalsh(odd.matrix + np.diag(floor))[0])
 
 
 def _product_basis_start(sector: _Sector, k: int):
@@ -358,9 +359,8 @@ def _product_basis_start(sector: _Sector, k: int):
     squared norm 1 + f g, f = <chi|flip chi>, g = 2 <xi_lo|xi_hi>.  Rotating
     chi and xi to diagonalize f and g makes the folds orthogonal; one that
     the double cover collapses (1 + f g <= 1e-6) is dropped."""
-    op, half, u = sector.op, sector.half, sector.op.potential[sector.rows]
-    t_p, t_m = sector.kinetic.matrix, op._factors[1].matrix
-    slice_ = op.potential[:, np.argmin(op.potential) % op.grid.n]
+    potential, half, t_p, t_m = sector.op.potential, sector.half, sector.kinetic.matrix, sector.t_m
+    u, slice_ = potential[sector.rows], potential[:, np.argmin(potential) % len(potential)]
     levels, chi = np.linalg.eigh(t_p + np.diag(slice_[sector.rows]))
     # a well too shallow to bind two levels keeps the lowest two
     count = max(2, int(np.count_nonzero(levels <= slice_.max())))

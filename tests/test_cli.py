@@ -452,21 +452,28 @@ class TestBundledConfigs:
         assert fitted["parameters"][parameter] == pytest.approx(float(parser["noise"][key]),
                                                                 rel=1e-8)
 
-    def test_perturbative_coherence_is_pinned(self, tmp_path):
-        # the closed-form dephasing and quasiparticle T1 of the perturbative ini, so that a
-        # change of the full ini's dephasing model shows here if it leaks into this one
-        assert cli.main(["--config", str(DATA_DIR / "example_config_perturbative.ini"),
+    @pytest.mark.parametrize("name, pinned, t1_qp_s", [
+        ("example_config.ini",
+         {"0.49": [2301666.29044, 9919314.99487, 4.30962343936],
+          "0.495": [1150833.14522, 4959657.49744, 4.30962343936]}, 4.7281997996814546e-05),
+        ("example_config_perturbative.ini",
+         {"0.49": [982191.232268, 4232874.35652, 4.30962343936],
+          "0.495": [491095.616134, 2116437.17826, 4.30962343936]}, 8.187526225697033e-05),
+    ], ids=["example_config.ini", "example_config_perturbative.ini"])
+    def test_bundled_coherence_is_pinned(self, tmp_path, name, pinned, t1_qp_s):
+        # the closed-form dephasing and quasiparticle T1 of each bundled ini, so that a
+        # change of either ini's dephasing model has to edit its pin
+        assert cli.main(["--config", str(DATA_DIR / name),
                          "--out", str(tmp_path), "coherence"]) == cli.EXIT_OK
         _, rows = read_csv(tmp_path / "dephasing_vs_flux.csv")
-        pinned = {"0.49": [982191.232268, 4232874.35652, 4.30962343936],
-                  "0.495": [491095.616134, 2116437.17826, 4.30962343936]}
+        pinned = dict(pinned)
         for row in rows:
             if row[0] in pinned:
                 assert [float(value) for value in row[1:]] == pytest.approx(
                     pinned.pop(row[0]), rel=1e-12)
         assert pinned == {}
         budget = json.loads((tmp_path / "decoherence_budget.json").read_text())
-        assert budget["t1_qp_s"] == pytest.approx(8.187526225697033e-05, rel=1e-12)
+        assert budget["t1_qp_s"] == pytest.approx(t1_qp_s, rel=1e-12)
 
 
 class TestDataFiles:

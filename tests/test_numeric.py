@@ -257,31 +257,63 @@ def record_sector_applications(monkeypatch):
     return applied
 
 
+def record_eigh_calls(monkeypatch):
+    """The shape of the matrix of every np.linalg.eigh call, in order."""
+    calls = []
+    original = np.linalg.eigh
+
+    def counting(matrix, *args, **kwargs):
+        calls.append(np.shape(matrix))
+        return original(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
 class TestSolverStructure:
-    """The cached kinetic factors and the work and residuals of a 2D solve."""
+    """The kinetic caches, and the work and residuals of a 2D solve."""
 
     def test_operators_share_read_only_kinetic_factors(self):
         q = reference_qubit_2d()
-        first = build_hamiltonian_2d(q, 0.5, GridSpec(32))
-        second = build_hamiltonian_2d(q, 0.49, GridSpec(32))
-        assert first._factors[0] is not first._factors[1]  # E_p != E_m
-        for mine, theirs in zip(first._factors, second._factors):
-            assert mine is theirs
-            blocks = (*mine.parity, *mine.period)
-            for array in (mine.matrix, *(array for block in blocks for array in block)):
-                assert not array.flags.writeable
+        first, second = (numeric._Sector(build_hamiltonian_2d(q, f, GridSpec(32)), 1)
+                         for f in (0.5, 0.49))
+        assert first.kinetic is second.kinetic and first.t_m is second.t_m
+        assert all(mine[1] is theirs[1] for mine, theirs in zip(first._inverse, second._inverse))
+        e_p, e_m = kinetic_coefficients(q)
+        matrices = [numeric._kinetic_matrix(coeff, 32) for coeff in (e_p, e_m)]
+        assert matrices[1] is first.t_m and matrices[0] is not matrices[1]  # E_p != E_m
+        blocks = [block for pair in numeric._sector_blocks(e_p, e_m, 32) for block in pair]
+        for array in (*matrices, *(array for block in blocks for array in block)):
+            assert not array.flags.writeable
         with pytest.raises(ValueError):
-            first._factors[0].matrix[0, 0] = 0.0
+            matrices[0][0, 0] = 0.0
 
-    def test_cold_and_warm_factor_cache_give_identical_solves(self):
+    def test_cold_and_warm_factor_cache_give_identical_solves(self, monkeypatch):
+        # a cold 2D solve fills one kinetic matrix per axis and one set of sector blocks,
+        # whose four eigendecompositions a warm solve no longer makes
+        calls = record_eigh_calls(monkeypatch)
         q = reference_qubit_2d()
-        numeric._kinetic_factors.cache_clear()
+        numeric._kinetic_matrix.cache_clear()
+        numeric._sector_blocks.cache_clear()
         cold = lowest_eigenpairs(build_hamiltonian_2d(q, 0.49, GridSpec(32)), k=3)
-        assert numeric._kinetic_factors.cache_info().currsize == 2
+        assert numeric._kinetic_matrix.cache_info().currsize == 2
+        assert numeric._sector_blocks.cache_info().currsize == 1
+        cold_calls = len(calls)
+        calls.clear()
         warm = lowest_eigenpairs(build_hamiltonian_2d(q, 0.49, GridSpec(32)), k=3)
-        assert numeric._kinetic_factors.cache_info().hits >= 2
+        assert numeric._sector_blocks.cache_info().hits >= 1
+        assert cold_calls - len(calls) == 4
         for field in ("eigenvalues", "eigenvectors", "residual_norms"):
             assert np.array_equal(getattr(cold, field), getattr(warm, field))
+
+    def test_one_dimensional_solve_builds_no_sector_blocks(self, monkeypatch):
+        # a 1D solve is one dense eigh; the phi_p-parity blocks serve 2D solves alone
+        calls = record_eigh_calls(monkeypatch)
+        numeric._kinetic_matrix.cache_clear()
+        numeric._sector_blocks.cache_clear()
+        lowest_eigenpairs(build_hamiltonian_1d(reference_qubit_1d(), GridSpec(80)), k=4)
+        assert calls == [(80, 80)]
+        assert numeric._sector_blocks.cache_info().currsize == 0
 
     def test_returned_norms_are_true_residuals(self, monkeypatch):
         # the refinement estimates residuals from the H-image of its basis;
