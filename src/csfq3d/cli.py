@@ -47,9 +47,6 @@ from . import __version__, analytic
 from .core import CavityParams, QubitParams
 from .cqed import dispersive_set, purcell_t1
 from .decoherence import (
-    DEFAULT_GAP_UEV,
-    DEFAULT_N_CP,
-    DEFAULT_OMEGA_IR,
     AttenuationChain,
     FluxNoise,
     QuasiparticleEnv,
@@ -186,14 +183,14 @@ class RunConfig:
         if x_qp is None:
             x_qp = self._get("noise", "x_qp", float)
         return _checked("[noise] section", QuasiparticleEnv, x_qp=x_qp,
-                        Delta0=self._get("noise", "delta0_uev", float, default=DEFAULT_GAP_UEV),
-                        n_cp=self._get("noise", "n_cp_per_um3", float, default=DEFAULT_N_CP))
+                        Delta0=self._get("noise", "delta0_uev", float, default=QuasiparticleEnv.Delta0),
+                        n_cp=self._get("noise", "n_cp_per_um3", float, default=QuasiparticleEnv.n_cp))
 
     def flux_noise(self) -> FluxNoise:
         return _checked("[noise] section", FluxNoise,
                         A_Phi=self._get("noise", "a_phi_phi0sq", float),
                         omega_ir=self._get("noise", "omega_ir_rad_s", float,
-                                         default=DEFAULT_OMEGA_IR))
+                                         default=FluxNoise.omega_ir))
 
     def attenuation_chain(self) -> AttenuationChain:
         raw = self._get("attenuation", "stages", str)
@@ -500,7 +497,7 @@ def cmd_coherence(config: RunConfig, args) -> int:
 def cmd_filter(config: RunConfig, args) -> int:
     counts = config.pulse_counts()
     tau = config._get("filter", "tau_s", float, default=100e-6)
-    tau_pi = config._get("filter", "tau_pi_s", float, default=0.0)
+    tau_pi = config._get("filter", "tau_pi_s", float, default=FilterSpec.tau_pi)
     omega_min = config._positive("filter", "omega_min_rad_s", default=1e2)
     omega_max = config._positive("filter", "omega_max_rad_s", default=1e7)
     points = config._get("filter", "omega_points", int, default=400)

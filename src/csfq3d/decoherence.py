@@ -22,16 +22,6 @@ import numpy as np
 
 from .core import CONSTANTS, QubitParams, microev_to_joule
 
-#: infrared cutoff 2 pi / (2.45 s single-point acquisition time), rad/s
-DEFAULT_OMEGA_IR = 2.0 * math.pi / 2.45
-
-#: Cooper-pair density of thin-film aluminium, um^-3
-DEFAULT_N_CP = 4.9e6
-
-#: superconducting gap of a thin aluminium film, micro-eV
-DEFAULT_GAP_UEV = 200.0
-
-
 class QuasiparticleValidityWarning(UserWarning):
     """hbar omega01 or k_B T is not small against the superconducting gap."""
 
@@ -42,8 +32,8 @@ class QuasiparticleEnv:
     superconducting gap Delta0 (micro-eV), Cooper-pair density n_cp (um^-3)."""
 
     x_qp: float
-    Delta0: float = DEFAULT_GAP_UEV
-    n_cp: float = DEFAULT_N_CP
+    Delta0: float = 200.0  # superconducting gap of a thin aluminium film
+    n_cp: float = 4.9e6  # Cooper-pair density of thin-film aluminium
 
     def __post_init__(self) -> None:
         if self.x_qp < 0.0:
@@ -87,7 +77,7 @@ class FluxNoise:
     Phi_0^2 (e.g. (1.8e-6)^2 for 1.8 micro-Phi_0) and an infrared cutoff in rad/s."""
 
     A_Phi: float
-    omega_ir: float = DEFAULT_OMEGA_IR
+    omega_ir: float = 2.0 * math.pi / 2.45  # 2 pi / (2.45 s single-point acquisition time)
 
     def __post_init__(self) -> None:
         if self.A_Phi < 0.0:

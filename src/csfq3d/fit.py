@@ -25,7 +25,6 @@ import numpy as np
 from . import analytic
 from .core import CONSTANTS, QubitParams, capacitance_from_charging_energy
 from .decoherence import (
-    DEFAULT_N_CP,
     QuasiparticleEnv,
     QuasiparticleValidityWarning,
     decay_envelope,
@@ -338,7 +337,7 @@ def fit_spectrum(data: DataSeries, anharmonicity_ghz: float) -> FitResult:
 
 
 def fit_xqp(data: DataSeries, q: QubitParams, omega01_ghz: float, delta0_uev: float,
-            matrix_elements: tuple[float, float], n_cp: float = DEFAULT_N_CP) -> FitResult:
+            matrix_elements: tuple[float, float], n_cp: float = QuasiparticleEnv.n_cp) -> FitResult:
     """Extract the quasiparticle density x_qp from T1 vs temperature data.
 
     data holds (temperature K, T1 s); the fit runs on rates Gamma = 1/T1.  The

@@ -15,7 +15,7 @@ import pytest
 from csfq3d import cli
 from csfq3d.analytic import PerturbativeValidityWarning
 from csfq3d.cqed import DispersiveLimitWarning
-from csfq3d.decoherence import decay_envelope
+from csfq3d.decoherence import FluxNoise, QuasiparticleEnv, decay_envelope
 from csfq3d.fit import FitResult
 
 DATA_DIR = resources.files("csfq3d") / "data"
@@ -474,6 +474,56 @@ class TestBundledConfigs:
         assert pinned == {}
         budget = json.loads((tmp_path / "decoherence_budget.json").read_text())
         assert budget["t1_qp_s"] == pytest.approx(t1_qp_s, rel=1e-12)
+
+    @pytest.mark.parametrize("name, pinned, omega01_ghz, anharmonicity_ghz", [
+        ("example_config.ini",
+         {"0.49": [5.17609805747, 5.65199236034], "0.495": [4.8406022252, 5.57028274103],
+          "0.5": [4.7160585623, 5.54722485089]}, 4.7160585622953874, 0.8311662885901399),
+        ("example_config_perturbative.ini",
+         {"0.49": [3.88454579776, 4.24785172991], "0.495": [3.74009851101, 4.20389815316],
+          "0.5": [3.68879707503, 4.1900598168]}, 3.6887970750327668, 0.5012627417660838),
+    ], ids=["example_config.ini", "example_config_perturbative.ini"])
+    def test_bundled_spectrum_is_pinned(self, tmp_path, name, pinned, omega01_ghz,
+                                        anharmonicity_ghz):
+        # the n = 80 grid levels of each bundled ini off and at the optimal point; the
+        # cells carry 12 digits and the solve's rounding varies with the BLAS build near
+        # 1e-13, so a change of the solver past that has to edit its pin
+        assert cli.main(["--config", str(DATA_DIR / name),
+                         "--out", str(tmp_path), "spectrum"]) == cli.EXIT_OK
+        header, rows = read_csv(tmp_path / "spectrum.csv")
+        columns = [header.index("omega01_numeric_GHz"), header.index("omega12_numeric_GHz")]
+        pinned = dict(pinned)
+        for row in rows:
+            if row[0] in pinned:
+                assert [float(row[column]) for column in columns] == pytest.approx(
+                    pinned.pop(row[0]), rel=1e-11)
+        assert pinned == {}
+        summary = json.loads((tmp_path / "spectrum_summary.json").read_text())
+        assert summary["omega01_numeric_GHz"] == pytest.approx(omega01_ghz, rel=1e-11)
+        assert summary["anharmonicity_numeric_GHz"] == pytest.approx(anharmonicity_ghz, rel=1e-11)
+
+    def test_omitted_keys_take_the_model_defaults(self, tmp_path):
+        # the config defaults are the model classes' own field defaults, not copies of them
+        text = (DATA_DIR / "example_config.ini").read_text()
+        omitted = ("delta0_uev", "n_cp_per_um3", "tau_pi_s")
+        lines = text.splitlines(keepends=True)
+        kept = [line for line in lines if not line.startswith(omitted)]
+        assert len(lines) - len(kept) == len(omitted)
+        assert not any(line.startswith("omega_ir_rad_s") for line in lines)
+        path = tmp_path / "defaults.ini"
+        path.write_text("".join(kept))
+        config = cli.RunConfig.load(path)
+        assert config.quasiparticle_env() == QuasiparticleEnv(x_qp=6.122e-8)
+        assert config.flux_noise() == FluxNoise(A_Phi=3.24e-12)
+        for ini, out in ((DATA_DIR / "example_config.ini", "bundled"), (path, "defaults")):
+            assert cli.main(["--config", str(ini), "--out", str(tmp_path / out),
+                             "filter"]) == cli.EXIT_OK
+        tables = sorted(p.name for p in (tmp_path / "bundled").glob("filter_N*.csv"))
+        assert tables == sorted(p.name for p in (tmp_path / "defaults").glob("filter_N*.csv"))
+        assert tables
+        for table in tables:
+            assert ((tmp_path / "defaults" / table).read_bytes()
+                    == (tmp_path / "bundled" / table).read_bytes())
 
 
 class TestDataFiles:

@@ -6,7 +6,6 @@ from scipy import integrate, optimize, special
 
 from csfq3d.core import CONSTANTS, QubitParams, capacitance_from_charging_energy
 from csfq3d.decoherence import (
-    DEFAULT_OMEGA_IR,
     AttenuationChain,
     FluxNoise,
     QuasiparticleEnv,
@@ -315,7 +314,7 @@ class TestFluxDephasing:
     @pytest.mark.parametrize("a_phi", [1e-14, (1.8e-6) ** 2, 1e-9])
     def test_ratio_independent_of_amplitude(self, a_phi):
         gamma_e, gamma_r = flux_dephasing_rates(FluxNoise(A_Phi=a_phi), 50.0, 1e-6)
-        expected = math.sqrt(math.log(1.0 / (DEFAULT_OMEGA_IR * 1e-6)) / math.log(2.0))
+        expected = math.sqrt(math.log(1.0 / (FluxNoise.omega_ir * 1e-6)) / math.log(2.0))
         assert gamma_r / gamma_e == pytest.approx(expected, rel=1e-12)
 
     def test_optimal_point_rates_vanish(self):
