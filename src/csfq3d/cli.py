@@ -6,9 +6,10 @@ The configuration is an INI file with one section per module (see
 data/example_config.ini for the full schema) and the only source of every
 setting that changes an output; each command reads only the keys it uses.
 The flags name the config and the output directory (--workers is accepted
-and ignored).  Every run writes a manifest.json carrying the config hash,
-package versions and unit conventions, and reruns with an identical config
-are bit-identical.
+and ignored).  A command computes every output before main() writes any, so
+a rejected input leaves no directory; manifest.json, written last, lists the
+other files written and carries the config hash, package versions and unit
+conventions.  Reruns with an identical config are bit-identical.
 
 Exit codes: 0 success, 1 config/parse or usage error, 2 fit or eigensolve
 non-convergence, 3 partial sweep failure; every non-zero exit prints one
@@ -252,35 +253,33 @@ def _json_safe(value):
     return value
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8", newline="\n")
+def _write(path: Path, content) -> None:
+    """Write a dict as JSON, or a (header, rows) table as CSV: comma, LF, '.' decimals."""
+    if isinstance(content, dict):
+        text = json.dumps(_json_safe(content), indent=2, sort_keys=True) + "\n"
+    else:
+        header, rows = content
+        lines = [",".join(header), *(",".join(_fmt(cell) for cell in row) for row in rows)]
+        text = "\n".join(lines) + "\n"
+    path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def _write_table(path: Path, header: list[str], rows: list[list]) -> Path:
-    """Write rows as CSV: comma, LF, '.' decimals."""
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    return path
-
-
-def _write_manifest(outdir: Path, command: str, config: RunConfig, outputs: list[Path],
-                    extra: dict | None = None) -> None:
-    payload = {
-        "command": command,
+def _write_outputs(args, config: RunConfig, outputs: dict, extra: dict) -> None:
+    """Create --out, write each of a command's `outputs` (file name -> content), then
+    manifest.json naming them, with the manifest fields `extra`."""
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, content in outputs.items():
+        _write(outdir / name, content)
+    _write(outdir / "manifest.json", {
+        "command": f"fit {args.target}" if args.command == "fit" else args.command,
         "config_sha256": sha256(config.text.encode("utf-8")).hexdigest(),
         "tool": {"name": "csfq3d", "version": __version__},
-        "environment": {
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-        },
+        "environment": {"python": sys.version.split()[0], "numpy": np.__version__},
         "unit_conventions": UNIT_CONVENTIONS,
-        "outputs": sorted(p.name for p in outputs),
-    }
-    if extra:
-        payload.update(extra)
-    _write_json(outdir / "manifest.json", payload)
+        "outputs": sorted(outputs),
+        **extra,
+    })
 
 
 def _attempt(fn, point):
@@ -295,25 +294,23 @@ def _status(err) -> str:
     return "ok" if err is None else f"error:{err.__class__.__name__}"
 
 
-def _non_finite(table: Path, header: list[str], rows: list[list]) -> list[str]:
-    """One message per non-finite float cell of `table`, at its row's first cell."""
-    return [f"{table.stem} {name} = {value} at {header[0]} = {row[0]}"
+def _non_finite(table: str, header: list[str], rows: list[list]) -> list[str]:
+    """One message per non-finite float cell of table `table`, at its row's first cell."""
+    return [f"{table.removesuffix('.csv')} {name} = {value} at {header[0]} = {row[0]}"
             for row in rows for name, value in zip(header, row)
             if isinstance(value, float) and not math.isfinite(value)]
 
 
-def _sweep_exit(table: Path, column: str, results, invalid=()) -> int:
-    """EXIT_OK, or EXIT_PARTIAL_FAILURE after one error line: the count of failed rows
-    among the (point, (value, error)) `results` of `table` and the first failed
-    (point, error), else the first invalid value."""
+def _sweep_exit(table: str, column: str, results, invalid=()) -> tuple[int, str | None]:
+    """(EXIT_OK, None), or EXIT_PARTIAL_FAILURE and its error: the count of failed rows
+    among the (point, (value, error)) `results` of the table named `table` and the
+    first failed (point, error), else the first invalid value."""
     failed = [(point, err) for point, (_, err) in results if err is not None]
-    problems = [f"{table.name}: {len(failed)} of {len(results)} rows failed; first at "
+    problems = [f"{table}: {len(failed)} of {len(results)} rows failed; first at "
                 f"{column} = {_fmt(point)}: {' '.join(str(err).split())}"
                 for point, err in failed[:1]]
     problems += invalid
-    if problems:
-        print(f"error: {problems[0]}", file=sys.stderr)
-    return EXIT_PARTIAL_FAILURE if problems else EXIT_OK
+    return (EXIT_PARTIAL_FAILURE, problems[0]) if problems else (EXIT_OK, None)
 
 
 # ---------------------------------------------------------------------------
@@ -374,15 +371,14 @@ def read_data_csv(path: str | Path, columns: tuple[str, str]) -> DataSeries:
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each writes nothing and returns (exit code, error line or None,
+# {file name: JSON dict or (header, iterable of rows)}, extra manifest fields)
 
 
-def cmd_spectrum(config: RunConfig, args) -> int:
+def cmd_spectrum(config: RunConfig, args) -> tuple:
     q = config.qubit()
     grid = config.grid()
     flux = config.sweep("flux_sweep", "start", "stop")
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     def solve(f: float):  # (omega01, omega12) of the three lowest levels
         result = lowest_eigenpairs(build_hamiltonian_2d(q, f, grid), k=3)
@@ -400,7 +396,6 @@ def cmd_spectrum(config: RunConfig, args) -> int:
               "omega12_numeric_GHz", "status"]
     rows = [[f, analytic.omega01(q, f), *(omegas or ("", "")), _status(err)]
             for f, (omegas, err) in results]
-    table = _write_table(outdir / "spectrum.csv", header, rows)
 
     optimal, optimal_error = solved[0.5]
     omega01, omega12 = optimal or (None, None)
@@ -417,16 +412,14 @@ def cmd_spectrum(config: RunConfig, args) -> int:
         "grid_n": grid.n,
         "failed_points": sum(err is not None for _, (_, err) in results),
     }
-    summary_path = outdir / "spectrum_summary.json"
-    _write_json(summary_path, summary)
-    _write_manifest(outdir, "spectrum", config, [table, summary_path])
+    outputs = {"spectrum.csv": (header, rows), "spectrum_summary.json": summary}
     if optimal_error is not None:
-        print(f"error: optimal point f = 0.5: {optimal_error}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-    return _sweep_exit(table, "flux_phi0", results, _non_finite(table, header, rows))
+        return EXIT_NOT_CONVERGED, f"optimal point f = 0.5: {optimal_error}", outputs, {}
+    invalid = _non_finite("spectrum.csv", header, rows)
+    return *_sweep_exit("spectrum.csv", "flux_phi0", results, invalid), outputs, {}
 
 
-def cmd_coherence(config: RunConfig, args) -> int:
+def cmd_coherence(config: RunConfig, args) -> tuple:
     q = config.qubit()
     cavity = config.cavity()
     env = config.quasiparticle_env()
@@ -453,25 +446,20 @@ def cmd_coherence(config: RunConfig, args) -> int:
         return [f, gamma_e, gamma_r, gamma_r / gamma_e if gamma_e > 0.0 else ""]
 
     # the budget point, the chain and the Ramsey window are not sweep points: a value
-    # they reject is a config error, reported before the first table is written
+    # they reject is a config error
     t1_base = _checked("[cqed]/[noise] values", t1_point, base_temperature)
     t_eff = _checked("[attenuation] section", effective_temperature, chain, cavity.omega_c0)
     flux_rows = [_checked("[noise] ramsey_time_s", flux_row, f) for f in flux]
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     t1_results = [(t, _attempt(t1_point, t)) for t in temperatures]
-    t1_table = _write_table(outdir / "t1_vs_temperature.csv", ["temp_K", "t1_qp_s", "status"],
-                            [[t, value if err is None else "", _status(err)]
-                             for t, (value, err) in t1_results])
     flux_header = ["flux_phi0", "gamma_phi_echo_per_s", "gamma_phi_ramsey_per_s",
                    "ramsey_echo_ratio"]
-    flux_table = _write_table(outdir / "dephasing_vs_flux.csv", flux_header, flux_rows)
 
     nbar = thermal_photon_population(omega_c, t_eff)
     thermal_rate = thermal_dephasing_rate(cavity.kappa, chi, nbar)
     budget = {
         "t1_qp_s": t1_base,
-        "t1_purcell_s": purcell_t1(cavity.kappa, dispersive.g01, omega01, omega_c),
+        "t1_purcell_s": _checked("[cqed]/[cavity] values", purcell_t1, cavity.kappa,
+                                 dispersive.g01, omega01, omega_c),
         "t_phi_thermal_s": None if thermal_rate == 0.0 else 1.0 / thermal_rate,
         "t_eff_K": t_eff,
         "nbar": nbar,
@@ -483,18 +471,22 @@ def cmd_coherence(config: RunConfig, args) -> int:
         "base_temperature_K": base_temperature,
         "rate_convention": UNIT_CONVENTIONS["purcell_and_thermal_photon_rates"],
     }
-    budget_path = outdir / "decoherence_budget.json"
-    _write_json(budget_path, budget)
-    _write_manifest(outdir, "coherence", config, [t1_table, flux_table, budget_path])
+    outputs = {
+        "t1_vs_temperature.csv": (["temp_K", "t1_qp_s", "status"],
+                                  [[t, value if err is None else "", _status(err)]
+                                   for t, (value, err) in t1_results]),
+        "dephasing_vs_flux.csv": (flux_header, flux_rows),
+        "decoherence_budget.json": budget,
+    }
     # an overflowing input leaves a non-finite rate or a NaN time; an
     # infinite budget time (no quasiparticle rate) is a legitimate value
-    invalid = _non_finite(flux_table, flux_header, flux_rows)
+    invalid = _non_finite("dephasing_vs_flux.csv", flux_header, flux_rows)
     invalid += [f"decoherence_budget {key} = nan" for key, value in budget.items()
                 if isinstance(value, float) and math.isnan(value)]
-    return _sweep_exit(t1_table, "temp_K", t1_results, invalid)
+    return *_sweep_exit("t1_vs_temperature.csv", "temp_K", t1_results, invalid), outputs, {}
 
 
-def cmd_filter(config: RunConfig, args) -> int:
+def cmd_filter(config: RunConfig, args) -> tuple:
     counts = config.pulse_counts()
     tau = config._get("filter", "tau_s", float, default=100e-6)
     tau_pi = config._get("filter", "tau_pi_s", float, default=FilterSpec.tau_pi)
@@ -505,23 +497,19 @@ def cmd_filter(config: RunConfig, args) -> int:
         raise ConfigError(f"[filter] omega_points must be >= 1, got {points}")
     if not math.isfinite(max(omega_min, omega_max) * tau):
         raise ConfigError(f"[filter] tau_s = {tau!r} overflows omega * tau_s on the grid")
-    try:  # every table is computed before the first is written
+    try:
         omega = np.logspace(math.log10(omega_min), math.log10(omega_max), points)
         tables = [(n, filter_function(FilterSpec(n, tau, tau_pi), omega)) for n in counts]
     except ValueError as err:
         raise ConfigError(f"invalid [filter] section: {err}") from err
     except MemoryError as err:
         raise ConfigError(f"[filter] omega_points or pulse_counts too large: {err}") from err
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    outputs = [_write_table(outdir / f"filter_N{n}.csv", ["omega_rad_s", "filter_value"],
-                            [[w, g] for w, g in zip(omega, values)])
-               for n, values in tables]
-    _write_manifest(outdir, "filter", config, outputs, {"tau_s": tau, "tau_pi_s": tau_pi})
-    return EXIT_OK
+    outputs = {f"filter_N{n}.csv": (["omega_rad_s", "filter_value"], zip(omega, values))
+               for n, values in tables}
+    return EXIT_OK, None, outputs, {"tau_s": tau, "tau_pi_s": tau_pi}
 
 
-def cmd_fit(config: RunConfig, args) -> int:
+def cmd_fit(config: RunConfig, args) -> tuple:
     data = read_data_csv(args.data, DATA_SCHEMAS[args.target])
     if args.target == "spectrum":
         anharmonicity = config._positive("fit", "anharmonicity_ghz")
@@ -552,24 +540,18 @@ def cmd_fit(config: RunConfig, args) -> int:
                  "exclude_halfwidth": window,
                  "sqrt_A_Phi_uPhi0": math.sqrt(result.parameters["A_Phi_Phi0sq"]) * 1e6}
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    out_path = outdir / f"fit_{args.target}.json"
-    _write_json(out_path, {"parameters": result.parameters,
-                           "uncertainties": result.uncertainties,
-                           "residual_norm": result.residual_norm,
-                           "iterations": result.iterations,
-                           "converged": result.converged,
-                           "flags": list(result.flags), **extra})
-    data_hash = sha256(Path(args.data).read_bytes()).hexdigest()
-    _write_manifest(outdir, f"fit {args.target}", config, [out_path],
-                    {"data_sha256": data_hash})
-    if not result.converged:
-        values = ", ".join(f"{name} = {value:.6g}" for name, value in
-                           [*result.parameters.items(), ("residual_norm", result.residual_norm)])
-        print(f"error: fit {args.target} did not converge ({values})", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    outputs = {f"fit_{args.target}.json": {"parameters": result.parameters,
+                                           "uncertainties": result.uncertainties,
+                                           "residual_norm": result.residual_norm,
+                                           "iterations": result.iterations,
+                                           "converged": result.converged,
+                                           "flags": list(result.flags), **extra}}
+    manifest = {"data_sha256": sha256(Path(args.data).read_bytes()).hexdigest()}
+    if result.converged:
+        return EXIT_OK, None, outputs, manifest
+    values = ", ".join(f"{name} = {value:.6g}" for name, value in
+                       [*result.parameters.items(), ("residual_norm", result.residual_norm)])
+    return EXIT_NOT_CONVERGED, f"fit {args.target} did not converge ({values})", outputs, manifest
 
 
 # ---------------------------------------------------------------------------
@@ -612,13 +594,13 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         config = RunConfig.load(args.config)
-        if args.command == "spectrum":
-            return cmd_spectrum(config, args)
-        if args.command == "coherence":
-            return cmd_coherence(config, args)
-        if args.command == "filter":
-            return cmd_filter(config, args)
-        return cmd_fit(config, args)
+        command = {"spectrum": cmd_spectrum, "coherence": cmd_coherence,
+                   "filter": cmd_filter, "fit": cmd_fit}[args.command]
+        code, error, outputs, extra = command(config, args)
+        _write_outputs(args, config, outputs, extra)
+        if error is not None:  # after the outputs, so a failed write is the one error line
+            print(f"error: {error}", file=sys.stderr)
+        return code
     except (ConfigError, DataFileError, FitError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -627,7 +609,7 @@ def main(argv=None) -> int:
             # Process entry (`-m`, the console script): interpreter exit would otherwise
             # tear numpy's modules down through the cyclic GC, which costs more than most
             # commands.  Refcounting still frees frozen objects and the streams are still
-            # flushed; every output file is already written and closed when a command returns.
+            # flushed; main has written and closed every output file by this point.
             gc.freeze()
 
 

@@ -300,7 +300,9 @@ class TestMutatedConfig:
                              ids=lambda command: command.replace(" ", "-"))
     def test_one_key_mutation_ends_in_exit_code(self, tmp_path, capsys, command, value):
         # each key the command reads, set to one bad value at a time: the run
-        # ends in a documented exit code, and exit 1 or 2 prints one error line
+        # ends in a documented exit code, and exit 1 or 2 prints one error line;
+        # exit 1 leaves no output directory, and any other exit a manifest that
+        # names the command and lists exactly the other files written
         escapes = []
         for section in COMMAND_SECTIONS[command]:
             keys = configparser.ConfigParser()
@@ -315,9 +317,9 @@ class TestMutatedConfig:
                     with open(path, "w") as handle:
                         parser.write(handle)
                     label = f"[{section}] {key} = {raw}"
+                    out = tmp_path / f"{section}.{key}.{index}"
                     try:
-                        code = cli.main(["--config", str(path), "--out",
-                                         str(tmp_path / f"{section}.{key}.{index}"),
+                        code = cli.main(["--config", str(path), "--out", str(out),
                                          *command_argv(command)])
                     except Exception as err:  # noqa: BLE001 - the escape is the finding
                         escapes.append(f"{label}: {err.__class__.__name__}: {err}")
@@ -328,6 +330,14 @@ class TestMutatedConfig:
                         escapes.append(f"{label}: exit {code}")
                     elif code in (1, 2) and len(errors) != 1:
                         escapes.append(f"{label}: exit {code} printed {errors}")
+                    if code == cli.EXIT_CONFIG and out.exists():
+                        escapes.append(f"{label}: exit 1 left {sorted(os.listdir(out))}")
+                    elif code != cli.EXIT_CONFIG:
+                        manifest = json.loads((out / "manifest.json").read_text())
+                        written = sorted(set(os.listdir(out)) - {"manifest.json"})
+                        if (manifest["command"], manifest["outputs"]) != (command, written):
+                            escapes.append(f"{label}: manifest {manifest['command']!r} lists "
+                                           f"{manifest['outputs']}, wrote {written}")
         assert not escapes, "\n".join(escapes)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -870,13 +880,18 @@ class TestSpectrumCommand:
         assert run.returncode == 0, run.stderr
         assert run.stdout.split() == ["0", "[]"]
 
-    def test_unwritable_output_directory(self, tmp_path, config_path, capsys):
+    def test_unwritable_output_directory(self, tmp_path, capsys):
+        # the failed write is the run's one error line, also after a failed sweep
+        # row (coherence alone would exit 3)
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")
-        code = cli.main(["--config", str(config_path),
-                         "--out", str(blocker / "sub"), "filter"])
-        assert code == cli.EXIT_CONFIG
-        assert "error" in capsys.readouterr().err
+        path = tmp_path / "c.ini"
+        path.write_text(BASE_CONFIG.replace("start_k = 0.010", "start_k = 0.0"))
+        for command in ("filter", "coherence"):
+            code = cli.main(["--config", str(path), "--out", str(blocker / "sub"), command])
+            assert code == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, err
 
 
 class TestCoherenceCommand:
@@ -988,6 +1003,19 @@ class TestCoherenceCommand:
         chain = cli.RunConfig.load(path).attenuation_chain()
         assert chain == cli.RunConfig.load(config_path).attenuation_chain()
         assert len(chain.stages) == 4
+
+    def test_qubit_at_the_cavity_frequency_is_a_config_error(self, tmp_path, capsys):
+        # omega01 at both cavity frequencies infers g01 = 0 without a complaint, but
+        # the Purcell rate divides by the zero detuning: no table, one error line
+        path = tmp_path / "c.ini"
+        path.write_text(BASE_CONFIG.replace("omega01_ghz = 4.68", "omega01_ghz = 8.2175")
+                        .replace("omega_c_ghz = 8.219", "omega_c_ghz = 8.2175"))
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), "coherence"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == ("error: invalid [cqed]/[cavity] values: zero qubit-cavity detuning: "
+                       "Purcell rate undefined\n")
+        assert not out.exists()
 
     def test_inconsistent_cavity_pull_rejected(self, tmp_path, capsys):
         # a bare cavity below the dressed one gives negative coupling radicands
