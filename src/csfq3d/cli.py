@@ -91,10 +91,6 @@ class DataFileError(Exception):
     """Malformed input data file."""
 
 
-#: default of a key that must be set; None is a valid default (an optional key)
-_REQUIRED = object()
-
-
 def _checked(label: str, factory, *args, **values):
     """factory(*args, **values), with its ValueError reported as invalid `label`."""
     try:
@@ -135,9 +131,10 @@ class RunConfig:
         config._choice("output", "format", ("csv",), default="csv")
         return config
 
-    def _get(self, section, key, cast, default=_REQUIRED):
+    def _get(self, section, key, cast, default=None):
+        """[section] key cast by `cast`, else `default`; with no default it must be set."""
         if not self._parser.has_option(section, key):
-            if default is _REQUIRED:
+            if default is None:
                 raise ConfigError(f"missing [{section}] {key}")
             return default
         raw = self._parser.get(section, key)
@@ -149,7 +146,7 @@ class RunConfig:
             raise ConfigError(f"[{section}] {key} must be finite, got {value!r}")
         return value
 
-    def _positive(self, section, key, default=_REQUIRED) -> float:
+    def _positive(self, section, key, default=None) -> float:
         value = self._get(section, key, float, default=default)
         if not value > 0.0:
             raise ConfigError(f"[{section}] {key} must be positive, got {value!r}")
@@ -301,7 +298,7 @@ def _non_finite(table: str, header: list[str], rows: list[list]) -> list[str]:
             if isinstance(value, float) and not math.isfinite(value)]
 
 
-def _sweep_exit(table: str, column: str, results, invalid=()) -> tuple[int, str | None]:
+def _sweep_exit(table: str, column: str, results, invalid) -> tuple[int, str | None]:
     """(EXIT_OK, None), or EXIT_PARTIAL_FAILURE and its error: the count of failed rows
     among the (point, (value, error)) `results` of the table named `table` and the
     first failed (point, error), else the first invalid value."""

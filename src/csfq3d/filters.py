@@ -54,30 +54,17 @@ def filter_function(spec: FilterSpec, omega):
     Non-negative everywhere; at omega = 0 returns the analytic limit.
     """
     omega = np.asarray(omega, dtype=float)
-    scalar = omega.ndim == 0
-    omega = np.atleast_1d(omega)
-    out = np.empty_like(omega)
-    with np.errstate(over="ignore"):
-        wt = omega * spec.tau
+    w = omega.ravel()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        wt = w * spec.tau
         wt_sq = wt * wt
-
-    # omega = 0, or omega tau so small that g_N equals its limit in double precision
-    zero = wt_sq == 0.0
-    out[zero] = 1.0 if spec.N == 0 else 0.0
-    # omega tau or its square past the double range: g_N takes its limit 0
-    far = np.isinf(wt_sq)
-    out[far] = 0.0
-
-    nz = ~(zero | far)
-    if np.any(nz):
-        w = omega[nz]
-        total = 1.0 + (-1.0) ** (spec.N + 1) * np.exp(1j * wt[nz])
+        total = 1.0 + (-1.0) ** (spec.N + 1) * np.exp(1j * wt)
         if spec.N > 0:
-            positions = cpmg_positions(spec.N)
             signs = (-1.0) ** np.arange(1, spec.N + 1)
-            phases = np.exp(1j * np.outer(w, positions) * spec.tau)
+            phases = np.exp(1j * np.outer(w, cpmg_positions(spec.N)) * spec.tau)
             total = total + 2.0 * (phases @ signs) * np.cos(w * spec.tau_pi / 2.0)
-        out[nz] = np.abs(total) ** 2 / wt_sq[nz]
-
-    return float(out[0]) if scalar else out
-
+        g = np.abs(total) ** 2 / wt_sq
+    # the limits of the module docstring where (omega tau)^2 is 0 or inf
+    g = np.where(wt_sq == 0.0, 1.0 if spec.N == 0 else 0.0, g)
+    g = np.where(np.isinf(wt_sq), 0.0, g)
+    return float(g[0]) if omega.ndim == 0 else g.reshape(omega.shape)

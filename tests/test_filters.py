@@ -15,6 +15,14 @@ def ramsey_closed_form(wt):
     return 4.0 * np.sin(wt / 2.0) ** 2 / wt**2
 
 
+def cpmg_product_form(n_pulses, wt):
+    # ideal-pulse g_N, N >= 1: 16 sin^4(x/4N) {sin^2 (N even) | cos^2 (N odd)}(x/2)
+    # / (x cos(x/2N))^2, which agrees with the pulse sum to 1e-53 in 60-digit arithmetic
+    half = np.sin(wt / 2.0) if n_pulses % 2 == 0 else np.cos(wt / 2.0)
+    pole = wt * np.cos(wt / (2.0 * n_pulses))
+    return 16.0 * np.sin(wt / (4.0 * n_pulses)) ** 4 * half**2 / pole**2
+
+
 class TestCpmgPositions:
     def test_hahn_is_midpoint(self):
         np.testing.assert_allclose(cpmg_positions(1), [0.5])
@@ -78,6 +86,29 @@ class TestFilterFunction:
         # with no numpy warning (the suite turns RuntimeWarning into an error)
         values = filter_function(FilterSpec(n_pulses, 1e308), [1e-3, 1e3, 1e4])
         np.testing.assert_array_equal(values, [0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("n_pulses", [0, 1, 20])
+    def test_limits_and_ordinary_points_in_one_array(self, n_pulses):
+        # (omega tau)^2 is 0 at 0 and 1e-170, inf at 1e170 and inf; the limits are exact,
+        # the ordinary points those of scalar calls up to the rounding of the pulse sum
+        spec = FilterSpec(n_pulses, 1.0)
+        ordinary = math.pi * max(n_pulses, 1) * np.array([1.0, 1.25, 3.0])
+        values = filter_function(spec, np.concatenate([[0.0, 1e-170], ordinary, [1e170, np.inf]]))
+        limit = 1.0 if n_pulses == 0 else 0.0
+        np.testing.assert_array_equal(values[[0, 1, -2, -1]], [limit, limit, 0.0, 0.0])
+        np.testing.assert_allclose(values[2:-2], [filter_function(spec, w) for w in ordinary],
+                                   rtol=1e-12, atol=0.0)
+        assert type(filter_function(spec, np.float64(ordinary[0]))) is float
+        assert type(filter_function(spec, np.array(1e170))) is float
+
+    @pytest.mark.parametrize("n_pulses", [1, 2, 20])
+    def test_relative_accuracy_against_product_form(self, n_pulses):
+        # worst 2.2e-7, at N = 20 and omega tau = 0.01; points next to a pole of the
+        # product form, |cos(x/2N)| <= 1e-3, are left out
+        wt = np.logspace(-2, 3, 2001)
+        wt = wt[np.abs(np.cos(wt / (2.0 * n_pulses))) > 1e-3]
+        np.testing.assert_allclose(filter_function(FilterSpec(n_pulses, 1.0), wt),
+                                   cpmg_product_form(n_pulses, wt), rtol=1e-6, atol=0.0)
 
     @given(
         st.integers(min_value=0, max_value=25),
